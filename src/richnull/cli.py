@@ -247,6 +247,8 @@ def cmd_ensemble(args):
             "direction": args.direction,
             "proposals_used": search.proposals_used,
             "accepted_moves": search.accepted_count,
+            "evaluations": search.evaluations,
+            "stop_reason": search.stop_reason,
             "entropy_initial": search.trace[0],
             "entropy_final": search.entropy,
         }

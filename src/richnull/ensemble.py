@@ -61,67 +61,141 @@ class WeightSequence:
             arr.flags.writeable = False
 
 
+class WeightEntropyKernel:
+    """The weight recursion and the entropy sum as one forward pass over ranks.
+
+    With ``f[i] = residuals[i] / L`` and ``r[j] = kplus[j] / prefix[j]`` the
+    pair probabilities factorize as ``p(i, j) = f[i] * r[j]``, and since
+    ``sum_{i<j} f[i] = prefix[j] / L`` the entropy ``S = -2 * T`` needs only
+    running sums:
+
+        T = sum_j ( r[j] * F[j] + kplus[j] * log(r[j]) / L ),
+        F[j] = sum_{i<j} f[i] log f[i].
+
+    The pass walks the linked ranks in order on plain floats and stores, per
+    rank ``m``, the values reached after it: ``states[m] = (w[m],
+    prefix[m + 1], F[m + 1], T so far)``.  Ranks past the last linked one are
+    inert (kplus 0, no residual stubs) and are never visited.
+
+    :meth:`trial` evaluates a sequence that differs from the accepted one
+    only at ranks ``>= start`` by resuming from ``states[start - 1]``.  It
+    repeats the exact float operations of a full pass, so its entropy is
+    bit-identical to a fresh kernel's.  Every check raises
+    :class:`SingularWeights` with the 1-based rank: a nonpositive
+    denominator, an overflowing weight, an unsaturated last linked rank.
+    """
+
+    __slots__ = ("k", "links", "last", "states", "_trial")
+
+    def __init__(self, k, kplus):
+        k = np.ascontiguousarray(k, dtype=np.int64)
+        kp = _kplus_values(kplus)
+        n = k.size
+        if n < 2:
+            raise ValueError("need at least two ranked nodes")
+        if kp.size != n:
+            raise ValueError("degree and kplus sequences differ in length")
+        if np.any(np.diff(k) > 0):
+            raise ValueError("degrees must be nonincreasing along ranks")
+        if kp[0] != 0 or np.any(kp < 0) or np.any(kp > k):
+            raise ValueError("kplus must satisfy 0 <= kplus <= k and kplus[0] == 0")
+        total = int(k.sum())
+        if total % 2 != 0:
+            raise ValueError("degree sum must be even")
+        self.links = total // 2
+        if self.links < 1:
+            raise ValueError("ensemble undefined for an empty network")
+        if int(kp.sum()) != self.links:
+            raise ValueError("kplus must sum to the link count L")
+
+        self.k = k.tolist()
+        # the recursion denominator at the last linked rank is identically
+        # zero (all its degree points upward), so the pass closes on it apart
+        self.last = int(np.count_nonzero(k)) - 1
+        f0 = self.k[0] / self.links
+        # rank 0: w = 1 and all k[0] stubs are residual (kplus[0] == 0)
+        rank0 = (1.0, float(self.k[0]), f0 * math.log(f0), 0.0)
+        self.states = [rank0] * (self.last + 1)
+        self._sweep(kp.tolist(), 1, self.states)
+        self._trial = self.states[:]
+
+    @property
+    def entropy(self):
+        """Entropy in nats of the accepted sequence."""
+        return -2.0 * self.states[-1][3]
+
+    def trial(self, kplus, start):
+        """Entropy of ``kplus``, which must match the accepted one below ``start``.
+
+        Re-runs ranks ``>= start`` only (``start >= 1``) and keeps their
+        states aside until :meth:`accept`.  Raises :class:`SingularWeights`
+        exactly when :func:`compute_weights` would for ``kplus``.
+        """
+        return self._sweep(kplus, start, self._trial)
+
+    def accept(self, start):
+        """Make the last successful :meth:`trial` from ``start`` the accepted one."""
+        self.states[start:] = self._trial[start:]
+
+    def _sweep(self, kplus, start, out):
+        k = self.k
+        links = self.links
+        last = self.last
+        log = math.log
+        inf = math.inf
+        w, g, f_log_f, t = self.states[start - 1]
+        for m in range(start, last):
+            kp_m = kplus[m]
+            denom = g - kp_m * w
+            if denom <= 0.0:
+                raise SingularWeights(m + 1, f"denominator {denom:.6g}")
+            w = w * g / denom
+            if not w < inf:  # also catches NaN from an overflowed prefix
+                raise SingularWeights(m + 1, "weight overflow")
+            if kp_m:
+                r = kp_m / g
+                t += r * f_log_f + kp_m * log(r) / links
+            res = w * (k[m] - kp_m)
+            f = res / links
+            if f > 0.0:
+                f_log_f += f * log(f)
+            g += res
+            out[m] = (w, g, f_log_f, t)
+        # the closing rank's own weight is never referenced, but its implicit
+        # denominator is w * (kplus - k): unless every link of the last linked
+        # rank points upward, the ensemble underfills every degree constraint
+        kp_m = kplus[last]
+        if kp_m != k[last]:
+            raise SingularWeights(last + 1, "last linked rank not saturated")
+        if not g < inf:
+            raise SingularWeights(last + 1, "weight overflow")
+        r = kp_m / g
+        t += r * f_log_f + kp_m * log(r) / links
+        out[last] = (inf, g, f_log_f, t)
+        return -2.0 * t
+
+
 def compute_weights(k, kplus):
     """Run the weight recursion for ``(k, kplus)``.
 
     Starting from ``w[0] = 1``, each step divides by
     ``prefix[m] - kplus[m] * w[m-1]``; a zero or negative denominator means
     no ensemble satisfies the constraints and raises
-    :class:`SingularWeights` with the offending 1-based rank.
+    :class:`SingularWeights` with the offending 1-based rank.  The
+    recursion is the one pass of :class:`WeightEntropyKernel`, which also
+    accumulates the entropy; the arrays are read off its per-rank states,
+    so they match an incremental re-run bit for bit.
     """
-    k = np.ascontiguousarray(k, dtype=np.int64)
-    kp = _kplus_values(kplus)
-    n = k.size
-    if n < 2:
-        raise ValueError("need at least two ranked nodes")
-    if kp.size != n:
-        raise ValueError("degree and kplus sequences differ in length")
-    if np.any(np.diff(k) > 0):
-        raise ValueError("degrees must be nonincreasing along ranks")
-    if kp[0] != 0 or np.any(kp < 0) or np.any(kp > k):
-        raise ValueError("kplus must satisfy 0 <= kplus <= k and kplus[0] == 0")
-    total = int(k.sum())
-    if total % 2 != 0:
-        raise ValueError("degree sum must be even")
-    links = total // 2
-    if links < 1:
-        raise ValueError("ensemble undefined for an empty network")
-    if int(kp.sum()) != links:
-        raise ValueError("kplus must sum to the link count L")
-
-    # ranks past the last linked one are inert: their kplus is 0, they carry
-    # no residual stubs, and the recursion denominator at the last linked
-    # rank itself is identically zero (all its degree points upward), so the
-    # recursion must stop one short of it exactly as it does at rank N-1
-    n_eff = int(np.count_nonzero(k))
-
-    w = [1.0]
-    residuals = [float(k[0])]  # kplus[0] == 0
-    prefix = [0.0, float(k[0])]
-    with np.errstate(over="ignore"):  # overflow is reported as SingularWeights
-        for m in range(1, n_eff - 1):
-            g = prefix[m]
-            denom = g - kp[m] * w[m - 1]
-            if denom <= 0.0:
-                raise SingularWeights(m + 1, f"denominator {denom:.6g}")
-            wm = w[m - 1] * g / denom
-            if not math.isfinite(wm):
-                raise SingularWeights(m + 1, "weight overflow")
-            w.append(wm)
-            residuals.append(wm * (k[m] - kp[m]))
-            prefix.append(g + residuals[m])
-    # the closing rank's own weight is never referenced, but its implicit
-    # denominator is w * (kplus - k): unless every link of the last linked
-    # rank points upward, the ensemble underfills every degree constraint
-    if kp[n_eff - 1] != k[n_eff - 1]:
-        raise SingularWeights(n_eff, "last linked rank not saturated")
-    for m in range(n_eff - 1, n - 1):
-        w.append(math.inf)
-        residuals.append(0.0)
-        prefix.append(prefix[m])
-    return WeightSequence(
-        np.array(w), np.array(residuals), np.array(prefix)
-    )
+    kernel = WeightEntropyKernel(k, kplus)
+    last = kernel.last
+    inert = len(kernel.k) - 1 - last  # ranks at and past the last linked one
+    w, prefix, _, _ = zip(*kernel.states)
+    w = np.array(w[:last] + (math.inf,) * inert)
+    prefix = np.array((0.0,) + prefix[:last] + (prefix[last],) * inert)
+    residuals = np.zeros(w.size)
+    dk = np.subtract(kernel.k[:last], _kplus_values(kplus)[:last])
+    residuals[:last] = w[:last] * dk
+    return WeightSequence(w, residuals, prefix)
 
 
 class LinkProbabilityModel:
@@ -264,35 +338,15 @@ def entropy_naive(model):
 
 
 def entropy_fast(k, kplus):
-    """Pair-distribution entropy in nats in O(N) after the weight pass.
+    """Pair-distribution entropy in nats in O(N).
 
-    Factorizes the double sum into per-rank terms
-    ``(residuals[i]/L) log(residuals[i]/L)`` against two suffix
-    accumulators over ``ratio[j] = kplus[j]/prefix[j]``:
-    a plain suffix sum and a suffix sum of ``ratio log ratio``.
-    Raises :class:`SingularWeights` when the weights do not exist.
+    One pass of :class:`WeightEntropyKernel`: the weight recursion and the
+    factorized entropy sum run together over ranks, so the value is
+    bit-identical to the one an incremental search re-run reaches for the
+    same sequence.  Raises :class:`SingularWeights` when the weights do not
+    exist.
     """
-    k = np.ascontiguousarray(k, dtype=np.int64)
-    kp = _kplus_values(kplus)
-    ws = compute_weights(k, kp)
-    n = k.size
-    links = int(k.sum()) // 2
-
-    ratio = np.zeros(n)
-    ratio[1:] = kp[1:] / ws.prefix[1:]
-    ratio_log = np.where(ratio > 0.0, ratio * np.log(np.maximum(ratio, 1e-300)), 0.0)
-    # suffix[i] = sum over j > i; the last rank has an empty suffix
-    suffix_a = np.concatenate((np.cumsum(ratio[::-1])[::-1][1:], [0.0]))
-    suffix_b = np.concatenate((np.cumsum(ratio_log[::-1])[::-1][1:], [0.0]))
-
-    f_norm = ws.residuals / links
-    active = f_norm > 0.0
-    log_f = np.zeros(n - 1)
-    log_f[active] = np.log(f_norm[active])
-    total = np.sum(f_norm * log_f * suffix_a[: n - 1]) + np.sum(
-        f_norm * suffix_b[: n - 1]
-    )
-    return -2.0 * float(total)
+    return WeightEntropyKernel(k, kplus).entropy
 
 
 def expected_multiedge_pairs(model):

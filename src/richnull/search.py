@@ -8,9 +8,14 @@ in the configured direction.  Feasibility bounds depend on the mode:
 link joins any pair, ``me3`` caps at ``k[r]`` and permits expected
 multi-links (never self-loops).
 
-Entropy is recomputed from scratch for every proposal; at O(N) per
-evaluation that is cheap enough, and it keeps the accept/reject bookkeeping
-trivially correct (a rejected move cannot leave a stale entropy behind).
+A move between ranks ``i`` and ``j`` leaves every rank below ``min(i, j)``
+untouched, so each proposal re-runs the fused weight-and-entropy pass
+(:class:`~richnull.ensemble.WeightEntropyKernel`) from that rank on, resuming
+from the values stored for the accepted sequence.  The re-run repeats the
+float operations of a full pass, so the entropy it gives is bit-identical to
+:func:`~richnull.ensemble.entropy_fast` on the proposed sequence; a rejected
+move leaves the stored values untouched, and an accepted one copies its
+tail in.
 """
 
 from __future__ import annotations
@@ -19,12 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import compute_weights, entropy_fast
+from .ensemble import WeightEntropyKernel, compute_weights
 from .errors import InfeasibleConstraints, SingularWeights
 from .graph import ME2, ME3, KPlusSequence
 
 MAXIMIZE = "maximize"
 MINIMIZE = "minimize"
+STALL = "stall"
+CAP = "cap"
 
 
 def kplus_bounds(k, mode):
@@ -75,6 +82,10 @@ class SearchResult:
 
     ``trace`` holds the starting entropy followed by the entropy after each
     accepted move, so it is monotone in the configured direction.
+    ``evaluations`` counts the entropy evaluations run; proposals rejected
+    by the bounds are not evaluated.  ``stop_reason`` is ``"stall"`` when
+    ``stall_limit`` consecutive proposals were rejected and ``"cap"`` when
+    ``max_proposals`` ran out first.
     """
 
     kplus: KPlusSequence
@@ -82,6 +93,8 @@ class SearchResult:
     trace: list = field(repr=False)
     proposals_used: int = 0
     accepted_count: int = 0
+    evaluations: int = 0
+    stop_reason: str = STALL
 
 
 def _validate_degrees(k):
@@ -213,14 +226,17 @@ def greedy_search(k, config, initial=None):
         kp = np.array(getattr(initial, "values", initial), dtype=np.int64)
         if np.any(kp > bounds):
             raise InfeasibleConstraints("initial kplus violates the mode bounds")
-        compute_weights(k, kp)
     else:
-        kp = random_feasible_kplus(k, config.mode, rng).values.copy()
+        kp = random_feasible_kplus(k, config.mode, rng).values
+    kernel = WeightEntropyKernel(k, kp)
 
-    entropy = entropy_fast(k, kp)
+    kp = kp.tolist()
+    bounds = bounds.tolist()
+    entropy = kernel.entropy
     trace = [entropy]
     sign = 1.0 if config.direction == MAXIMIZE else -1.0
     proposals = 0
+    evaluations = 0
     accepted = 0
     stall = 0
     while proposals < max_proposals and stall < stall_limit:
@@ -234,11 +250,14 @@ def greedy_search(k, config, initial=None):
             continue
         kp[i] += 1
         kp[j] -= 1
+        evaluations += 1
+        start = min(i, j)
         try:
-            candidate = entropy_fast(k, kp)
+            candidate = kernel.trial(kp, start)
         except SingularWeights:
             candidate = None
         if candidate is not None and sign * (candidate - entropy) > 0.0:
+            kernel.accept(start)
             entropy = candidate
             trace.append(entropy)
             accepted += 1
@@ -249,4 +268,5 @@ def greedy_search(k, config, initial=None):
             stall += 1
 
     result = KPlusSequence(kp, config.mode).validate_against(k)
-    return SearchResult(result, entropy, trace, proposals, accepted)
+    stop = STALL if stall >= stall_limit else CAP
+    return SearchResult(result, entropy, trace, proposals, accepted, evaluations, stop)

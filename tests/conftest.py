@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from richnull.ensemble import compute_weights
+from richnull.ensemble import compute_weights, entropy_fast
 from richnull.errors import SingularWeights
 from richnull.graph import Graph, karate_club, kplus_from_graph, rank_nodes
-from richnull.search import kplus_bounds
+from richnull.search import MAXIMIZE, kplus_bounds, random_feasible_kplus
 
 
 @pytest.fixture
@@ -83,6 +83,52 @@ def enumerate_feasible_kplus(k, mode):
 
     walk(0, links, [])
     return found
+
+
+def greedy_search_from_scratch(k, config):
+    """Reference greedy search that re-evaluates every proposal in full.
+
+    Same proposal stream, bounds and strict-improvement rule as
+    ``richnull.search.greedy_search``, but each proposal calls
+    ``entropy_fast`` on the whole sequence.  Returns
+    ``(kplus, trace, proposals, accepted, evaluations)``.
+    """
+    k = np.asarray(k, dtype=np.int64)
+    n = k.size
+    stall_limit, max_proposals = config.resolved(n)
+    bounds = kplus_bounds(k, config.mode)
+    rng = np.random.default_rng(config.seed)
+    kp = random_feasible_kplus(k, config.mode, rng).values.copy()
+    entropy = entropy_fast(k, kp)
+    trace = [entropy]
+    sign = 1.0 if config.direction == MAXIMIZE else -1.0
+    proposals = accepted = evaluations = stall = 0
+    while proposals < max_proposals and stall < stall_limit:
+        proposals += 1
+        i = int(rng.integers(n))
+        j = int(rng.integers(n - 1))
+        if j >= i:
+            j += 1
+        if kp[i] >= bounds[i] or kp[j] < 1:
+            stall += 1
+            continue
+        kp[i] += 1
+        kp[j] -= 1
+        evaluations += 1
+        try:
+            candidate = entropy_fast(k, kp)
+        except SingularWeights:
+            candidate = None
+        if candidate is not None and sign * (candidate - entropy) > 0.0:
+            entropy = candidate
+            trace.append(entropy)
+            accepted += 1
+            stall = 0
+        else:
+            kp[i] -= 1
+            kp[j] += 1
+            stall += 1
+    return kp, trace, proposals, accepted, evaluations
 
 
 def brute_force_best_split(m):

@@ -6,6 +6,7 @@ import pytest
 from conftest import observed_instance, random_simple_graph
 from richnull.ensemble import (
     LinkProbabilityModel,
+    WeightEntropyKernel,
     compute_weights,
     entropy_fast,
     entropy_naive,
@@ -16,8 +17,9 @@ from richnull.ensemble import (
     total_probability,
     verify_soft_constraints,
 )
-from richnull.errors import SingularWeights
-from richnull.graph import KPlusSequence
+from richnull.errors import InfeasibleConstraints, SingularWeights
+from richnull.graph import Graph, KPlusSequence
+from richnull.search import random_feasible_kplus
 
 
 class TestWeights:
@@ -222,6 +224,84 @@ class TestEntropy:
     def test_singular_propagates(self):
         with pytest.raises(SingularWeights):
             entropy_fast([2, 2, 2], [0, 2, 1])
+
+
+class TestWeightEntropyKernel:
+    def test_matches_naive_on_random_feasible_points(self):
+        rng = np.random.default_rng(404)
+        tested = 0
+        for _ in range(12):
+            g = random_simple_graph(rng, int(rng.integers(4, 30)))
+            k = np.sort(g.degrees)[::-1]
+            k = k[k > 0]
+            for tail in (0, 3):  # trailing zero-degree ranks stay inert
+                kt = np.concatenate((k, np.zeros(tail, dtype=np.int64)))
+                for mode in ("me2", "me3"):
+                    try:
+                        kp = random_feasible_kplus(
+                            kt, mode, seed=int(rng.integers(1 << 30))
+                        ).values
+                    except InfeasibleConstraints:
+                        continue
+                    kernel = WeightEntropyKernel(kt, kp)
+                    naive = entropy_naive(LinkProbabilityModel(kt, kp))
+                    assert kernel.entropy == pytest.approx(naive, rel=1e-12)
+                    assert kernel.entropy == entropy_fast(kt, kp)
+                    tested += 1
+        assert tested >= 30
+
+    def test_rejection_cases(self):
+        kernel = WeightEntropyKernel([2, 2, 2], [0, 1, 2])
+        with pytest.raises(SingularWeights, match="denominator") as err:
+            kernel.trial([0, 2, 1], 1)
+        assert err.value.m == 2
+        kernel = WeightEntropyKernel([4, 4, 4, 4, 4], [0, 1, 2, 3, 4])
+        with pytest.raises(SingularWeights, match="not saturated") as err:
+            kernel.trial([0, 1, 2, 4, 3], 3)
+        assert err.value.m == 5
+        # a rejected trial leaves the accepted sequence's values in place
+        assert kernel.entropy == entropy_fast([4, 4, 4, 4, 4], [0, 1, 2, 3, 4])
+
+    def test_trial_agrees_with_a_fresh_pass(self, karate):
+        # random single-unit moves: a trial from min(i, j) must give the
+        # fresh pass's entropy bit for bit, and reject exactly when
+        # compute_weights raises, with the same rank and message
+        rng = np.random.default_rng(5)
+        complete = Graph([(a, b) for a in range(6) for b in range(a + 1, 6)])
+        seen = {"ok": 0, "denominator": 0, "not saturated": 0}
+        for g in (karate, complete):
+            for tail in (0, 2):
+                k, kp, _ = observed_instance(g)
+                k = np.concatenate((k, np.zeros(tail, dtype=np.int64)))
+                kp = np.concatenate((kp, np.zeros(tail, dtype=np.int64))).tolist()
+                kernel = WeightEntropyKernel(k, kp)
+                for _ in range(1500):
+                    i, j = (int(x) for x in rng.choice(k.size, size=2, replace=False))
+                    if i == 0 or kp[i] >= k[i] or kp[j] < 1:
+                        continue
+                    kp[i] += 1
+                    kp[j] -= 1
+                    start = min(i, j)
+                    try:
+                        compute_weights(k, kp)
+                    except SingularWeights as exc:
+                        with pytest.raises(SingularWeights) as err:
+                            kernel.trial(kp, start)
+                        assert (err.value.m, str(err.value)) == (exc.m, str(exc))
+                        saturated = "saturated" in str(exc)
+                        seen["not saturated" if saturated else "denominator"] += 1
+                        kp[i] -= 1
+                        kp[j] += 1
+                        continue
+                    assert kernel.trial(kp, start) == entropy_fast(k, kp)
+                    seen["ok"] += 1
+                    if rng.random() < 0.5:
+                        kernel.accept(start)
+                    else:
+                        kp[i] -= 1
+                        kp[j] += 1
+                    assert kernel.entropy == entropy_fast(k, kp)
+        assert min(seen.values()) > 0, seen
 
 
 class TestMultigraphEnsembles:

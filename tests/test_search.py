@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import enumerate_feasible_kplus, observed_instance
+from conftest import (
+    enumerate_feasible_kplus,
+    greedy_search_from_scratch,
+    observed_instance,
+)
 from richnull.ensemble import entropy_fast
 from richnull.errors import InfeasibleConstraints, SingularWeights
 from richnull.search import (
@@ -93,6 +97,8 @@ class TestGreedySearch:
         r = greedy_search(np.array([2, 2, 2]), SearchConfig("me2", seed=0))
         assert r.kplus.values.tolist() == [0, 1, 2]
         assert r.accepted_count == 0
+        assert r.evaluations == 0  # every proposal hits a bound
+        assert r.stop_reason == "stall"
         assert r.trace == [r.entropy]
         assert r.entropy == pytest.approx(2 * math.log(3), abs=1e-12)
 
@@ -189,3 +195,32 @@ class TestGreedySearch:
         k, _, _ = observed_instance(karate)
         r = greedy_search(k, SearchConfig("me2", seed=1, stall_limit=5, max_proposals=40))
         assert r.proposals_used <= 40
+
+    def test_stop_reason(self, karate):
+        k, _, _ = observed_instance(karate)
+        capped = greedy_search(
+            k, SearchConfig("me3", seed=1, stall_limit=200, max_proposals=200)
+        )
+        assert capped.proposals_used == 200
+        assert capped.stop_reason == "cap"
+        stalled = greedy_search(k, SearchConfig("me3", seed=1))
+        assert stalled.proposals_used < 5000 * k.size
+        assert stalled.stop_reason == "stall"
+        assert 0 < stalled.evaluations < stalled.proposals_used
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("direction", [MAXIMIZE, MINIMIZE])
+    @pytest.mark.parametrize("mode", ["me2", "me3"])
+    def test_matches_from_scratch_search(self, karate, mode, direction, seed):
+        # the incremental re-run from min(i, j) must walk the same path as
+        # re-evaluating every proposal in full
+        k, _, _ = observed_instance(karate)
+        cfg = SearchConfig(mode, direction=direction, seed=seed)
+        r = greedy_search(k, cfg)
+        kp, trace, proposals, accepted, evaluations = greedy_search_from_scratch(k, cfg)
+        assert r.kplus.values.tolist() == kp.tolist()
+        assert r.proposals_used == proposals
+        assert r.accepted_count == accepted
+        assert r.evaluations == evaluations
+        assert r.trace == pytest.approx(trace, rel=1e-12, abs=0.0)
+        assert r.entropy == entropy_fast(k, r.kplus)
