@@ -43,6 +43,7 @@ from .ensemble import (
     LinkProbabilityModel,
     entropy_fast,
     expected_multiedge_pairs,
+    row_sums,
     total_probability,
     verify_soft_constraints,
 )
@@ -119,6 +120,19 @@ def _out_dir(args):
     return out
 
 
+def _component_sizes(g):
+    """Sizes of the connected components of ``g``, largest first."""
+    unseen, sizes = set(range(g.n)), []
+    while unseen:
+        frontier = {unseen.pop()}
+        sizes.append(0)
+        while frontier:
+            sizes[-1] += len(frontier)
+            frontier = set().union(*(g.adj[u] for u in frontier)) & unseen
+            unseen -= frontier
+    return sorted(sizes, reverse=True)
+
+
 def _ranked_model(g, tag, args):
     """Deterministic ranking plus the requested ensemble; search result too."""
     ranking = rank_nodes(g)
@@ -135,7 +149,23 @@ def _ranked_model(g, tag, args):
         )
         result = greedy_search(k, cfg)
         kp = result.kplus
-    return LinkProbabilityModel(k, kp.values, tag=tag), ranking, result
+    try:
+        model = LinkProbabilityModel(k, kp.values, tag=tag)
+    except SingularWeights as exc:
+        if tag != ME1 or not exc.detail.startswith("denominator"):
+            raise
+        # with observed counts this happens only when the top m - 1 ranks
+        # share no link with the ranks below m; a disconnected input may or
+        # may not do that, so its components are reported, not rejected
+        sizes = _component_sizes(g)
+        shown = ", ".join(map(str, sizes[:10])) + (", ..." if len(sizes) > 10 else "")
+        raise SingularWeights(
+            exc.m,
+            f"{exc.detail}; the top {exc.m - 1} rank(s) share no link with the "
+            f"ranks below {exc.m}; the input has {len(sizes)} connected "
+            f"component(s), of sizes {shown}",
+        ) from exc
+    return model, ranking, result
 
 
 def cmd_ensemble(args):
@@ -203,13 +233,14 @@ def cmd_ensemble(args):
 
     model, ranking, search = _ranked_model(g, args.model, args)
     residuals = verify_soft_constraints(model)
+    expected_degree = (model.links * row_sums(model).total).tolist()
     rows = [
         (
             r,
             g.label_of(int(ranking.order[r])),
             int(model.k[r]),
             int(model.kplus.values[r]),
-            model.expected_degree(r),
+            expected_degree[r],
         )
         for r in range(g.n)
     ]

@@ -11,10 +11,11 @@ is reported as the cut-off.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .ensemble import row_sums
 
 log = logging.getLogger(__name__)
 
@@ -68,11 +69,8 @@ def _group_by_degree(degrees, node_values):
     degrees = np.asarray(degrees)
     keep = ~np.isnan(node_values)
     uniq, inv = np.unique(degrees[keep], return_inverse=True)
-    sums = np.zeros(uniq.size)
-    counts = np.zeros(uniq.size, dtype=np.int64)
-    np.add.at(sums, inv, node_values[keep])
-    np.add.at(counts, inv, 1)
-    return uniq, sums / counts, counts
+    counts = np.bincount(inv)
+    return uniq, np.bincount(inv, weights=node_values[keep]) / counts, counts
 
 
 def knn_data(g):
@@ -82,11 +80,12 @@ def knn_data(g):
         raise ValueError("graph has no links")
     if np.any(deg == 0):
         log.warning("dropping %d isolated node(s) from knn curve", int((deg == 0).sum()))
-    node_knn = np.full(g.n, np.nan)
-    for i in range(g.n):
-        if deg[i] > 0:
-            node_knn[i] = np.mean([deg[j] for j in g.adj[i]])
-    x, values, counts = _group_by_degree(deg, node_knn)
+    u, v = np.array(g.edges).T
+    # integer-valued sums, exact in float64: the same values as a mean per node
+    neighbour_deg = np.bincount(u, weights=deg[v], minlength=g.n)
+    neighbour_deg += np.bincount(v, weights=deg[u], minlength=g.n)
+    with np.errstate(invalid="ignore"):  # isolated nodes: 0/0 = NaN, skipped
+        x, values, counts = _group_by_degree(deg, neighbour_deg / deg)
     return DiagnosticsCurve(x, values, label="knn", source=DATA, counts=counts)
 
 
@@ -95,19 +94,16 @@ def knn_ensemble(model):
 
     For each rank ``i`` the node-level value is
     ``sum_j p_ij L k_j / k_i``; the curve averages these over all ranks
-    sharing a degree.  Works row by row, so memory stays O(N).
+    sharing a degree.  O(N), from :func:`~richnull.ensemble.row_sums`.
     """
     k = model.k.astype(np.float64)
-    links = model.links
     if np.any(k == 0):
         log.warning(
             "dropping %d zero-degree rank(s) from knn curve", int((k == 0).sum())
         )
-    node_knn = np.full(k.size, np.nan)
-    for i in range(k.size):
-        if k[i] > 0:
-            node_knn[i] = links * float(model.row(i) @ k) / k[i]
-    x, values, counts = _group_by_degree(model.k, node_knn)
+    weighted = row_sums(model, k).weighted
+    with np.errstate(invalid="ignore"):  # zero-degree ranks: 0/0 = NaN, skipped
+        x, values, counts = _group_by_degree(model.k, model.links * weighted / k)
     return DiagnosticsCurve(x, values, label="knn", source=model.tag or "model", counts=counts)
 
 
@@ -120,11 +116,26 @@ def uncorrelated_knn(g):
     return float((deg**2).mean() / mean)
 
 
-def _row_moments(model, i):
-    row = model.row(i)
-    s1 = float(row.sum())
-    s2 = float((row**2).sum())
-    return s1, s2
+def _node_statistics(model):
+    """Per-rank inverse participation ratio and coefficient of variation.
+
+    Both come from the row sums ``s1 = sum_j p_ij`` and
+    ``s2 = sum_j p_ij^2``; zero-degree ranks, whose rows are exactly zero,
+    read 0/0 = NaN in both.
+    """
+    s1, _, s2, _ = row_sums(model)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = 1.0 / (model.links * s1) - s2 / (model.links * s1 * s1)
+        return s1 * s1 / s2, np.sqrt(np.maximum(inner, 0.0))
+
+
+def _node_value(model, i, column):
+    if not (0 <= i < model.n):
+        raise IndexError("rank out of range")
+    value = _node_statistics(model)[column][i]
+    if np.isnan(value):
+        raise ValueError(f"rank {i} has zero expected degree")
+    return float(value)
 
 
 def coefficient_of_variation(model, i):
@@ -133,12 +144,7 @@ def coefficient_of_variation(model, i):
     c = sqrt(1/<k_i> - sum_j p_ij^2 / (L (sum_j p_ij)^2)) with
     <k_i> = L sum_j p_ij.  Tiny negative arguments from roundoff clamp to 0.
     """
-    s1, s2 = _row_moments(model, i)
-    mean_deg = model.links * s1
-    if mean_deg <= 0:
-        raise ValueError(f"rank {i} has zero expected degree")
-    inner = 1.0 / mean_deg - s2 / (model.links * s1 * s1)
-    return math.sqrt(max(inner, 0.0))
+    return _node_value(model, i, 1)
 
 
 def inverse_participation(model, i):
@@ -147,31 +153,23 @@ def inverse_participation(model, i):
     I_i = (sum_j p_ij)^2 / sum_j p_ij^2, between 1 (one dominant partner)
     and N-1 (uniform over everyone else).
     """
-    s1, s2 = _row_moments(model, i)
-    if s2 == 0:
-        raise ValueError(f"rank {i} has an all-zero probability row")
-    return s1 * s1 / s2
+    return _node_value(model, i, 0)
 
 
 def ipr_curve(model):
     """Mean inverse participation ratio per degree class."""
-    return _per_degree_curve(model, inverse_participation, "ipr")
+    return _per_degree_curve(model, _node_statistics(model)[0], "ipr")
 
 
 def variation_curve(model):
     """Mean coefficient of variation per degree class."""
-    return _per_degree_curve(model, coefficient_of_variation, "cv")
+    return _per_degree_curve(model, _node_statistics(model)[1], "cv")
 
 
-def _per_degree_curve(model, node_fn, label):
-    k = model.k
-    values = np.full(k.size, np.nan)
-    for i in range(k.size):
-        if k[i] > 0:
-            values[i] = node_fn(model, i)
+def _per_degree_curve(model, values, label):
     if np.all(np.isnan(values)):
         raise ValueError("no ranks with positive degree")
-    x, mean_values, counts = _group_by_degree(k, values)
+    x, mean_values, counts = _group_by_degree(model.k, values)
     return DiagnosticsCurve(
         x, mean_values, label=label, source=model.tag or "model", counts=counts
     )

@@ -13,14 +13,19 @@ expected degree of every rank equals ``k[r]`` and the expected number of
 links to higher ranks equals ``kplus[r]``.  The expected link count of a
 pair is ``e = L * p`` with variance ``s = L * p * (1 - p)``.
 
-Probabilities are evaluated lazily row-by-row from the O(N) weight arrays,
-so no N x N matrix is ever required unless explicitly asked for.
+With ``a[j] = kplus[j] / (prefix[j] * L)`` (0 where ``kplus[j] == 0``) the
+probabilities factorize as ``p(i, j) = residuals[i] * a[j]``, so every
+per-rank sum over a row is a prefix sum plus a suffix sum over these O(N)
+arrays (:func:`row_sums`).  Constraint checks, expected degrees and the
+diagnostics curves therefore run in O(N); only a dense matrix, a single row
+or a list of pairs asked for explicitly costs more.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -271,11 +276,23 @@ class LinkProbabilityModel:
         return ws.residuals[i] * kp[j] / (ws.prefix[j] * self.links)
 
     def probability_matrix(self):
-        """Dense symmetric N x N matrix of pair probabilities (O(N^2))."""
-        return np.vstack([self.row(i) for i in range(self.n)])
+        """Dense symmetric N x N matrix of pair probabilities (O(N^2)).
+
+        One outer product in :meth:`row`'s operation order, mirrored from
+        the upper triangle, so it equals the stacked rows bit for bit.
+        """
+        ws = self.weights
+        upper = np.zeros((self.n, self.n))
+        # no j > i in the last row, no i < j in column 0 (prefix 0 there)
+        upper[:-1, 1:] = (ws.residuals[:, None] * self.kplus.values[1:]) / (
+            ws.prefix[1:] * self.links
+        )
+        upper = np.triu(upper, 1)
+        return upper + upper.T
 
     def expected_degree(self, i):
-        return self.links * float(self.row(i).sum())
+        """Expected degree ``L * sum_j p(i, j)`` of rank ``i`` (O(N))."""
+        return float(self.links * row_sums(self).total[i])
 
     def __repr__(self):
         return (
@@ -299,42 +316,82 @@ class ConstraintResiduals:
         return {"degree": self.degree, "rich_club": self.rich_club}
 
 
+class RowSums(NamedTuple):
+    """Sums over row ``i`` of ``p(i, j)``, one entry per rank ``i``: over all
+    ``j`` (``total``), over ``j < i`` (``lower``), of ``p**2`` (``squares``)
+    and of ``p * x[j]`` (``weighted``; None when no ``x`` was given)."""
+
+    total: np.ndarray
+    lower: np.ndarray
+    squares: np.ndarray
+    weighted: np.ndarray | None
+
+
+def _column_factors(model):
+    """``a[j] = kplus[j] / (prefix[j] * L)``, 0 where ``kplus[j] == 0``."""
+    kp = model.kplus.values
+    a = np.zeros(model.n)
+    up = kp > 0
+    a[up] = kp[up] / (model.weights.prefix[up] * model.links)
+    return a
+
+
+def _before(v):
+    """``out[i] = sum(v[:i])``."""
+    return np.concatenate(([0.0], np.cumsum(v[:-1])))
+
+
+def _after(v):
+    """``out[i] = sum(v[i+1:])``."""
+    return np.concatenate((np.cumsum(v[:0:-1])[::-1], [0.0]))
+
+
+def row_sums(model, x=None):
+    """Per-rank row sums of ``p``, ``p**2`` and optionally ``p * x``, in O(N).
+
+    As ``p(i, j) = residuals[i] * a[j]`` for ``i < j``, a row sum is
+    ``residuals[i]`` times a suffix sum of ``a`` plus ``a[i]`` times a prefix
+    sum of the residuals, and likewise for ``p**2`` and ``p * x``.  The
+    prefix sums are accumulated here, not read from ``weights.prefix``, so
+    :func:`verify_soft_constraints` tests that the two agree.
+    """
+    res = np.append(model.weights.residuals, 0.0)  # the last rank stores none
+    a = _column_factors(model)
+    lower = a * _before(res)
+    weighted = None
+    if x is not None:
+        x = np.asarray(x, dtype=np.float64)
+        weighted = res * _after(a * x) + a * _before(res * x)
+    return RowSums(
+        res * _after(a) + lower,
+        lower,
+        res * res * _after(a * a) + a * a * _before(res * res),
+        weighted,
+    )
+
+
 def verify_soft_constraints(model):
     """Measure how far expected degrees and rich-club counts drift.
 
     Returns the maxima over ranks of ``|L * sum_j p(r, j) - k[r]|`` and
     ``|L * sum_{j<r} p(r, j) - kplus[r]|``; both are construction-exact and
-    should sit at float rounding level.
+    should sit at float rounding level.  O(N), from :func:`row_sums`.
     """
-    deg_res = 0.0
-    kplus_res = 0.0
+    sums = row_sums(model)
     links = model.links
-    for i in range(model.n):
-        row = model.row(i)
-        deg_res = max(deg_res, abs(links * row.sum() - model.k[i]))
-        kplus_res = max(
-            kplus_res, abs(links * row[:i].sum() - model.kplus.values[i])
-        )
-    return ConstraintResiduals(deg_res, kplus_res)
+    return ConstraintResiduals(
+        float(np.max(np.abs(links * sums.total - model.k))),
+        float(np.max(np.abs(links * sums.lower - model.kplus.values))),
+    )
 
 
 def total_probability(model):
-    """Honest O(N^2) evaluation of ``sum_{i<j} p(i, j)`` (identically 1)."""
-    return float(sum(model.upper_row(i).sum() for i in range(model.n - 1)))
+    """``sum_{i<j} p(i, j)`` (identically 1), in O(N).
 
-
-def entropy_naive(model):
-    """Pair-distribution entropy in nats by direct double sum.
-
-    ``S = -2 * sum_{i<j} p log p`` with the convention ``0 log 0 = 0``.
-    Serves as the reference implementation for :func:`entropy_fast`.
+    Each pair is counted once, at its lower-ranked end: the sum of
+    :func:`row_sums`' ``lower`` entries.
     """
-    total = 0.0
-    for i in range(model.n - 1):
-        p = model.upper_row(i)
-        p = p[p > 0.0]
-        total += float(np.sum(p * np.log(p)))
-    return -2.0 * total
+    return float(row_sums(model).lower.sum())
 
 
 def entropy_fast(k, kplus):
@@ -354,9 +411,17 @@ def expected_multiedge_pairs(model):
 
     Such pairs are legitimate for multigraph ensembles; the list lets
     callers flag where single-link reporting would be misleading.
+
+    A suffix maximum of ``a[j]`` screens the rows first; its products are
+    rounded differently from :meth:`LinkProbabilityModel.upper_row`, so it
+    keeps rows within 1e-9 of the threshold, and ``upper_row`` evaluates the
+    rows kept.  The list equals a scan of every row.
     """
+    a = _column_factors(model)
+    reach = np.maximum.accumulate(a[:0:-1])[::-1]  # max_{j>i} a[j], i < N-1
+    screen = model.weights.residuals * model.links * reach > 1.0 - 1e-9
     flagged = []
-    for i in range(model.n - 1):
+    for i in np.nonzero(screen)[0].tolist():
         e = model.links * model.upper_row(i)
         for off in np.nonzero(e > 1.0)[0]:
             j = i + 1 + int(off)

@@ -32,6 +32,7 @@ class SingularWeights(RichNullError):
             msg = f"{msg} ({detail})"
         super().__init__(msg)
         self.m = m
+        self.detail = detail
 
 
 class InfeasibleConstraints(RichNullError):

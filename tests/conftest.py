@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from richnull.ensemble import compute_weights, entropy_fast
+from richnull.ensemble import LinkProbabilityModel, compute_weights, entropy_fast
 from richnull.errors import SingularWeights
-from richnull.graph import Graph, karate_club, kplus_from_graph, rank_nodes
+from richnull.graph import ME2, ME3, Graph, karate_club, kplus_from_graph, rank_nodes
 from richnull.search import MAXIMIZE, kplus_bounds, random_feasible_kplus
 
 
@@ -31,6 +33,31 @@ def two_triangles():
 @pytest.fixture(scope="session")
 def karate():
     return karate_club()
+
+
+@pytest.fixture(scope="session")
+def instance_pool():
+    """100 weight-feasible (degrees, rich-club) instances, up to 200 nodes.
+
+    Two thirds come straight from random graphs (observed sequences), one
+    third swaps in a random in-bounds sequence so the searched modes are
+    exercised too.
+    """
+    rng = np.random.default_rng(20240817)
+    pool = []
+    while len(pool) < 100:
+        n = int(rng.integers(5, 201))
+        g = random_simple_graph(rng, n, density=float(rng.uniform(0.1, 0.4)))
+        try:
+            k, kp, _ = observed_instance(g)
+            if len(pool) % 3 == 2:
+                mode = ME2 if len(pool) % 2 else ME3
+                kp = random_feasible_kplus(k, mode, seed=rng).values
+            model = LinkProbabilityModel(k, kp)
+        except SingularWeights:
+            continue
+        pool.append((k, kp, model))
+    return pool
 
 
 def random_simple_graph(rng, n, density=None):
@@ -146,3 +173,111 @@ def brute_force_best_split(m):
             best_gain = gain
             best_signs = signs
     return best_gain, best_signs
+
+
+# Row-by-row reference implementations.  The library computes every per-rank
+# quantity from prefix and suffix sums in O(N); these O(N^2) loops over
+# ``LinkProbabilityModel.row`` are the definitions they are checked against.
+
+
+def entropy_naive(model):
+    """Pair-distribution entropy in nats by direct double sum.
+
+    ``S = -2 * sum_{i<j} p log p`` with the convention ``0 log 0 = 0``.
+    Serves as the reference implementation for ``entropy_fast``.
+    """
+    total = 0.0
+    for i in range(model.n - 1):
+        p = model.upper_row(i)
+        p = p[p > 0.0]
+        total += float(np.sum(p * np.log(p)))
+    return -2.0 * total
+
+
+def row_sums_by_rows(model, x=None):
+    """``(total, lower, squares, weighted)`` per rank, one row at a time."""
+    n = model.n
+    total, lower, squares, weighted = (np.zeros(n) for _ in range(4))
+    for i in range(n):
+        row = model.row(i)
+        total[i] = row.sum()
+        lower[i] = row[:i].sum()
+        squares[i] = (row**2).sum()
+        if x is not None:
+            weighted[i] = row @ x
+    return total, lower, squares, (weighted if x is not None else None)
+
+
+def verify_soft_constraints_by_rows(model):
+    """``(degree, rich_club)`` worst residuals, one row at a time."""
+    deg_res = 0.0
+    kplus_res = 0.0
+    links = model.links
+    for i in range(model.n):
+        row = model.row(i)
+        deg_res = max(deg_res, abs(links * row.sum() - model.k[i]))
+        kplus_res = max(
+            kplus_res, abs(links * row[:i].sum() - model.kplus.values[i])
+        )
+    return deg_res, kplus_res
+
+
+def total_probability_by_rows(model):
+    """``sum_{i<j} p(i, j)`` over the upper rows."""
+    return float(sum(model.upper_row(i).sum() for i in range(model.n - 1)))
+
+
+def multiedge_pairs_by_rows(model):
+    """Every pair with expected link count above one, scanning all rows."""
+    flagged = []
+    for i in range(model.n - 1):
+        e = model.links * model.upper_row(i)
+        for off in np.nonzero(e > 1.0)[0]:
+            j = i + 1 + int(off)
+            flagged.append((i, j, float(e[off])))
+    return flagged
+
+
+def node_curves_by_rows(model):
+    """Per-rank ``(knn, ipr, cv)`` of an ensemble, one row at a time.
+
+    Zero-degree ranks read NaN, as in the curves built from them.
+    """
+    k = model.k.astype(np.float64)
+    knn, ipr, cv = (np.full(model.n, np.nan) for _ in range(3))
+    for i in range(model.n):
+        if k[i] > 0:
+            row = model.row(i)
+            s1 = float(row.sum())
+            s2 = float((row**2).sum())
+            knn[i] = model.links * float(row @ k) / k[i]
+            ipr[i] = s1 * s1 / s2
+            inner = 1.0 / (model.links * s1) - s2 / (model.links * s1 * s1)
+            cv[i] = math.sqrt(max(inner, 0.0))
+    return knn, ipr, cv
+
+
+def group_by_degree_by_loop(degrees, node_values):
+    """``(degrees, means, counts)`` per occurring degree, skipping NaN values."""
+    keep = ~np.isnan(node_values)
+    uniq, inv = np.unique(np.asarray(degrees)[keep], return_inverse=True)
+    sums = np.zeros(uniq.size)
+    counts = np.zeros(uniq.size, dtype=np.int64)
+    np.add.at(sums, inv, node_values[keep])
+    np.add.at(counts, inv, 1)
+    return uniq, sums / counts, counts
+
+
+def knn_data_by_loop(g):
+    """``(x, values, counts)`` of the data knn curve, one node at a time."""
+    deg = g.degrees
+    node_knn = np.full(g.n, np.nan)
+    for i in range(g.n):
+        if deg[i] > 0:
+            node_knn[i] = np.mean([deg[j] for j in g.adj[i]])
+    return group_by_degree_by_loop(deg, node_knn)
+
+
+def probability_matrix_by_rows(model):
+    """Dense pair-probability matrix stacked from the rows."""
+    return np.vstack([model.row(i) for i in range(model.n)])

@@ -18,9 +18,9 @@ import pytest
 
 from conftest import (
     brute_force_best_split,
+    entropy_naive,
     enumerate_feasible_kplus,
     observed_instance,
-    random_simple_graph,
 )
 from richnull.baselines import RRConfig, newman_girvan, rr_randomize
 from richnull.communities import (
@@ -50,7 +50,6 @@ from richnull.diagnostics import (
 from richnull.ensemble import (
     LinkProbabilityModel,
     entropy_fast,
-    entropy_naive,
     total_probability,
     verify_soft_constraints,
 )
@@ -72,33 +71,6 @@ def _ranked_model(g, mode=ME1, seed=None):
         return LinkProbabilityModel(k, kp, tag=ME1), ranking
     result = greedy_search(k, SearchConfig(mode=mode, seed=seed))
     return LinkProbabilityModel(k, result.kplus.values, tag=mode), ranking
-
-
-@pytest.fixture(scope="module")
-def instance_pool():
-    """100 weight-feasible (degrees, rich-club) instances, up to 200 nodes.
-
-    Two thirds come straight from random graphs (observed sequences), one
-    third swaps in a random in-bounds sequence so the searched modes are
-    exercised too.
-    """
-    rng = np.random.default_rng(20240817)
-    from richnull.search import random_feasible_kplus
-
-    pool = []
-    while len(pool) < 100:
-        n = int(rng.integers(5, 201))
-        g = random_simple_graph(rng, n, density=float(rng.uniform(0.1, 0.4)))
-        try:
-            k, kp, _ = observed_instance(g)
-            if len(pool) % 3 == 2:
-                mode = ME2 if len(pool) % 2 else ME3
-                kp = random_feasible_kplus(k, mode, seed=rng).values
-            model = LinkProbabilityModel(k, kp)
-        except SingularWeights:
-            continue
-        pool.append((k, kp, model))
-    return pool
 
 
 def test_01_soft_constraint_reproduction(karate):

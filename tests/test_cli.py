@@ -5,8 +5,10 @@ import re
 import numpy as np
 import pytest
 
+from conftest import multiedge_pairs_by_rows, observed_instance
 from richnull import __version__
 from richnull.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE, main
+from richnull.ensemble import LinkProbabilityModel
 
 HEADER = re.compile(r"^# richnull (\S+) seed=(None|-?\d+) config=([0-9a-f]{12})$")
 
@@ -238,6 +240,36 @@ class TestExitCodes:
         assert rc == EXIT_INFEASIBLE
         assert "infeasible" in capsys.readouterr().err
 
+    def test_observed_singularity_names_cut_and_components(
+        self, two_tri_file, tmp_path, capsys
+    ):
+        rc = main(
+            ["ensemble", "--input", two_tri_file, "--model", "me1", "--out", str(tmp_path / "out")]
+        )
+        assert rc == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert "singular at rank m=3 (denominator 0;" in err
+        assert "the top 2 rank(s) share no link with the ranks below 3" in err
+        assert "2 connected component(s), of sizes 3, 3" in err
+        # connected, but rank 4 is the only way from the triangle to the tail
+        tail = write_edges(tmp_path / "tail.edges", [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4)])
+        rc = main(["ensemble", "--input", tail, "--model", "me1", "--out", str(tmp_path / "o2")])
+        assert rc == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert "the top 3 rank(s) share no link with the ranks below 4" in err
+        assert "1 connected component(s), of sizes 5" in err
+
+    def test_disconnected_input_can_still_fit(self, tmp_path):
+        # a star plus a disjoint triangle closes no block of top ranks
+        f = write_edges(
+            tmp_path / "startri.edges", [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (5, 6)]
+        )
+        out = tmp_path / "out"
+        assert main(["ensemble", "--input", f, "--model", "me1", "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["residual_degree"] < 1e-9
+        assert summary["residual_rich_club"] < 1e-9
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -276,6 +308,32 @@ class TestDiagnoseCommand:
         assert d["uncorrelated_knn"] == pytest.approx(7.76923076923077)
         assert d["knn_deviation"] == pytest.approx(2.2056100513355905)
         assert d["ipr_cutoff_degree"] is not None
+
+
+class TestRowPasses:
+    def test_fit_and_diagnose_evaluate_only_screened_rows(
+        self, karate, karate_file, tmp_path, monkeypatch
+    ):
+        # everything but the multi-link pair list comes from O(N) row sums;
+        # that list evaluates only the rows its screen keeps
+        k, kp, _ = observed_instance(karate)
+        multi_rows = {i for i, _, _ in multiedge_pairs_by_rows(LinkProbabilityModel(k, kp))}
+        assert len(multi_rows) == 2
+        calls = []
+        for name in ("row", "upper_row"):
+            original = getattr(LinkProbabilityModel, name)
+
+            def counted(self, i, _original=original):
+                calls.append(i)
+                return _original(self, i)
+
+            monkeypatch.setattr(LinkProbabilityModel, name, counted)
+        for command in ("ensemble", "diagnose"):
+            calls.clear()
+            out = tmp_path / command
+            argv = [command, "--input", karate_file, "--model", "me1", "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            assert len(calls) <= len(multi_rows), (command, calls)
 
 
 class TestCommunitiesCommand:

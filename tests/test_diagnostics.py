@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import observed_instance
+from conftest import (
+    group_by_degree_by_loop,
+    knn_data_by_loop,
+    node_curves_by_rows,
+    observed_instance,
+    random_simple_graph,
+)
 from richnull.diagnostics import (
     DiagnosticsCurve,
     aggregate_knn_deviation,
@@ -62,6 +68,18 @@ class TestKnn:
         c = knn_data(p3)
         assert c.x.tolist() == [1.0, 2.0]
         assert c.values.tolist() == [2.0, 1.0]
+
+    def test_data_matches_node_loop_exactly(self, karate):
+        # integer neighbour-degree sums are exact, so the values are too
+        rng = np.random.default_rng(8)
+        sparse = random_simple_graph(rng, 60, density=0.05)
+        assert np.any(sparse.degrees == 0)
+        for g in (karate, sparse):
+            c = knn_data(g)
+            x, values, counts = knn_data_by_loop(g)
+            assert np.array_equal(c.x, x)
+            assert np.array_equal(c.values, values)
+            assert np.array_equal(c.counts, counts)
 
     def test_ensemble_matches_data_on_exact_models(self, k3, s3, p3):
         # these ensembles reproduce their graph's links exactly, so the
@@ -144,10 +162,30 @@ class TestNodeStatistics:
         assert ipr.x.tolist() == sorted(set(karate.degrees.tolist()))
         assert int(ipr.counts.sum()) == karate.n
 
+    def test_curves_match_row_oracle(self, instance_pool):
+        for _, _, m in instance_pool:
+            curves = (knn_ensemble(m), ipr_curve(m), variation_curve(m))
+            for curve, node_values in zip(curves, node_curves_by_rows(m)):
+                x, values, counts = group_by_degree_by_loop(m.k, node_values)
+                assert np.array_equal(curve.x, x)
+                assert np.array_equal(curve.counts, counts)
+                np.testing.assert_allclose(curve.values, values, rtol=1e-12, atol=0.0)
+        m = instance_pool[0][2]
+        _, ipr, cv = node_curves_by_rows(m)
+        for i in range(m.n):
+            if m.k[i] > 0:
+                assert inverse_participation(m, i) == pytest.approx(ipr[i], rel=1e-12)
+                assert coefficient_of_variation(m, i) == pytest.approx(cv[i], rel=1e-12)
+
     def test_zero_degree_ranks_masked(self):
         m = LinkProbabilityModel([2, 2, 2, 0], [0, 1, 2, 0])
         c = ipr_curve(m)
         assert c.x.tolist() == [2.0]
+        for node_fn in (inverse_participation, coefficient_of_variation):
+            with pytest.raises(ValueError, match="zero expected degree"):
+                node_fn(m, 3)
+            with pytest.raises(IndexError):
+                node_fn(m, 4)
 
 
 class TestCutoffDetection:

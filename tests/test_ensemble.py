@@ -3,15 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from conftest import observed_instance, random_simple_graph
+from conftest import (
+    entropy_naive,
+    multiedge_pairs_by_rows,
+    observed_instance,
+    probability_matrix_by_rows,
+    random_simple_graph,
+    row_sums_by_rows,
+    total_probability_by_rows,
+    verify_soft_constraints_by_rows,
+)
 from richnull.ensemble import (
     LinkProbabilityModel,
     WeightEntropyKernel,
     compute_weights,
     entropy_fast,
-    entropy_naive,
     expected_multiedge_pairs,
     link_stat_matrices,
+    row_sums,
     sample_network,
     sample_pairs,
     total_probability,
@@ -62,6 +71,25 @@ class TestWeights:
         assert m.probability(0, 2) == pytest.approx(1 / 3)
         assert m.row(3).tolist() == [0.0] * 5
         assert total_probability(m) == pytest.approx(1.0, abs=1e-15)
+
+    def test_observed_singularity_cuts_the_ranking(self):
+        # the CLI's me1 error message rests on this: with observed rich-club
+        # counts, a zero denominator at 1-based rank m means no link joins
+        # the top m - 1 ranks to the ranks below m
+        rng = np.random.default_rng(31)
+        singular = 0
+        for _ in range(1500):
+            g = random_simple_graph(rng, int(rng.integers(4, 20)), float(rng.uniform(0.05, 0.3)))
+            k, kp, ranking = observed_instance(g)
+            try:
+                compute_weights(k, kp)
+            except SingularWeights as exc:
+                assert exc.detail.startswith("denominator")
+                pos = ranking.positions
+                ranks = [sorted((int(pos[u]), int(pos[v]))) for u, v in g.edges]
+                assert not any(a < exc.m - 1 < b for a, b in ranks)
+                singular += 1
+        assert singular >= 20
 
     def test_unsaturated_last_linked_rank_rejected(self):
         # rank 4 keeps one link pointing down with nobody below, which
@@ -183,6 +211,55 @@ class TestNormalizationAndConstraints:
         assert res.rich_club <= 1e-9
         assert res.worst == max(res.degree, res.rich_club)
         assert set(res.as_dict()) == {"degree", "rich_club"}
+
+
+class TestRowSums:
+    @staticmethod
+    def assert_close(fast, slow):
+        # zero rows (zero-degree ranks) must come out exactly zero
+        assert np.array_equal(fast == 0.0, slow == 0.0)
+        np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0.0)
+
+    def test_match_row_oracle_on_instance_pool(self, instance_pool):
+        trailing_zero = multi_link = 0
+        for k, _, m in instance_pool:
+            x = k.astype(np.float64)
+            fast = row_sums(m, x)
+            slow = row_sums_by_rows(m, x)
+            for got, want in zip((fast.total, fast.lower, fast.squares, fast.weighted), slow):
+                self.assert_close(got, want)
+            assert row_sums(m).weighted is None
+            assert total_probability(m) == pytest.approx(
+                total_probability_by_rows(m), abs=1e-12
+            )
+            assert verify_soft_constraints(m).worst <= 1e-9
+            assert max(verify_soft_constraints_by_rows(m)) <= 1e-9
+            trailing_zero += int(k[-1] == 0)
+            multi_link += bool(multiedge_pairs_by_rows(m))
+        # the pool covers zero-degree ranks and pairs with e = L p > 1
+        assert trailing_zero > 0 and multi_link > 0
+
+    def test_multiedge_pairs_match_row_oracle(self, instance_pool, karate):
+        k, kp, _ = observed_instance(karate)
+        models = [m for _, _, m in instance_pool] + [LinkProbabilityModel(k, kp)]
+        for m in models:
+            assert expected_multiedge_pairs(m) == multiedge_pairs_by_rows(m)
+
+    def test_probability_matrix_equals_stacked_rows(self, karate):
+        k, kp, _ = observed_instance(karate)
+        tail = np.zeros(3, dtype=np.int64)
+        searched = random_feasible_kplus(k, "me3", seed=3).values
+        cases = [
+            (k, kp),
+            (k, searched),
+            (np.concatenate((k, tail)), np.concatenate((kp, tail))),
+            (np.concatenate((k, tail)), np.concatenate((searched, tail))),
+            ([2, 2, 2, 0, 0], [0, 1, 2, 0, 0]),
+            ([3, 3, 1, 1], KPlusSequence([0, 2, 1, 1], "me3")),
+        ]
+        for kk, kpp in cases:
+            m = LinkProbabilityModel(kk, kpp)
+            assert np.array_equal(m.probability_matrix(), probability_matrix_by_rows(m))
 
 
 class TestEntropy:
