@@ -9,10 +9,16 @@ pairs of a modularity matrix M.  Two constructions of M are supported:
   standard deviation.
 
 Each part is split by the sign pattern of the leading eigenvector of the
-restricted matrix ``B_ij = M_ij - delta_ij * sum_l M_il`` (computed by
-shifted power iteration), and the recursion continues until every part is
-indivisible, even when a split does not increase Q; pass ``strict=True``
-to accept only Q-improving splits.
+restricted matrix ``B_ij = M_ij - delta_ij * sum_l M_il``, and the
+recursion continues until every part is indivisible, even when a split does
+not increase Q; pass ``strict=True`` to accept only Q-improving splits.
+
+One restarted Lanczos solver finds that eigenvector for every part size,
+applying ``B`` as ``M_sub @ v - r * v`` (``r`` the part's row sums) without
+forming it; only an explicitly checked pair is used.  Ties resolve as the
+limit of a power iteration from the same fixed start vector: an exactly
+repeated leading eigenvalue yields the start vector's projection onto its
+eigenspace.  ``M`` itself is still dense.
 
 Q values follow the ordered-pair convention (both (i,j) and (j,i) count),
 twice the unordered sum; all comparisons here are internal so the overall
@@ -35,8 +41,10 @@ log = logging.getLogger(__name__)
 STANDARD = "standard"
 SOFT = "soft"
 
-POWER_TOL = 1e-10
-POWER_MAX_ITER = 100_000
+EIGEN_TOL = 1e-10
+EIGEN_MAX_MATVECS = 100_000
+KRYLOV_DIM = 64
+RITZ_EVERY = 8
 
 
 @dataclass(frozen=True)
@@ -124,6 +132,8 @@ class SplitNode:
     q_gain: float | None = None
     children: tuple | None = None
     reason: str = ""
+    matvecs: int | None = None
+    residual: float | None = None
 
     @property
     def is_leaf(self):
@@ -136,6 +146,9 @@ class SplitNode:
             else self.members.tolist()
         )
         out = {"size": int(self.members.size)}
+        if self.matvecs is not None:
+            out["matvecs"] = self.matvecs
+            out["residual"] = self.residual
         if self.is_leaf:
             out["members"] = name
             if self.reason:
@@ -272,82 +285,52 @@ def _start_vector(n):
     return ((t * 2654435761 + 12345) % 1000003) / 1000003.0 + 0.5
 
 
-def _sign_fixed(v):
-    nz = np.flatnonzero(v != 0)
-    if nz.size and v[nz[0]] < 0:
-        return -v
-    return v
+def _lanczos_leading(sub, r, sigma, tol, max_iter):
+    """Leading eigenpair of ``B = sub - diag(r)`` by restarted Lanczos.
 
-
-def _ritz_leading(shifted, v, dim=4):
-    """Best eigenpair estimate from the Krylov space of the current iterate.
-
-    When two leading eigenvalues nearly tie, the plain iterate oscillates
-    inside their invariant subspace and its residual plateaus; projecting
-    onto span{v, Bv, ...} and solving the tiny projected problem separates
-    the cluster exactly.  Returns (ritz value, unit vector, residual).
+    Each basis vector is reorthogonalized twice.  A cycle ends when the
+    Lanczos residual estimate (taken every ``RITZ_EVERY`` steps, at the last
+    step and when the basis stops growing) is within ``tol * max(1, sigma)``
+    or the basis holds ``min(n, KRYLOV_DIM)`` vectors; one explicit mat-vec
+    then checks the Ritz pair against that bound, and a failed pair starts
+    the next cycle.  ``max_iter`` caps all mat-vecs, checks included.
+    Returns (eigenvalue, unit vector with its first nonzero component
+    positive, mat-vecs, residual) or raises ``PowerIterationError``.
     """
-    basis = []
-    w = v.copy()
-    for _ in range(dim):
-        for u in basis:
-            w = w - (u @ w) * u
-        for u in basis:  # second pass keeps the basis orthonormal
-            w = w - (u @ w) * u
-        norm_w = float(np.linalg.norm(w))
-        if norm_w < 1e-12:
-            break
-        w = w / norm_w
-        basis.append(w)
-        w = shifted @ w
-    if not basis:
-        return None
-    kmat = np.stack(basis, axis=1)
-    smat = shifted @ kmat
-    h = kmat.T @ smat
-    vals, vecs = np.linalg.eigh(0.5 * (h + h.T))
-    y = kmat @ vecs[:, -1]
-    y = y / float(np.linalg.norm(y))
-    mu = float(vals[-1])
-    residual = float(np.max(np.abs(shifted @ y - mu * y)))
-    return mu, y, residual
-
-
-def _power_iteration(b, sigma, tol, max_iter, ritz_every=250):
-    """Leading eigenpair of symmetric ``b`` via the shift ``b + sigma*I``.
-
-    The shift makes the algebraically largest eigenvalue of ``b`` dominant
-    in magnitude (all eigenvalues lie in [-sigma, sigma]).  Every
-    ``ritz_every`` iterations a Rayleigh-Ritz extraction from the iterate's
-    Krylov space is tried, which rescues (deterministically) the
-    near-degenerate cases where the plain iteration stalls.  Returns the
-    eigenvalue of ``b`` and a unit eigenvector normalized so its first
-    nonzero component is positive.
-    """
-    shifted = b + sigma * np.eye(b.shape[0])
-    v = _start_vector(b.shape[0])
-    v /= np.linalg.norm(v)
+    n = sub.shape[0]
+    dim = min(n, KRYLOV_DIM)
     scale = tol * max(1.0, sigma)
+    basis = np.empty((dim, n))
+    y = _start_vector(n)
+    y /= np.linalg.norm(y)
+    matvecs = 0
     residual = np.inf
-    for it in range(1, max_iter + 1):
-        w = shifted @ v
-        mu = float(v @ w)
-        residual = float(np.max(np.abs(w - mu * v)))
+    while matvecs < max_iter - 1:
+        alpha, beta = [], []
+        steps = min(dim, max_iter - 1 - matvecs)
+        v = y
+        for j in range(steps):
+            basis[j] = v
+            w = sub @ v - r * v
+            matvecs += 1
+            alpha.append(float(v @ w))
+            for _ in range(2):
+                w -= basis[: j + 1].T @ (basis[: j + 1] @ w)
+            beta.append(float(np.linalg.norm(w)))
+            if beta[-1] <= scale or (j + 1) % RITZ_EVERY == 0 or j + 1 == steps:
+                t = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
+                vals, vecs = np.linalg.eigh(t)
+                if beta[-1] * abs(vecs[-1, -1]) <= scale:
+                    break
+            v = w / beta[-1]
+        theta = float(vals[-1])
+        y = vecs[:, -1] @ basis[: len(alpha)]
+        y /= np.linalg.norm(y)
+        residual = float(np.max(np.abs(sub @ y - r * y - theta * y)))
+        matvecs += 1
         if residual <= scale:
-            return mu - sigma, _sign_fixed(v)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            # v sits exactly on the eigenvalue -sigma: maximally negative
-            return -sigma, _sign_fixed(v)
-        v = w / norm_w
-        if it % ritz_every == 0:
-            ritz = _ritz_leading(shifted, v)
-            if ritz is not None and ritz[2] <= scale:
-                return ritz[0] - sigma, _sign_fixed(ritz[1])
-    ritz = _ritz_leading(shifted, v)
-    if ritz is not None and ritz[2] <= scale:
-        return ritz[0] - sigma, _sign_fixed(ritz[1])
-    raise PowerIterationError(residual, max_iter)
+            return theta, (-y if y[y != 0][0] < 0 else y), matvecs, residual
+    raise PowerIterationError(residual, matvecs)
 
 
 @dataclass(frozen=True)
@@ -359,16 +342,20 @@ class SplitOutcome:
     q_gain: float | None = None
     signs: np.ndarray | None = None
     reason: str = ""
+    matvecs: int | None = None
+    residual: float | None = None
 
 
-def spectral_bipartition(mm, members=None, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
+def spectral_bipartition(mm, members=None, tol=EIGEN_TOL, max_iter=EIGEN_MAX_MATVECS):
     """Try to split one part by the leading eigenvector's sign pattern.
 
-    Builds the restricted matrix ``B_ij = M_ij - delta_ij sum_l M_il`` over
-    ``members`` (all nodes when omitted).  Indivisible when the part has
+    Uses ``B_ij = M_ij - delta_ij sum_l M_il`` over ``members`` (all nodes
+    when omitted), applied but never formed.  Indivisible when the part has
     fewer than two nodes, the leading eigenvalue is not positive beyond
-    tolerance, or the eigenvector does not change sign.  Zero eigenvector
-    components land on the positive side.
+    tolerance, or the eigenvector does not change sign.  Zero components
+    land on the positive side; a tied leading eigenvalue yields the start
+    vector's projection onto its eigenspace.  ``max_iter`` is the mat-vec
+    budget; the outcome records the mat-vecs spent and the residual.
     """
     m = getattr(mm, "matrix", mm)
     if members is None:
@@ -381,26 +368,23 @@ def spectral_bipartition(mm, members=None, tol=POWER_TOL, max_iter=POWER_MAX_ITE
         return SplitOutcome(False, reason="fewer than two nodes")
 
     sub = m[np.ix_(members, members)]
-    b = sub - np.diag(sub.sum(axis=1))
-    sigma = float(np.abs(b).sum(axis=1).max())
+    r = sub.sum(axis=1)
+    sigma = float((np.abs(sub).sum(axis=1) + np.abs(r)).max())
     if sigma == 0.0:
         return SplitOutcome(False, eigenvalue=0.0, reason="zero restricted matrix")
 
-    eigenvalue, vec = _power_iteration(b, sigma, tol, max_iter)
+    eigenvalue, vec, matvecs, residual = _lanczos_leading(sub, r, sigma, tol, max_iter)
+    solve = {"eigenvalue": eigenvalue, "matvecs": matvecs, "residual": residual}
     if eigenvalue <= tol * max(1.0, sigma):
-        return SplitOutcome(
-            False, eigenvalue=eigenvalue, reason="no positive eigenvalue"
-        )
+        return SplitOutcome(False, reason="no positive eigenvalue", **solve)
     signs = np.where(vec >= 0.0, 1, -1).astype(np.int64)
     if np.all(signs == signs[0]):
-        return SplitOutcome(
-            False, eigenvalue=eigenvalue, reason="eigenvector does not change sign"
-        )
-    q_gain = 0.5 * float(signs @ b @ signs)
-    return SplitOutcome(True, eigenvalue=eigenvalue, q_gain=q_gain, signs=signs)
+        return SplitOutcome(False, reason="eigenvector does not change sign", **solve)
+    q_gain = 0.5 * (float(signs @ sub @ signs) - float(r.sum()))
+    return SplitOutcome(True, q_gain=q_gain, signs=signs, **solve)
 
 
-def recursive_partition(mm, strict=False, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
+def recursive_partition(mm, strict=False, tol=EIGEN_TOL, max_iter=EIGEN_MAX_MATVECS):
     """Split parts until all are indivisible; return the tree and partition.
 
     By default a part splits whenever its leading eigenvalue is positive,
@@ -417,6 +401,7 @@ def recursive_partition(mm, strict=False, tol=POWER_TOL, max_iter=POWER_MAX_ITER
         node = queue.pop(0)
         outcome = spectral_bipartition(mm, node.members, tol=tol, max_iter=max_iter)
         node.eigenvalue = outcome.eigenvalue
+        node.matvecs, node.residual = outcome.matvecs, outcome.residual
         if not outcome.divisible:
             node.reason = outcome.reason
             continue

@@ -44,12 +44,12 @@ class InfeasibleNG(RichNullError):
 
 
 class PowerIterationError(RichNullError):
-    """Power iteration failed to converge within the iteration budget."""
+    """The leading-eigenpair solver spent its mat-vec budget unconverged."""
 
-    def __init__(self, residual, iterations):
+    def __init__(self, residual, matvecs):
         super().__init__(
-            f"power iteration did not converge after {iterations} iterations "
+            f"leading eigenpair did not converge after {matvecs} mat-vecs "
             f"(residual {residual:.3e})"
         )
         self.residual = residual
-        self.iterations = iterations
+        self.matvecs = matvecs

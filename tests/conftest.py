@@ -36,12 +36,12 @@ def karate():
 
 
 @pytest.fixture(scope="session")
-def instance_pool():
-    """100 weight-feasible (degrees, rich-club) instances, up to 200 nodes.
+def instance_graphs():
+    """100 weight-feasible instances with their graphs, up to 200 nodes.
 
-    Two thirds come straight from random graphs (observed sequences), one
-    third swaps in a random in-bounds sequence so the searched modes are
-    exercised too.
+    Entries are ``(graph, degrees, rich-club, model)``.  Two thirds come
+    straight from random graphs (observed sequences), one third swaps in a
+    random in-bounds sequence so the searched modes are exercised too.
     """
     rng = np.random.default_rng(20240817)
     pool = []
@@ -56,8 +56,14 @@ def instance_pool():
             model = LinkProbabilityModel(k, kp)
         except SingularWeights:
             continue
-        pool.append((k, kp, model))
+        pool.append((g, k, kp, model))
     return pool
+
+
+@pytest.fixture(scope="session")
+def instance_pool(instance_graphs):
+    """The ``instance_graphs`` entries without the graph: (k, kp, model)."""
+    return [(k, kp, model) for _, k, kp, model in instance_graphs]
 
 
 def random_simple_graph(rng, n, density=None):
@@ -281,3 +287,62 @@ def knn_data_by_loop(g):
 def probability_matrix_by_rows(model):
     """Dense pair-probability matrix stacked from the rows."""
     return np.vstack([model.row(i) for i in range(model.n)])
+
+
+# Dense reference for the spectral bisection.  The library applies
+# B = M_sub - diag(row sums of M_sub) through a Lanczos solver and never forms
+# it; this builds B and calls numpy.linalg.eigh.
+
+
+def restricted_eigh(m, members):
+    """Ascending eigenvalues, eigenvectors and sigma of one part's B."""
+    sub = m[np.ix_(members, members)]
+    b = sub - np.diag(sub.sum(axis=1))
+    sigma = float(np.abs(b).sum(axis=1).max())
+    vals, vecs = np.linalg.eigh(b)
+    return vals, vecs, sigma
+
+
+def check_parts_against_eigh(mm, dendrogram, tol):
+    """Check every part a recursion visited against a dense eigh.
+
+    Each recorded eigenvalue must lie within ``tol * max(1, sigma)`` of the
+    largest eigenvalue of the part's B, and each recorded residual within
+    the same bound.  Where the leading eigenvalue is separated by a gap
+    from the next, the split (or the refusal for lack of a sign change)
+    must follow eigh's eigenvector, up to a global sign, at every component
+    above ten times the perturbation bound ``sqrt(n) * bound / gap``.
+    Returns the number of parts checked.
+    """
+    m = getattr(mm, "matrix", mm)
+    checked = 0
+    stack = [dendrogram.root]
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            stack.extend(node.children)
+        if node.eigenvalue is None:  # fewer than two nodes: nothing solved
+            continue
+        vals, vecs, sigma = restricted_eigh(m, node.members)
+        bound = tol * max(1.0, sigma)
+        where = node.members.tolist()[:5]
+        assert abs(node.eigenvalue - vals[-1]) <= bound, (where, node.eigenvalue, vals[-1])
+        checked += 1
+        if node.matvecs is None:  # zero restricted matrix, no solve
+            assert sigma == 0.0
+            continue
+        assert 0 < node.matvecs and node.residual <= bound, (where, node.residual)
+        if node.is_leaf and node.reason != "eigenvector does not change sign":
+            continue
+        gap = vals[-1] - vals[-2]
+        if gap <= 0.0:
+            continue
+        u = vecs[:, -1]
+        clear = np.abs(u) > 10.0 * math.sqrt(u.size) * bound / gap
+        if node.is_leaf:
+            signs = np.ones(u.size, dtype=np.int64)
+        else:
+            signs = np.where(np.isin(node.members, node.children[0].members), 1, -1)
+        agree = signs[clear] * np.sign(u[clear])
+        assert np.all(agree == agree[:1]), (where, gap)
+    return checked

@@ -1,13 +1,17 @@
+import functools
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import multiedge_pairs_by_rows, observed_instance
 from richnull import __version__
-from richnull.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE, main
+from richnull import cli
+from richnull.cli import EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE, main
+from richnull.communities import recursive_partition
 from richnull.ensemble import LinkProbabilityModel
 
 HEADER = re.compile(r"^# richnull (\S+) seed=(None|-?\d+) config=([0-9a-f]{12})$")
@@ -387,6 +391,49 @@ class TestCommunitiesCommand:
         assert d["model2"] == "me1"
         assert d["clamped_pairs"] == 0
         assert d["n_communities"] == 1
+
+
+    def test_unconverged_solve_exits_4(self, karate_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(
+            cli, "recursive_partition", functools.partial(recursive_partition, max_iter=3)
+        )
+        rc = main(
+            ["communities", "--input", karate_file, "--model", "me1", "--out", str(tmp_path)]
+        )
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert re.search(
+            r"numerical failure: leading eigenpair did not converge after 3 mat-vecs "
+            r"\(residual \d\.\d{3}e[+-]\d+\)",
+            err,
+        ), err
+
+    def test_chung_lu_graph_partitions(self, tmp_path):
+        # largest component of a seeded Chung-Lu draw (n=500, gamma 2.3,
+        # mean degree 6); a shifted power iteration ran out of iterations on
+        # one of its parts
+        data = Path(__file__).parent / "data" / "cl500_s16.edges"
+        out = tmp_path / "out"
+        rc = main(["communities", "--input", str(data), "--model", "me1", "--out", str(out)])
+        assert rc == EXIT_OK
+        d = json.loads((out / "dendrogram.json").read_text())
+        q = d["q_trace"]
+        assert len(q) == d["n_communities"] > 1
+        tree = d["dendrogram"]
+        assert (tree["q_initial"], tree["q_final"], tree["q_best"]) == (q[0], q[-1], max(q))
+        assert d["q"] == pytest.approx(q[-1], rel=1e-9)
+        _, body = csv_body(out / "partition.csv")
+        nodes = [row[0] for row in body]
+        assert sorted(nodes) == sorted(set(data.read_text().split()))
+        solves = 0
+        stack = [tree["tree"]]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.get("children", ()))
+            if "matvecs" in node:
+                assert node["matvecs"] > 0 and 0.0 <= node["residual"] < 1e-6
+                solves += 1
+        assert solves >= d["n_communities"] - 1
 
 
 class TestConsensusCommand:

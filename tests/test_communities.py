@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import brute_force_best_split, observed_instance, random_simple_graph
+from conftest import (
+    brute_force_best_split,
+    check_parts_against_eigh,
+    observed_instance,
+    random_simple_graph,
+)
 from richnull.baselines import newman_girvan
 from richnull.communities import (
+    EIGEN_MAX_MATVECS,
+    EIGEN_TOL,
     ModularityMatrix,
     Partition,
     modularity_value,
@@ -11,10 +18,12 @@ from richnull.communities import (
     soft_modularity_matrix,
     spectral_bipartition,
     standard_modularity_matrix,
+    _lanczos_leading,
+    _start_vector,
 )
 from richnull.ensemble import LinkProbabilityModel
-from richnull.errors import InfeasibleNG
-from richnull.graph import KPlusSequence, rank_nodes
+from richnull.errors import InfeasibleNG, PowerIterationError
+from richnull.graph import Graph, KPlusSequence, rank_nodes
 from richnull.search import SearchConfig, greedy_search
 
 
@@ -308,3 +317,72 @@ class TestRecursivePartition:
         m = LinkProbabilityModel(k, kp)
         _, part = recursive_partition(soft_modularity_matrix(m, m, ranking, ranking))
         assert part.n_communities == 1
+
+
+def degree_product_matrix(g):
+    """Newman's a - k k^T / 2L, built directly: ``newman_girvan`` rejects
+    graphs whose hubs reach sqrt(2L), karate among them."""
+    k = g.degrees.astype(np.float64)
+    return ModularityMatrix(g.adjacency_matrix() - np.outer(k, k) / k.sum(), "standard")
+
+
+class TestLeadingEigenpair:
+    def test_karate_parts_match_eigh(self, karate):
+        ranking = rank_nodes(karate)
+        k, kp, _ = observed_instance(karate)
+        me1 = LinkProbabilityModel(k, kp)
+        me3 = LinkProbabilityModel(
+            k, greedy_search(k, SearchConfig("me3", seed=1)).kplus
+        )
+        matrices = (
+            me1_matrix(karate),
+            degree_product_matrix(karate),
+            soft_modularity_matrix(me1, me3, ranking, ranking),
+            soft_modularity_matrix(me3, me1, ranking, ranking),
+        )
+        for mm in matrices:
+            dend, part = recursive_partition(mm)
+            assert check_parts_against_eigh(mm, dend, EIGEN_TOL) >= part.n_communities
+
+    def test_instance_pool_parts_match_eigh(self, instance_graphs):
+        parts = 0
+        for g, _, _, model in instance_graphs:
+            mm = standard_modularity_matrix(g, model, rank_nodes(g))
+            dend, _ = recursive_partition(mm)
+            parts += check_parts_against_eigh(mm, dend, EIGEN_TOL)
+        assert parts > len(instance_graphs)
+
+    def test_tied_leading_eigenvalue_returns_start_projection(self):
+        # three disjoint triangles: the zero-sum combinations of their
+        # indicators share the leading eigenvalue 2 exactly.  With the
+        # triangles {0,1,2}, {3,4,5}, {6,7,8} the start vector's projection
+        # is zero on the middle one; this labelling keeps it clear of zero.
+        g = Graph([(0, 1), (0, 2), (1, 2), (3, 4), (3, 8), (4, 8), (5, 6), (5, 7), (6, 7)])
+        m = standard_modularity_matrix(g, newman_girvan(g)).matrix
+        r = m.sum(axis=1)
+        vals, vecs = np.linalg.eigh(m - np.diag(r))
+        tied = np.abs(vals - vals[-1]) <= 1e-9
+        assert vals[-1] == pytest.approx(2.0, abs=1e-12) and tied.sum() == 2
+        basis = vecs[:, tied]
+        proj = basis @ (basis.T @ _start_vector(g.n))
+        proj /= np.linalg.norm(proj)
+        if proj[np.flatnonzero(proj)[0]] < 0:
+            proj = -proj
+        sigma = float((np.abs(m).sum(axis=1) + np.abs(r)).max())
+        theta, vec, _, _ = _lanczos_leading(m, r, sigma, EIGEN_TOL, EIGEN_MAX_MATVECS)
+        assert theta == pytest.approx(2.0, abs=1e-12)
+        assert np.max(np.abs(vec - proj)) <= 1e-12
+        out = spectral_bipartition(m)
+        assert np.array_equal(out.signs, np.where(proj >= 0.0, 1, -1))
+
+    def test_budget_exhausted_raises_with_count_and_residual(self, karate):
+        mm = me1_matrix(karate)
+        with pytest.raises(PowerIterationError) as info:
+            recursive_partition(mm, max_iter=3)
+        exc = info.value
+        assert exc.matvecs == 3
+        assert np.isfinite(exc.residual) and exc.residual > EIGEN_TOL
+        assert str(exc) == (
+            f"leading eigenpair did not converge after 3 mat-vecs "
+            f"(residual {exc.residual:.3e})"
+        )
