@@ -413,6 +413,9 @@ def cmd_consensus(args):
             f"richnull: every consensus run failed; first: {first.error}: {first.message}",
             file=sys.stderr,
         )
+        unconverged = PowerIterationError.__name__
+        if all(f.error == unconverged for f in runs.failures):
+            return EXIT_NUMERICAL
         return EXIT_INFEASIBLE
 
     cm = cooccurrence(runs.partitions)

@@ -13,6 +13,10 @@ expected degree of every rank equals ``k[r]`` and the expected number of
 links to higher ranks equals ``kplus[r]``.  The expected link count of a
 pair is ``e = L * p`` with variance ``s = L * p * (1 - p)``.
 
+The recursion has an integer closed form (:func:`weight_rows`): the weights
+are one cumulative product and the entropy a few cumulative sums, evaluated
+with numpy over a whole block of rich-club sequences at once.
+
 With ``a[j] = kplus[j] / (prefix[j] * L)`` (0 where ``kplus[j] == 0``) the
 probabilities factorize as ``p(i, j) = residuals[i] * a[j]``, so every
 per-rank sum over a row is a prefix sum plus a suffix sum over these O(N)
@@ -23,7 +27,6 @@ or a list of pairs asked for explicitly costs more.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -66,141 +69,132 @@ class WeightSequence:
             arr.flags.writeable = False
 
 
-class WeightEntropyKernel:
-    """The weight recursion and the entropy sum as one forward pass over ranks.
+class WeightRows(NamedTuple):
+    """:func:`weight_rows` of a block: row ``b`` belongs to ``kplus[b]``.
 
-    With ``f[i] = residuals[i] / L`` and ``r[j] = kplus[j] / prefix[j]`` the
-    pair probabilities factorize as ``p(i, j) = f[i] * r[j]``, and since
-    ``sum_{i<j} f[i] = prefix[j] / L`` the entropy ``S = -2 * T`` needs only
-    running sums:
-
-        T = sum_j ( r[j] * F[j] + kplus[j] * log(r[j]) / L ),
-        F[j] = sum_{i<j} f[i] log f[i].
-
-    The pass walks the linked ranks in order on plain floats and stores, per
-    rank ``m``, the values reached after it: ``states[m] = (w[m],
-    prefix[m + 1], F[m + 1], T so far)``.  Ranks past the last linked one are
-    inert (kplus 0, no residual stubs) and are never visited.
-
-    :meth:`trial` evaluates a sequence that differs from the accepted one
-    only at ranks ``>= start`` by resuming from ``states[start - 1]``.  It
-    repeats the exact float operations of a full pass, so its entropy is
-    bit-identical to a fresh kernel's.  Every check raises
-    :class:`SingularWeights` with the 1-based rank: a nonpositive
-    denominator, an overflowing weight, an unsaturated last linked rank.
+    ``w``, ``residuals`` and ``prefix`` hold one :class:`WeightSequence` per
+    row and ``entropy`` its entropy in nats.  ``singular[b]`` is the 1-based
+    rank at which the recursion breaks down, 0 when it does not; such a
+    row's entropy is NaN, its arrays are meaningless, and :meth:`error` says
+    why.
     """
 
-    __slots__ = ("k", "links", "last", "states", "_trial")
+    k: np.ndarray
+    kplus: np.ndarray
+    w: np.ndarray
+    residuals: np.ndarray
+    prefix: np.ndarray
+    entropy: np.ndarray
+    singular: np.ndarray
 
-    def __init__(self, k, kplus):
-        k = np.ascontiguousarray(k, dtype=np.int64)
-        kp = _kplus_values(kplus)
-        n = k.size
-        if n < 2:
-            raise ValueError("need at least two ranked nodes")
-        if kp.size != n:
-            raise ValueError("degree and kplus sequences differ in length")
-        if np.any(np.diff(k) > 0):
-            raise ValueError("degrees must be nonincreasing along ranks")
-        if kp[0] != 0 or np.any(kp < 0) or np.any(kp > k):
-            raise ValueError("kplus must satisfy 0 <= kplus <= k and kplus[0] == 0")
-        total = int(k.sum())
-        if total % 2 != 0:
-            raise ValueError("degree sum must be even")
-        self.links = total // 2
-        if self.links < 1:
-            raise ValueError("ensemble undefined for an empty network")
-        if int(kp.sum()) != self.links:
-            raise ValueError("kplus must sum to the link count L")
+    def error(self, b):
+        """The :class:`SingularWeights` of row ``b``, or None if it has weights."""
+        rank = int(self.singular[b])
+        if rank == 0:
+            return None
+        m, kp = rank - 1, self.kplus[b]
+        last = int(np.count_nonzero(self.k)) - 1
+        if m == last and kp[m] != self.k[m]:
+            return SingularWeights(rank, "last linked rank not saturated")
+        gap = int(self.k[:m].sum()) - 2 * int(kp[:m].sum()) - int(kp[m])
+        if m < last and gap <= 0:
+            # the recursion's denominator prefix[m] - kplus[m] * w[m-1]
+            return SingularWeights(rank, f"denominator {self.w[b, m - 1] * gap:.6g}")
+        return SingularWeights(rank, "weight overflow")
 
-        self.k = k.tolist()
-        # the recursion denominator at the last linked rank is identically
-        # zero (all its degree points upward), so the pass closes on it apart
-        self.last = int(np.count_nonzero(k)) - 1
-        f0 = self.k[0] / self.links
-        # rank 0: w = 1 and all k[0] stubs are residual (kplus[0] == 0)
-        rank0 = (1.0, float(self.k[0]), f0 * math.log(f0), 0.0)
-        self.states = [rank0] * (self.last + 1)
-        self._sweep(kp.tolist(), 1, self.states)
-        self._trial = self.states[:]
 
-    @property
-    def entropy(self):
-        """Entropy in nats of the accepted sequence."""
-        return -2.0 * self.states[-1][3]
+def _validated(k, kplus):
+    """``(k, kplus as a 2-D block, L)`` after checking the sequences."""
+    k = np.ascontiguousarray(k, dtype=np.int64)
+    kp = np.atleast_2d(_kplus_values(kplus))
+    if k.size < 2:
+        raise ValueError("need at least two ranked nodes")
+    if kp.shape[1] != k.size:
+        raise ValueError("degree and kplus sequences differ in length")
+    if np.any(np.diff(k) > 0):
+        raise ValueError("degrees must be nonincreasing along ranks")
+    if np.any(kp[:, 0] != 0) or np.any(kp < 0) or np.any(kp > k):
+        raise ValueError("kplus must satisfy 0 <= kplus <= k and kplus[0] == 0")
+    total = int(k.sum())
+    if total % 2 != 0:
+        raise ValueError("degree sum must be even")
+    links = total // 2
+    if links < 1:
+        raise ValueError("ensemble undefined for an empty network")
+    if np.any(kp.sum(axis=1) != links):
+        raise ValueError("kplus must sum to the link count L")
+    return k, kp, links
 
-    def trial(self, kplus, start):
-        """Entropy of ``kplus``, which must match the accepted one below ``start``.
 
-        Re-runs ranks ``>= start`` only (``start >= 1``) and keeps their
-        states aside until :meth:`accept`.  Raises :class:`SingularWeights`
-        exactly when :func:`compute_weights` would for ``kplus``.
-        """
-        return self._sweep(kplus, start, self._trial)
+def weight_rows(k, kplus):
+    """The weight recursion and the entropy of every row of ``kplus`` at once.
 
-    def accept(self, start):
-        """Make the last successful :meth:`trial` from ``start`` the accepted one."""
-        self.states[start:] = self._trial[start:]
+    ``kplus`` is a ``(B, N)`` block of rich-club sequences for the degrees
+    ``k`` (one sequence is a block of one).  From ``w[0] = 1`` the recursion
+    divides by ``prefix[m] - kplus[m] * w[m-1]``; with the exact integers
+    ``D[m] = sum_{r<=m} (k[r] - 2 * kplus[r])`` it has the closed form
+    ``prefix[m + 1] = D[m] * w[m]``, ``w[m] = w[m-1] * D[m-1] / (D[m-1] -
+    kplus[m])``, so the denominator is positive exactly when
+    ``D[m-1] > kplus[m]`` and the weights are one cumulative product.  With
+    ``f[i] = residuals[i] / L`` and ``r[j] = kplus[j] / prefix[j]``,
+    ``p(i, j) = f[i] * r[j]`` and ``sum_{i<j} f[i] = prefix[j] / L``, so the
+    entropy is ``S = -2 * sum_j (r[j] * F[j] + kplus[j] * log(r[j]) / L)``
+    with ``F[j] = sum_{i<j} f[i] log f[i]``: cumulative sums only.
 
-    def _sweep(self, kplus, start, out):
-        k = self.k
-        links = self.links
-        last = self.last
-        log = math.log
-        inf = math.inf
-        w, g, f_log_f, t = self.states[start - 1]
-        for m in range(start, last):
-            kp_m = kplus[m]
-            denom = g - kp_m * w
-            if denom <= 0.0:
-                raise SingularWeights(m + 1, f"denominator {denom:.6g}")
-            w = w * g / denom
-            if not w < inf:  # also catches NaN from an overflowed prefix
-                raise SingularWeights(m + 1, "weight overflow")
-            if kp_m:
-                r = kp_m / g
-                t += r * f_log_f + kp_m * log(r) / links
-            res = w * (k[m] - kp_m)
-            f = res / links
-            if f > 0.0:
-                f_log_f += f * log(f)
-            g += res
-            out[m] = (w, g, f_log_f, t)
-        # the closing rank's own weight is never referenced, but its implicit
-        # denominator is w * (kplus - k): unless every link of the last linked
-        # rank points upward, the ensemble underfills every degree constraint
-        kp_m = kplus[last]
-        if kp_m != k[last]:
-            raise SingularWeights(last + 1, "last linked rank not saturated")
-        if not g < inf:
-            raise SingularWeights(last + 1, "weight overflow")
-        r = kp_m / g
-        t += r * f_log_f + kp_m * log(r) / links
-        out[last] = (inf, g, f_log_f, t)
-        return -2.0 * t
+    Every operation acts on each row alone and in rank order, so a row's
+    results are bit-identical in any block.  A row is singular at the first
+    rank with a nonpositive denominator or an overflowing weight or prefix
+    sum, or at the last linked rank when not all its links point upward:
+    its implicit denominator is ``w * (kplus - k)``, and unsaturated it
+    would underfill every degree constraint.
+    """
+    k, kp, links = _validated(k, kplus)
+    last = int(np.count_nonzero(k)) - 1  # the ranks past it are inert
+    rows, n = kp.shape
+    d = np.cumsum(k[:last] - 2 * kp[:, :last], axis=1)  # D[m], m < last
+    gap = d[:, :-1] - kp[:, 1:last]  # D[m-1] - kplus[m], 0 < m < last
+    w = np.full((rows, n - 1), np.inf)
+    w[:, 0] = 1.0
+    residuals = np.zeros((rows, n - 1))
+    prefix = np.zeros((rows, n))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.cumprod(d[:, :-1] / gap, axis=1, out=w[:, 1:last])
+        np.multiply(d, w[:, :last], out=prefix[:, 1 : last + 1])
+        prefix[:, last + 1 :] = prefix[:, last : last + 1]
+        np.multiply(w[:, :last], k[:last] - kp[:, :last], out=residuals[:, :last])
+        f = residuals[:, :last] / links
+        # f_log_f[:, j - 1] = F[j]; a zero f contributes f * log(1) = 0
+        f_log_f = np.cumsum(f * np.log(np.where(f > 0.0, f, 1.0)), axis=1)
+        kp_up = kp[:, 1 : last + 1]
+        r = kp_up / prefix[:, 1 : last + 1]
+        terms = r * f_log_f + kp_up * np.log(np.where(kp_up > 0, r, 1.0)) / links
+        entropy = -2.0 * np.cumsum(terms, axis=1)[:, -1]
+    # column c flags the 0-based rank c + 1
+    fail = ~np.isfinite(prefix[:, 1 : last + 1])
+    fail[:, :-1] |= (gap <= 0) | ~np.isfinite(w[:, 1:last])
+    fail[:, -1] |= kp[:, last] != k[last]
+    singular = np.where(fail.any(axis=1), fail.argmax(axis=1) + 2, 0)
+    entropy[singular > 0] = np.nan
+    return WeightRows(k, kp, w, residuals, prefix, entropy, singular)
+
+
+def _feasible_row(k, kplus):
+    """:func:`weight_rows` of one sequence; raises if it has no weights."""
+    rows = weight_rows(k, kplus)
+    error = rows.error(0)
+    if error is not None:
+        raise error
+    return rows
 
 
 def compute_weights(k, kplus):
-    """Run the weight recursion for ``(k, kplus)``.
+    """Run the weight recursion for ``(k, kplus)`` (see :func:`weight_rows`).
 
-    Starting from ``w[0] = 1``, each step divides by
-    ``prefix[m] - kplus[m] * w[m-1]``; a zero or negative denominator means
-    no ensemble satisfies the constraints and raises
-    :class:`SingularWeights` with the offending 1-based rank.  The
-    recursion is the one pass of :class:`WeightEntropyKernel`, which also
-    accumulates the entropy; the arrays are read off its per-rank states,
-    so they match an incremental re-run bit for bit.
+    Raises :class:`SingularWeights` with the offending 1-based rank when no
+    ensemble satisfies the constraints.
     """
-    kernel = WeightEntropyKernel(k, kplus)
-    last = kernel.last
-    inert = len(kernel.k) - 1 - last  # ranks at and past the last linked one
-    w, prefix, _, _ = zip(*kernel.states)
-    w = np.array(w[:last] + (math.inf,) * inert)
-    prefix = np.array((0.0,) + prefix[:last] + (prefix[last],) * inert)
-    residuals = np.zeros(w.size)
-    dk = np.subtract(kernel.k[:last], _kplus_values(kplus)[:last])
-    residuals[:last] = w[:last] * dk
-    return WeightSequence(w, residuals, prefix)
+    rows = _feasible_row(k, kplus)
+    return WeightSequence(rows.w[0], rows.residuals[0], rows.prefix[0])
 
 
 class LinkProbabilityModel:
@@ -397,13 +391,11 @@ def total_probability(model):
 def entropy_fast(k, kplus):
     """Pair-distribution entropy in nats in O(N).
 
-    One pass of :class:`WeightEntropyKernel`: the weight recursion and the
-    factorized entropy sum run together over ranks, so the value is
-    bit-identical to the one an incremental search re-run reaches for the
-    same sequence.  Raises :class:`SingularWeights` when the weights do not
-    exist.
+    The one-row case of :func:`weight_rows`, so the value is bit-identical
+    to the one a search block gives for the same sequence.  Raises
+    :class:`SingularWeights` when the weights do not exist.
     """
-    return WeightEntropyKernel(k, kplus).entropy
+    return float(_feasible_row(k, kplus).entropy[0])
 
 
 def expected_multiedge_pairs(model):
@@ -448,27 +440,22 @@ def link_stat_matrices(model, clamp_tol=0.0):
 def sample_pairs(model, ndraws, seed=None):
     """Draw ``ndraws`` independent rank pairs from the pair distribution.
 
-    Uses the factorized form of p: first the higher-rank endpoint ``j``
-    (marginal ``kplus[j]/L``), then ``i < j`` with probability proportional
-    to ``residuals[i]``.  Returns arrays ``(i, j)``; the draws are grouped
-    by ``j``, which is immaterial for an exchangeable multiset.
+    Inverse CDF on the factorized form of p, O(L log N): the higher-rank
+    endpoint ``j`` (marginal ``kplus[j] / L``) is the binary search of a
+    uniform integer below L in the cumulative ``kplus``, and ``i < j``
+    (probability proportional to ``residuals[i]``) the binary search of a
+    uniform share of the residual mass below ``j`` in the cumulative
+    residuals.  Returns arrays ``(i, j)`` in draw order.
     """
     rng = np.random.default_rng(seed)
-    kp = model.kplus.values.astype(float)
-    marginal = kp / kp.sum()
-    ws = model.weights
-    j_draws = rng.choice(model.n, size=ndraws, p=marginal)
-    i_out = np.empty(ndraws, dtype=np.int64)
-    j_out = np.empty(ndraws, dtype=np.int64)
-    cursor = 0
-    for j in np.unique(j_draws):
-        count = int(np.count_nonzero(j_draws == j))
-        inner = ws.residuals[:j] / ws.prefix[j]
-        inner = inner / inner.sum()
-        i_out[cursor : cursor + count] = rng.choice(j, size=count, p=inner)
-        j_out[cursor : cursor + count] = j
-        cursor += count
-    return i_out, j_out
+    j = np.searchsorted(
+        np.cumsum(model.kplus.values), rng.integers(model.links, size=ndraws), side="right"
+    )
+    mass = np.cumsum(model.weights.residuals)
+    # "left" maps a share of exactly 0 or of the whole mass below j to a rank
+    # with a positive residual below j
+    i = np.searchsorted(mass, rng.random(ndraws) * mass[j - 1], side="left")
+    return i, j
 
 
 def sample_network(model, seed=None):

@@ -8,14 +8,13 @@ in the configured direction.  Feasibility bounds depend on the mode:
 link joins any pair, ``me3`` caps at ``k[r]`` and permits expected
 multi-links (never self-loops).
 
-A move between ranks ``i`` and ``j`` leaves every rank below ``min(i, j)``
-untouched, so each proposal re-runs the fused weight-and-entropy pass
-(:class:`~richnull.ensemble.WeightEntropyKernel`) from that rank on, resuming
-from the values stored for the accepted sequence.  The re-run repeats the
-float operations of a full pass, so the entropy it gives is bit-identical to
-:func:`~richnull.ensemble.entropy_fast` on the proposed sequence; a rejected
-move leaves the stored values untouched, and an accepted one copies its
-tail in.
+Proposals are drawn :data:`_BLOCK` at a time, in one call that yields the
+serial loop's stream of two scalar draws per proposal, and the in-bounds
+ones are evaluated as rows of one :func:`~richnull.ensemble.weight_rows`
+block.  The first strict improvement in draw order is accepted and the
+proposals after it are queued again, so the search takes the serial path,
+stops at the same proposal, and rewinds the generator to leave it where the
+serial loop would.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import WeightEntropyKernel, compute_weights
+from .ensemble import compute_weights, entropy_fast, weight_rows
 from .errors import InfeasibleConstraints, SingularWeights
 from .graph import ME2, ME3, KPlusSequence
 
@@ -32,6 +31,8 @@ MAXIMIZE = "maximize"
 MINIMIZE = "minimize"
 STALL = "stall"
 CAP = "cap"
+
+_BLOCK = 64  # proposals drawn and evaluated together
 
 
 def kplus_bounds(k, mode):
@@ -82,8 +83,8 @@ class SearchResult:
 
     ``trace`` holds the starting entropy followed by the entropy after each
     accepted move, so it is monotone in the configured direction.
-    ``evaluations`` counts the entropy evaluations run; proposals rejected
-    by the bounds are not evaluated.  ``stop_reason`` is ``"stall"`` when
+    ``evaluations`` counts the proposals up to the stop that passed the
+    bounds and were evaluated.  ``stop_reason`` is ``"stall"`` when
     ``stall_limit`` consecutive proposals were rejected and ``"cap"`` when
     ``max_proposals`` ran out first.
     """
@@ -107,11 +108,18 @@ def _validate_degrees(k):
 
 
 def _random_fill(rng, bounds, total):
-    """Spread ``total`` units uniformly one at a time over open ranks."""
+    """Spread ``total`` units uniformly one at a time over open ranks.
+
+    Open ranks stay listed in rank order until they reach their bound.
+    """
     kp = np.zeros(bounds.size, dtype=np.int64)
+    open_ranks = np.flatnonzero(bounds > 0).tolist()
     for _ in range(total):
-        open_ranks = np.flatnonzero(kp < bounds)
-        kp[open_ranks[rng.integers(open_ranks.size)]] += 1
+        slot = int(rng.integers(len(open_ranks)))
+        r = open_ranks[slot]
+        kp[r] += 1
+        if kp[r] == bounds[r]:
+            del open_ranks[slot]
     return kp
 
 
@@ -228,44 +236,42 @@ def greedy_search(k, config, initial=None):
             raise InfeasibleConstraints("initial kplus violates the mode bounds")
     else:
         kp = random_feasible_kplus(k, config.mode, rng).values
-    kernel = WeightEntropyKernel(k, kp)
-
-    kp = kp.tolist()
-    bounds = bounds.tolist()
-    entropy = kernel.entropy
+    entropy = entropy_fast(k, kp)
     trace = [entropy]
     sign = 1.0 if config.direction == MAXIMIZE else -1.0
-    proposals = 0
-    evaluations = 0
-    accepted = 0
-    stall = 0
+    highs = np.tile([n, n - 1], _BLOCK)
+    pending = np.empty((0, 2), dtype=np.int64)  # drawn (i, j) pairs not yet used
+    proposals = evaluations = accepted = stall = 0
     while proposals < max_proposals and stall < stall_limit:
-        proposals += 1
-        i = int(rng.integers(n))
-        j = int(rng.integers(n - 1))
-        if j >= i:
-            j += 1
-        if kp[i] >= bounds[i] or kp[j] < 1:
-            stall += 1
+        if not len(pending):
+            drawn_at, drawn_from = rng.bit_generator.state, proposals
+            pending = rng.integers(highs).reshape(-1, 2)
+            pending[:, 1] += pending[:, 1] >= pending[:, 0]
+        # without an accept the serial loop stops after `room` proposals
+        room = min(max_proposals - proposals, stall_limit - stall)
+        i, j = pending[:room].T
+        movable = np.flatnonzero((kp[i] < bounds[i]) & (kp[j] >= 1))
+        rows = np.repeat(kp[None, :], movable.size, axis=0)
+        rows[np.arange(movable.size), i[movable]] += 1
+        rows[np.arange(movable.size), j[movable]] -= 1
+        candidates = weight_rows(k, rows).entropy
+        # a singular row's entropy is NaN, which never compares as better
+        better = np.flatnonzero(sign * (candidates - entropy) > 0.0)
+        used = int(movable[better[0]]) + 1 if better.size else i.size
+        proposals += used
+        evaluations += int(np.searchsorted(movable, used))
+        pending = pending[used:]
+        if not better.size:
+            stall += used
             continue
-        kp[i] += 1
-        kp[j] -= 1
-        evaluations += 1
-        start = min(i, j)
-        try:
-            candidate = kernel.trial(kp, start)
-        except SingularWeights:
-            candidate = None
-        if candidate is not None and sign * (candidate - entropy) > 0.0:
-            kernel.accept(start)
-            entropy = candidate
-            trace.append(entropy)
-            accepted += 1
-            stall = 0
-        else:
-            kp[i] -= 1
-            kp[j] += 1
-            stall += 1
+        stall = 0
+        kp = rows[better[0]].copy()
+        entropy = float(candidates[better[0]])
+        trace.append(entropy)
+        accepted += 1
+    # leave the generator where the serial loop's scalar draws would
+    rng.bit_generator.state = drawn_at
+    rng.integers(highs[: 2 * (proposals - drawn_from)])
 
     result = KPlusSequence(kp, config.mode).validate_against(k)
     stop = STALL if stall >= stall_limit else CAP

@@ -118,12 +118,76 @@ def enumerate_feasible_kplus(k, mode):
     return found
 
 
+def weights_by_recursion(k, kplus):
+    """``(w, residuals, prefix, entropy)`` by the rank-by-rank recursion.
+
+    The reference for ``richnull.ensemble.weight_rows``: starting from
+    ``w[0] = 1`` each linked rank divides by ``prefix[m] - kplus[m] * w[m-1]``
+    and adds its residual to the running prefix sum, and the entropy sum
+    ``T`` and ``F[j] = sum_{i<j} f log f`` run along on plain floats.  The
+    arrays are padded past the last linked rank as ``WeightSequence`` is.
+    Raises ``SingularWeights`` where ``compute_weights`` does, except that the
+    denominator is tested in floating point, not as an exact integer.
+    """
+    k = [int(x) for x in k]
+    kp = [int(x) for x in kplus]
+    links = sum(k) // 2
+    last = sum(1 for x in k if x) - 1
+    w, g = 1.0, float(k[0])
+    weights, residuals, prefix = [w], [g], [0.0, g]
+    f0 = k[0] / links
+    f_log_f, t = f0 * math.log(f0), 0.0
+    for m in range(1, last):
+        denom = g - kp[m] * w
+        if denom <= 0.0:
+            raise SingularWeights(m + 1, f"denominator {denom:.6g}")
+        w = w * g / denom
+        if not w < math.inf:
+            raise SingularWeights(m + 1, "weight overflow")
+        if kp[m]:
+            r = kp[m] / g
+            t += r * f_log_f + kp[m] * math.log(r) / links
+        res = w * (k[m] - kp[m])
+        f = res / links
+        if f > 0.0:
+            f_log_f += f * math.log(f)
+        g += res
+        weights.append(w)
+        residuals.append(res)
+        prefix.append(g)
+    if kp[last] != k[last]:
+        raise SingularWeights(last + 1, "last linked rank not saturated")
+    if not g < math.inf:
+        raise SingularWeights(last + 1, "weight overflow")
+    r = kp[last] / g
+    t += r * f_log_f + kp[last] * math.log(r) / links
+    inert = len(k) - 1 - last
+    return (
+        np.array(weights + [math.inf] * inert),
+        np.array(residuals + [0.0] * inert),
+        np.array(prefix + [g] * inert),
+        -2.0 * t,
+    )
+
+
+def random_fill_by_loop(rng, bounds, total):
+    """Reference for ``richnull.search._random_fill``: each unit goes to a
+    uniformly drawn rank among those still below their bound, found anew."""
+    kp = np.zeros(bounds.size, dtype=np.int64)
+    for _ in range(total):
+        open_ranks = np.flatnonzero(kp < bounds)
+        kp[open_ranks[rng.integers(open_ranks.size)]] += 1
+    return kp
+
+
 def greedy_search_from_scratch(k, config):
     """Reference greedy search that re-evaluates every proposal in full.
 
-    Same proposal stream, bounds and strict-improvement rule as
-    ``richnull.search.greedy_search``, but each proposal calls
-    ``entropy_fast`` on the whole sequence.  Returns
+    The serial loop ``richnull.search.greedy_search`` reproduces with blocks:
+    the same two scalar draws per proposal, bounds and strict-improvement
+    rule, but each proposal calls ``entropy_fast`` on the whole sequence.
+    A generator passed as ``config.seed`` is advanced as the search's is.
+    Returns
     ``(kplus, trace, proposals, accepted, evaluations)``.
     """
     k = np.asarray(k, dtype=np.int64)

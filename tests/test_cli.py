@@ -9,7 +9,7 @@ import pytest
 
 from conftest import multiedge_pairs_by_rows, observed_instance
 from richnull import __version__
-from richnull import cli
+from richnull import cli, consensus
 from richnull.cli import EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE, main
 from richnull.communities import recursive_partition
 from richnull.ensemble import LinkProbabilityModel
@@ -472,3 +472,22 @@ class TestConsensusCommand:
         assert all(f["error"] == "InfeasibleNG" for f in runs["failures"])
         assert not (out / "cores.json").exists()
         assert "every consensus run failed" in capsys.readouterr().err
+
+    def test_every_run_unconverged_exits_4(self, karate_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(
+            consensus, "recursive_partition", functools.partial(recursive_partition, max_iter=3)
+        )
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "consensus", "--input", karate_file, "--model", "me1",
+                "--runs", "3", "--seed", "0", "--out", str(out),
+            ]
+        )
+        assert rc == EXIT_NUMERICAL
+        runs = json.loads((out / "runs.json").read_text())
+        assert runs["runs_successful"] == 0
+        assert [f["error"] for f in runs["failures"]] == ["PowerIterationError"] * 3
+        assert not (out / "cores.json").exists()
+        err = capsys.readouterr().err
+        assert "every consensus run failed; first: PowerIterationError: leading eigenpair" in err

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     entropy_naive,
+    weights_by_recursion,
     multiedge_pairs_by_rows,
     observed_instance,
     probability_matrix_by_rows,
@@ -15,7 +16,6 @@ from conftest import (
 )
 from richnull.ensemble import (
     LinkProbabilityModel,
-    WeightEntropyKernel,
     compute_weights,
     entropy_fast,
     expected_multiedge_pairs,
@@ -25,6 +25,7 @@ from richnull.ensemble import (
     sample_pairs,
     total_probability,
     verify_soft_constraints,
+    weight_rows,
 )
 from richnull.errors import InfeasibleConstraints, SingularWeights
 from richnull.graph import Graph, KPlusSequence
@@ -303,7 +304,43 @@ class TestEntropy:
             entropy_fast([2, 2, 2], [0, 2, 1])
 
 
-class TestWeightEntropyKernel:
+@pytest.fixture(scope="module")
+def move_blocks(karate):
+    """6,000 random single-unit moves on karate and a 6-clique, with and
+    without two trailing zero-degree ranks, as ``(k, rows)`` blocks.
+
+    Each move starts from the current sequence, which takes every other
+    weight-feasible move, so the rows walk away from the observed point and
+    cover both kinds of rejection.
+    """
+    rng = np.random.default_rng(5)
+    complete = Graph([(a, b) for a in range(6) for b in range(a + 1, 6)])
+    blocks = []
+    for g in (karate, complete):
+        for tail in (0, 2):
+            k, kp, _ = observed_instance(g)
+            k = np.concatenate((k, np.zeros(tail, dtype=np.int64)))
+            kp = np.concatenate((kp, np.zeros(tail, dtype=np.int64)))
+            rows = []
+            for _ in range(1500):
+                i, j = (int(x) for x in rng.choice(k.size, size=2, replace=False))
+                if i == 0 or kp[i] >= k[i] or kp[j] < 1:
+                    continue
+                row = kp.copy()
+                row[i] += 1
+                row[j] -= 1
+                rows.append(row)
+                try:
+                    compute_weights(k, row)
+                except SingularWeights:
+                    continue
+                if rng.random() < 0.5:
+                    kp = row
+            blocks.append((k, np.array(rows)))
+    return blocks
+
+
+class TestWeightRows:
     def test_matches_naive_on_random_feasible_points(self):
         rng = np.random.default_rng(404)
         tested = 0
@@ -320,65 +357,93 @@ class TestWeightEntropyKernel:
                         ).values
                     except InfeasibleConstraints:
                         continue
-                    kernel = WeightEntropyKernel(kt, kp)
+                    rows = weight_rows(kt, kp)
                     naive = entropy_naive(LinkProbabilityModel(kt, kp))
-                    assert kernel.entropy == pytest.approx(naive, rel=1e-12)
-                    assert kernel.entropy == entropy_fast(kt, kp)
+                    assert rows.entropy[0] == pytest.approx(naive, rel=1e-12)
+                    assert rows.entropy[0] == entropy_fast(kt, kp)
+                    assert rows.singular[0] == 0 and rows.error(0) is None
                     tested += 1
         assert tested >= 30
 
     def test_rejection_cases(self):
-        kernel = WeightEntropyKernel([2, 2, 2], [0, 1, 2])
-        with pytest.raises(SingularWeights, match="denominator") as err:
-            kernel.trial([0, 2, 1], 1)
-        assert err.value.m == 2
-        kernel = WeightEntropyKernel([4, 4, 4, 4, 4], [0, 1, 2, 3, 4])
-        with pytest.raises(SingularWeights, match="not saturated") as err:
-            kernel.trial([0, 1, 2, 4, 3], 3)
-        assert err.value.m == 5
-        # a rejected trial leaves the accepted sequence's values in place
-        assert kernel.entropy == entropy_fast([4, 4, 4, 4, 4], [0, 1, 2, 3, 4])
+        rows = weight_rows([2, 2, 2], [[0, 1, 2], [0, 2, 1]])
+        assert rows.singular.tolist() == [0, 2]
+        assert rows.entropy[0] == entropy_fast([2, 2, 2], [0, 1, 2])
+        assert math.isnan(rows.entropy[1])
+        assert str(rows.error(1)) == "weight recursion singular at rank m=2 (denominator 0)"
+        rows = weight_rows([4, 4, 4, 4, 4], [[0, 1, 2, 4, 3]])
+        assert rows.singular.tolist() == [5]
+        assert rows.error(0).detail == "last linked rank not saturated"
+        # a ring ranked in order doubles its weight at every rank: 2**1024
+        # overflows, and the error names that rank (the loop's intermediate
+        # w * prefix overflows earlier, at 2**(2m+1))
+        n = 1100
+        ring = [0] + [1] * (n - 2) + [2]
+        rows = weight_rows([2] * n, [ring])
+        assert (rows.error(0).m, rows.error(0).detail) == (1025, "weight overflow")
+        with pytest.raises(SingularWeights, match="overflow") as err:
+            compute_weights([2] * n, ring)
+        assert err.value.m == 1025
+        with pytest.raises(SingularWeights, match="overflow") as err:
+            weights_by_recursion([2] * n, ring)
+        assert err.value.m == 514
 
-    def test_trial_agrees_with_a_fresh_pass(self, karate):
-        # random single-unit moves: a trial from min(i, j) must give the
-        # fresh pass's entropy bit for bit, and reject exactly when
-        # compute_weights raises, with the same rank and message
-        rng = np.random.default_rng(5)
-        complete = Graph([(a, b) for a in range(6) for b in range(a + 1, 6)])
+    def test_each_row_equals_its_one_row_evaluation(self, move_blocks):
+        for k, rows in move_blocks:
+            block = weight_rows(k, rows)
+            for b, row in enumerate(rows):
+                one = weight_rows(k, row)
+                assert block.singular[b] == one.singular[0]
+                if one.singular[0]:
+                    continue
+                for got, want in zip(block[2:6], one[2:6]):
+                    assert np.array_equal(got[b], want[0])
+
+    def test_rejections_agree_with_compute_weights(self, move_blocks):
+        # rows of a block are rejected exactly when compute_weights raises,
+        # with the same rank and message, and otherwise carry entropy_fast's
+        # value bit for bit
         seen = {"ok": 0, "denominator": 0, "not saturated": 0}
-        for g in (karate, complete):
-            for tail in (0, 2):
-                k, kp, _ = observed_instance(g)
-                k = np.concatenate((k, np.zeros(tail, dtype=np.int64)))
-                kp = np.concatenate((kp, np.zeros(tail, dtype=np.int64))).tolist()
-                kernel = WeightEntropyKernel(k, kp)
-                for _ in range(1500):
-                    i, j = (int(x) for x in rng.choice(k.size, size=2, replace=False))
-                    if i == 0 or kp[i] >= k[i] or kp[j] < 1:
-                        continue
-                    kp[i] += 1
-                    kp[j] -= 1
-                    start = min(i, j)
-                    try:
-                        compute_weights(k, kp)
-                    except SingularWeights as exc:
-                        with pytest.raises(SingularWeights) as err:
-                            kernel.trial(kp, start)
-                        assert (err.value.m, str(err.value)) == (exc.m, str(exc))
-                        saturated = "saturated" in str(exc)
-                        seen["not saturated" if saturated else "denominator"] += 1
-                        kp[i] -= 1
-                        kp[j] += 1
-                        continue
-                    assert kernel.trial(kp, start) == entropy_fast(k, kp)
-                    seen["ok"] += 1
-                    if rng.random() < 0.5:
-                        kernel.accept(start)
-                    else:
-                        kp[i] -= 1
-                        kp[j] += 1
-                    assert kernel.entropy == entropy_fast(k, kp)
+        for k, rows in move_blocks:
+            block = weight_rows(k, rows)
+            for b, row in enumerate(rows):
+                try:
+                    compute_weights(k, row)
+                except SingularWeights as exc:
+                    got = block.error(b)
+                    assert (got.m, str(got)) == (exc.m, str(exc))
+                    saturated = "saturated" in str(exc)
+                    seen["not saturated" if saturated else "denominator"] += 1
+                    continue
+                assert block.error(b) is None
+                assert block.entropy[b] == entropy_fast(k, row)
+                seen["ok"] += 1
         assert min(seen.values()) > 0, seen
+
+    def test_compute_weights_matches_recursion_oracle(self, instance_pool):
+        trailing_zero = 0
+        for k, kp, _ in instance_pool:
+            ws = compute_weights(k, kp)
+            w, residuals, prefix, entropy = weights_by_recursion(k, kp)
+            linked = np.isfinite(w)
+            assert np.array_equal(linked, np.isfinite(ws.w))
+            np.testing.assert_allclose(ws.w[linked], w[linked], rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(ws.residuals, residuals, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(ws.prefix, prefix, rtol=1e-12, atol=0.0)
+            assert entropy_fast(k, kp) == pytest.approx(entropy, rel=1e-12)
+            trailing_zero += int(k[-1] == 0)
+        assert trailing_zero > 0
+
+    def test_prefix_over_weight_is_the_integer_d(self, instance_pool):
+        # the closed form: prefix[m + 1] = D[m] * w[m] with
+        # D[m] = sum_{r<=m} (k[r] - 2 kplus[r]), checked on the recursion
+        for k, kp, _ in instance_pool:
+            last = int(np.count_nonzero(k)) - 1
+            d = np.cumsum(k - 2 * kp)[:last]
+            w, _, prefix, _ = weights_by_recursion(k, kp)
+            np.testing.assert_allclose(prefix[1 : last + 1] / w[:last], d, rtol=1e-12, atol=0.0)
+            ws = compute_weights(k, kp)
+            assert np.array_equal(np.rint(ws.prefix[1 : last + 1] / ws.w[:last]), d)
 
 
 class TestMultigraphEnsembles:
@@ -436,6 +501,20 @@ class TestSampling:
         net = sample_network(m, seed=9)
         assert len(net.edges) == m.links
         assert net.n == m.n
+
+    def test_pair_frequencies_track_probabilities(self, karate):
+        # every pair of the searched karate ensemble, so the draw of i given
+        # j is exercised too; zero-probability pairs are never drawn
+        k, _, _ = observed_instance(karate)
+        m = LinkProbabilityModel(k, random_feasible_kplus(k, "me3", seed=2).values)
+        ndraws = 200_000
+        i, j = sample_pairs(m, ndraws, seed=21)
+        counts = np.zeros((m.n, m.n))
+        np.add.at(counts, (i, j), 1)
+        p = np.triu(m.probability_matrix(), 1)
+        assert np.all(counts[p == 0.0] == 0)
+        z = np.abs(counts - ndraws * p) / np.sqrt(ndraws * p * (1 - p) + 1e-300)
+        assert z[p > 0.0].max() < 6.0
 
     def test_empirical_frequency_tracks_probability(self):
         m = LinkProbabilityModel([3, 3, 1, 1], KPlusSequence([0, 2, 1, 1], "me3"))

@@ -7,6 +7,8 @@ from conftest import (
     enumerate_feasible_kplus,
     greedy_search_from_scratch,
     observed_instance,
+    random_fill_by_loop,
+    random_simple_graph,
 )
 from richnull.ensemble import entropy_fast
 from richnull.errors import InfeasibleConstraints, SingularWeights
@@ -14,6 +16,7 @@ from richnull.search import (
     MAXIMIZE,
     MINIMIZE,
     SearchConfig,
+    _random_fill,
     greedy_search,
     kplus_bounds,
     random_feasible_kplus,
@@ -61,6 +64,27 @@ class TestRandomFeasible:
                 assert kp.total == g.edge_count
                 assert np.all(kp.values <= kplus_bounds(k, mode))
                 entropy_fast(k, kp)  # raises if not weight-feasible
+
+    def test_fill_matches_loop_oracle(self, karate):
+        # same draws, same sequence, same generator state afterwards
+        rng = np.random.default_rng(8)
+        k, _, _ = observed_instance(karate)
+        cases = [(k, "me2"), (k, "me3")]
+        for _ in range(6):
+            g = random_simple_graph(rng, int(rng.integers(4, 60)))
+            cases.append((np.sort(g.degrees)[::-1], "me2" if len(cases) % 2 else "me3"))
+        for kk, mode in cases:
+            bounds = kplus_bounds(kk, mode)
+            total = min(int(kk.sum()) // 2, int(bounds.sum()))
+            for seed in range(3):
+                fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = _random_fill(fast, bounds, total)
+                assert np.array_equal(got, random_fill_by_loop(slow, bounds, total))
+                assert fast.bit_generator.state == slow.bit_generator.state
+        # filling every rank to its bound exercises each removal
+        bounds = kplus_bounds(k, "me3")
+        full = _random_fill(np.random.default_rng(0), bounds, int(bounds.sum()))
+        assert np.array_equal(full, bounds)
 
     def test_deterministic_for_fixed_seed(self, karate):
         k, _, _ = observed_instance(karate)
@@ -224,3 +248,38 @@ class TestGreedySearch:
         assert r.evaluations == evaluations
         assert r.trace == pytest.approx(trace, rel=1e-12, abs=0.0)
         assert r.entropy == entropy_fast(k, r.kplus)
+
+    @pytest.mark.parametrize("n", [2, 3, 34, 1000])
+    def test_block_draws_equal_scalar_draws(self, n):
+        # the search draws a block of proposals as one call with an array of
+        # upper bounds; it must give the serial loop's two scalar draws per
+        # proposal, also for a block cut short, and leave the same state
+        highs = np.tile([n, n - 1], 64)
+        for seed in range(3):
+            for used in (128, 77, 2):
+                block, serial = np.random.default_rng(seed), np.random.default_rng(seed)
+                drawn = block.integers(highs[:used])
+                assert drawn.tolist() == [int(serial.integers(h)) for h in highs[:used]]
+                assert block.bit_generator.state == serial.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "mode, stall_limit, max_proposals, stop",
+        [("me2", None, None, "stall"), ("me3", 150, 150, "cap"), ("me3", 40, 1000, "stall")],
+    )
+    def test_shared_generator_ends_in_serial_state(
+        self, karate, mode, stall_limit, max_proposals, stop
+    ):
+        # consensus hands its run's generator to the search; the blocks drawn
+        # ahead must not leave it anywhere the serial loop would not
+        k, _, _ = observed_instance(karate)
+        runs = []
+        for search in (greedy_search, greedy_search_from_scratch):
+            rng = np.random.default_rng(17)
+            cfg = SearchConfig(
+                mode, seed=rng, stall_limit=stall_limit, max_proposals=max_proposals
+            )
+            runs.append((search(k, cfg), rng.bit_generator.state))
+        (r, state), (scratch, scratch_state) = runs
+        assert r.stop_reason == stop
+        assert (r.kplus.values.tolist(), r.proposals_used) == (scratch[0].tolist(), scratch[2])
+        assert state == scratch_state
