@@ -122,9 +122,9 @@ def rr_randomize(g, cfg):
     attempts = cfg.swap_attempts if cfg.swap_attempts is not None else 20 * links
     rng = np.random.default_rng(cfg.seed)
 
-    edges = [list(e) for e in g.edges]
+    edges = g.edges.tolist()
     simple = cfg.variant == RR1
-    present = {tuple(e) for e in edges} if simple else None
+    present = set(map(tuple, edges)) if simple else None
 
     for _ in range(attempts):
         e1 = int(rng.integers(links))
@@ -149,10 +149,9 @@ def rr_randomize(g, cfg):
             present.discard(tuple(sorted((c, d))))
             present.add(new1)
             present.add(new2)
-        edges[e1] = list(new1)
-        edges[e2] = list(new2)
+        edges[e1] = new1
+        edges[e2] = new2
 
     if simple:
-        label_edges = [(g.label_of(i), g.label_of(j)) for i, j in edges]
-        return Graph(label_edges, extra_nodes=g.labels)
-    return Multigraph(g.n, tuple(tuple(e) for e in edges), labels=g.labels)
+        return Graph.from_indices(g.labels, edges)
+    return Multigraph(g.n, edges, labels=g.labels)

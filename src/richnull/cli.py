@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import json
 import sys
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from .communities import (
 )
 from .consensus import ME1, NG, ModelRecipe, cooccurrence, invariant_cores, randomized_rank_runs
 from .diagnostics import (
+    DiagnosticsCurve,
     aggregate_knn_deviation,
     detect_cutoff_from_ipr,
     ipr_curve,
@@ -54,7 +56,15 @@ from .errors import (
     PowerIterationError,
     SingularWeights,
 )
-from .graph import ME2, ME3, cutoff_degree, kplus_from_graph, load_edge_list, rank_nodes
+from .graph import (
+    ME2,
+    ME3,
+    component_labels,
+    cutoff_degree,
+    kplus_from_graph,
+    load_edge_list,
+    rank_nodes,
+)
 from .search import SearchConfig, greedy_search
 
 EXIT_OK = 0
@@ -84,22 +94,46 @@ def _meta(args):
     }
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _ints(values):
+    return map(str, np.asarray(values).tolist())
 
 
-def _write_csv(args, out_dir, name, header, rows):
+def _floats(values):
+    return map(repr, np.asarray(values, dtype=np.float64).tolist())
+
+
+def _names(g):
+    """Node labels as strings, indexable by node-index arrays."""
+    return np.array(list(map(str, g.labels)), dtype=object)
+
+
+def _write_csv(args, out_dir, name, header, columns):
+    """One CSV file from ``columns``, each an iterable of cell strings."""
     if args.format == "json":
         return
     meta = _meta(args)
     lines = [
         f"# richnull {meta['version']} seed={meta['seed']} config={meta['config']}",
         ",".join(header),
+        *map(",".join, zip(*columns)),
     ]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
     (out_dir / name).write_text("\n".join(lines) + "\n")
+
+
+def _write_pairs(args, out_dir, name, header, g, matrix, cells):
+    """Rows ``label_i,label_j,cells(matrix[i, j])`` over node pairs i < j, row-major."""
+    i, j = np.triu_indices(g.n, 1)
+    names = _names(g)
+    _write_csv(args, out_dir, name, header, (names[i], names[j], cells(matrix[i, j])))
+
+
+def _write_curves(args, out_dir, name, curves):
+    x = np.concatenate([c.x for c in curves])
+    values = np.concatenate([c.values for c in curves])
+    source = chain.from_iterable(repeat(c.source, len(c)) for c in curves)
+    label = chain.from_iterable(repeat(c.label, len(c)) for c in curves)
+    header = ("degree", "value", "source", "label")
+    _write_csv(args, out_dir, name, header, (_floats(x), _floats(values), source, label))
 
 
 def _write_json(args, out_dir, name, payload):
@@ -122,15 +156,8 @@ def _out_dir(args):
 
 def _component_sizes(g):
     """Sizes of the connected components of ``g``, largest first."""
-    unseen, sizes = set(range(g.n)), []
-    while unseen:
-        frontier = {unseen.pop()}
-        sizes.append(0)
-        while frontier:
-            sizes[-1] += len(frontier)
-            frontier = set().union(*(g.adj[u] for u in frontier)) & unseen
-            unseen -= frontier
-    return sorted(sizes, reverse=True)
+    sizes = np.bincount(component_labels(g.n, g.edges))
+    return sorted(sizes[sizes > 0].tolist(), reverse=True)
 
 
 def _ranked_model(g, tag, args):
@@ -178,10 +205,8 @@ def cmd_ensemble(args):
         lines = [f"# richnull {meta['version']} seed={meta['seed']} config={meta['config']}"]
         if args.model == "rr2":
             lines.append("# multigraph: repeated lines are parallel links")
-        lines.extend(
-            f"{randomized.label_of(i)} {randomized.label_of(j)}"
-            for i, j in sorted(randomized.edges)
-        )
+        names = _names(g)
+        lines.extend(map(" ".join, names[randomized.edges].tolist()))
         (out / "randomized.edges").write_text("\n".join(lines) + "\n")
         simple = randomized.is_simple() if args.model == "rr2" else True
         _write_json(
@@ -202,21 +227,10 @@ def cmd_ensemble(args):
 
     if args.model == NG:
         model = newman_girvan(g)
-        _write_csv(
-            args,
-            out,
-            "sequences.csv",
-            ("node", "degree"),
-            [(g.label_of(i), int(g.degrees[i])) for i in range(g.n)],
-        )
+        _write_csv(args, out, "sequences.csv", ("node", "degree"), (_names(g), _ints(g.degrees)))
         if args.dump_probabilities:
-            e = model.expected_matrix()
-            rows = [
-                (g.label_of(i), g.label_of(j), float(e[i, j]))
-                for i in range(g.n)
-                for j in range(i + 1, g.n)
-            ]
-            _write_csv(args, out, "expected.csv", ("i", "j", "expected_links"), rows)
+            header = ("i", "j", "expected_links")
+            _write_pairs(args, out, "expected.csv", header, g, model.expected_matrix(), _floats)
         _write_json(
             args,
             out,
@@ -233,35 +247,25 @@ def cmd_ensemble(args):
 
     model, ranking, search = _ranked_model(g, args.model, args)
     residuals = verify_soft_constraints(model)
-    expected_degree = (model.links * row_sums(model).total).tolist()
-    rows = [
-        (
-            r,
-            g.label_of(int(ranking.order[r])),
-            int(model.k[r]),
-            int(model.kplus.values[r]),
-            expected_degree[r],
-        )
-        for r in range(g.n)
-    ]
     _write_csv(
         args,
         out,
         "sequences.csv",
         ("rank", "node", "degree", "kplus", "expected_degree"),
-        rows,
+        (
+            _ints(np.arange(g.n)),
+            _names(g)[ranking.order],
+            _ints(model.k),
+            _ints(model.kplus.values),
+            _floats(model.links * row_sums(model).total),
+        ),
     )
     if args.dump_probabilities:
-        prows = []
-        for i in range(g.n):
-            p = model.upper_row(i)
-            prows.extend(
-                (i, i + 1 + off, float(p[off]), float(model.links * p[off]))
-                for off in range(p.size)
-            )
-        _write_csv(
-            args, out, "probabilities.csv", ("rank_i", "rank_j", "p", "expected"), prows
-        )
+        i, j = np.triu_indices(g.n, 1)
+        p = np.concatenate([model.upper_row(r) for r in range(g.n)])
+        header = ("rank_i", "rank_j", "p", "expected")
+        columns = (_ints(i), _ints(j), _floats(p), _floats(model.links * p))
+        _write_csv(args, out, "probabilities.csv", header, columns)
     summary = {
         "model": args.model,
         "nodes": g.n,
@@ -295,14 +299,15 @@ def cmd_diagnose(args):
     data_curve = knn_data(g)
     model_curve = knn_ensemble(model)
     baseline = uncorrelated_knn(g)
-    knn_rows = data_curve.rows() + model_curve.rows()
-    knn_rows += [(float(x), baseline, "uncorrelated", "knn") for x in data_curve.x]
-    _write_csv(args, out, "knn.csv", ("degree", "value", "source", "label"), knn_rows)
+    flat = DiagnosticsCurve(
+        data_curve.x, np.full(len(data_curve), baseline), label="knn", source="uncorrelated"
+    )
+    _write_curves(args, out, "knn.csv", (data_curve, model_curve, flat))
 
     ipr = ipr_curve(model)
-    _write_csv(args, out, "ipr.csv", ("degree", "value", "source", "label"), ipr.rows())
+    _write_curves(args, out, "ipr.csv", (ipr,))
     cv = variation_curve(model)
-    _write_csv(args, out, "cv.csv", ("degree", "value", "source", "label"), cv.rows())
+    _write_curves(args, out, "cv.csv", (cv,))
 
     cutoff = detect_cutoff_from_ipr(ipr)
     _write_json(
@@ -343,20 +348,10 @@ def cmd_communities(args):
     matrix = _build_matrix(g, args)
     dendrogram, partition = recursive_partition(matrix, strict=args.strict_splits)
 
-    _write_csv(
-        args,
-        out,
-        "partition.csv",
-        ("node", "community"),
-        [(g.label_of(i), int(partition.assignment[i])) for i in range(g.n)],
-    )
+    columns = (_names(g), _ints(partition.assignment))
+    _write_csv(args, out, "partition.csv", ("node", "community"), columns)
     if args.dump_matrix:
-        rows = [
-            (g.label_of(i), g.label_of(j), float(matrix.matrix[i, j]))
-            for i in range(g.n)
-            for j in range(i + 1, g.n)
-        ]
-        _write_csv(args, out, "matrix.csv", ("i", "j", "m"), rows)
+        _write_pairs(args, out, "matrix.csv", ("i", "j", "m"), g, matrix.matrix, _floats)
     _write_json(
         args,
         out,
@@ -419,12 +414,7 @@ def cmd_consensus(args):
         return EXIT_INFEASIBLE
 
     cm = cooccurrence(runs.partitions)
-    rows = [
-        (g.label_of(i), g.label_of(j), int(cm.counts[i, j]))
-        for i in range(g.n)
-        for j in range(i + 1, g.n)
-    ]
-    _write_csv(args, out, "cooccurrence.csv", ("i", "j", "count"), rows)
+    _write_pairs(args, out, "cooccurrence.csv", ("i", "j", "count"), g, cm.counts, _ints)
     cores = invariant_cores(cm, g, threshold=args.threshold)
     _write_json(
         args,

@@ -22,7 +22,7 @@ from .communities import (
 )
 from .ensemble import LinkProbabilityModel
 from .errors import RichNullError
-from .graph import ME2, ME3, kplus_from_graph, rank_nodes
+from .graph import ME2, ME3, component_labels, kplus_from_graph, rank_nodes
 from .search import MAXIMIZE, MINIMIZE, SearchConfig, greedy_search
 
 ME1 = "me1"
@@ -119,7 +119,8 @@ def randomized_rank_runs(g, recipe, runs=100, master_seed=None):
 
     Child seeds come from ``numpy.random.SeedSequence(master_seed).spawn``,
     so the first R runs are identical whenever the master seed matches,
-    regardless of how many more runs follow.  Failed runs are collected,
+    regardless of how many more runs follow.  The ``ng`` null runs the
+    pipeline once and repeats its outcome.  Failed runs are collected,
     never silently dropped.
     """
     if runs < 1:
@@ -128,10 +129,17 @@ def randomized_rank_runs(g, recipe, runs=100, master_seed=None):
     partitions = []
     failures = []
     for i, child in enumerate(children):
-        try:
-            partitions.append(run_pipeline(g, recipe, seed=child))
-        except RichNullError as exc:
-            failures.append(RunFailure(i, type(exc).__name__, str(exc)))
+        # the degree-product matrix ignores the ranking and the partition is
+        # deterministic, so the first ng run stands for every run
+        if i == 0 or recipe.null != NG:
+            try:
+                outcome = run_pipeline(g, recipe, seed=child)
+            except RichNullError as exc:
+                outcome = exc
+        if isinstance(outcome, RichNullError):
+            failures.append(RunFailure(i, type(outcome).__name__, str(outcome)))
+        else:
+            partitions.append(outcome)
     return RunSet(tuple(partitions), tuple(failures), runs, master_seed)
 
 
@@ -189,26 +197,9 @@ def invariant_cores(cm, g, threshold=1.0):
     if cm.n != g.n:
         raise ValueError("co-occurrence matrix does not match the graph")
     required = int(np.ceil(threshold * cm.run_count))
-    adj = [[] for _ in range(g.n)]
-    for i, j in g.edges:
-        if cm.counts[i, j] >= required:
-            adj[i].append(j)
-            adj[j].append(i)
-    seen = np.zeros(g.n, dtype=bool)
-    cores = []
-    for start in range(g.n):
-        if seen[start] or not adj[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        component = []
-        while stack:
-            node = stack.pop()
-            component.append(node)
-            for nb in adj[node]:
-                if not seen[nb]:
-                    seen[nb] = True
-                    stack.append(nb)
-        if len(component) >= 2:
-            cores.append(frozenset(component))
-    return cores
+    kept = g.edges[cm.counts[g.edges[:, 0], g.edges[:, 1]] >= required]
+    nodes = np.unique(kept)
+    roots = component_labels(g.n, kept)[nodes]
+    order = np.argsort(roots, kind="stable")
+    groups = np.split(nodes[order], np.flatnonzero(np.diff(roots[order])) + 1)
+    return [frozenset(c.tolist()) for c in groups if c.size]

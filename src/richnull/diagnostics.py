@@ -80,7 +80,7 @@ def knn_data(g):
         raise ValueError("graph has no links")
     if np.any(deg == 0):
         log.warning("dropping %d isolated node(s) from knn curve", int((deg == 0).sum()))
-    u, v = np.array(g.edges).T
+    u, v = g.edges.T
     # integer-valued sums, exact in float64: the same values as a mean per node
     neighbour_deg = np.bincount(u, weights=deg[v], minlength=g.n)
     neighbour_deg += np.bincount(v, weights=deg[u], minlength=g.n)

@@ -461,4 +461,4 @@ def sample_pairs(model, ndraws, seed=None):
 def sample_network(model, seed=None):
     """One sampled network: L independent pair draws as an edge multiset."""
     i, j = sample_pairs(model, model.links, seed)
-    return Multigraph(model.n, list(zip(i.tolist(), j.tolist())))
+    return Multigraph(model.n, np.column_stack((i, j)))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain, compress
 
 import numpy as np
 
@@ -27,7 +28,7 @@ _KPLUS_MODES = (OBSERVED, ME2, ME3)
 
 
 class Graph:
-    """Immutable simple undirected graph.
+    """Immutable simple undirected graph on integer arrays.
 
     Parameters
     ----------
@@ -37,50 +38,64 @@ class Graph:
         the default pipeline is reproducible without a seed.
     extra_nodes : iterable of labels, optional
         Labels that must appear in the graph even if isolated.
+
+    ``edges`` is an (L, 2) int64 array of node indices ``i < j`` in
+    lexicographic order, ``degrees`` comes from a bincount of it, and
+    ``indptr``/``indices`` hold the neighbours in CSR form (see
+    :meth:`neighbors`).  All arrays are read-only.
     """
 
-    __slots__ = ("n", "labels", "edges", "adj", "degrees", "_index")
+    __slots__ = ("n", "labels", "edges", "degrees", "indptr", "indices", "_index")
 
     def __init__(self, edges, extra_nodes=()):
-        edges = [tuple(e) for e in edges]
-        labels = set(extra_nodes)
-        for u, v in edges:
-            labels.add(u)
-            labels.add(v)
-        if not labels:
+        extra = list(extra_nodes)
+        values = np.array(extra + list(chain.from_iterable(edges)), dtype=object)
+        labels, index = np.unique(values, return_inverse=True)
+        if not labels.size:
             raise ValueError("graph must have at least one node")
-        self.labels = tuple(sorted(labels))
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
-        self.n = len(self.labels)
+        self._fill(tuple(labels.tolist()), index[len(extra) :].reshape(-1, 2))
 
-        seen = set()
-        index_edges = []
-        for u, v in edges:
-            i, j = self._index[u], self._index[v]
-            if i == j:
-                raise ValueError(f"self-loop at node {u!r}")
-            key = (i, j) if i < j else (j, i)
-            if key in seen:
-                raise ValueError(f"duplicate edge {u!r}-{v!r}")
-            seen.add(key)
-            index_edges.append(key)
-        self.edges = tuple(sorted(index_edges))
+    @classmethod
+    def from_indices(cls, labels, edges):
+        """Graph on the ascending ``labels`` from (L, 2) node indices in any order."""
+        g = cls.__new__(cls)
+        ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        if np.any((ends < 0) | (ends >= len(labels))):
+            raise ValueError(f"node index out of range for {len(labels)} labels")
+        g._fill(tuple(labels), ends)
+        return g
 
-        adj = [set() for _ in range(self.n)]
-        degrees = np.zeros(self.n, dtype=np.int64)
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-            degrees[i] += 1
-            degrees[j] += 1
-        self.adj = tuple(frozenset(s) for s in adj)
-        degrees.flags.writeable = False
-        self.degrees = degrees
+    def _fill(self, labels, ends, edges=None):
+        """Set up from node-index pairs ``ends``, or from ``edges`` already sorted and checked."""
+        if edges is None:
+            edges, fault = _sorted_edges(ends)
+            if fault is not None:
+                u, v = (labels[x] for x in ends[fault[0]].tolist())
+                raise ValueError(
+                    f"self-loop at node {u!r}" if u == v else f"duplicate edge {u!r}-{v!r}"
+                )
+        n = len(labels)
+        self.n = n
+        self.labels = labels
+        self._index = dict(zip(labels, range(n)))
+        self.edges = edges
+        self.degrees = np.bincount(edges.ravel(), minlength=n)
+        # both directions of each link, grouped by source: every j -> i
+        # (i < j) comes first, so a stable sort leaves each group ascending
+        order = np.argsort(np.concatenate((edges[:, 1], edges[:, 0])), kind="stable")
+        self.indices = np.concatenate((edges[:, 0], edges[:, 1]))[order]
+        self.indptr = np.concatenate(([0], np.cumsum(self.degrees)))
+        for a in (self.edges, self.degrees, self.indices, self.indptr):
+            a.flags.writeable = False
 
     @property
     def edge_count(self):
         """Number of links L; equals half the degree sum."""
         return len(self.edges)
+
+    def neighbors(self, i):
+        """Ascending node indices adjacent to node ``i``."""
+        return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
     def index_of(self, label):
         return self._index[label]
@@ -91,44 +106,69 @@ class Graph:
     def adjacency_matrix(self):
         """Dense symmetric 0/1 adjacency matrix in node-index order."""
         a = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            a[i, j] = a[j, i] = 1.0
+        i, j = self.edges.T
+        a[i, j] = a[j, i] = 1.0
         return a
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
-@dataclass(frozen=True)
+def _sorted_edges(ends, invalid=None, simple=True):
+    """Sort (L, 2) node indices into rows ``i < j`` in lexicographic order.
+
+    Returns ``(edges, None)``, or ``(None, (row, first))`` for the first row
+    in input order that ``invalid`` marks, that is a self-loop or, if
+    ``simple``, that repeats the earlier row ``first`` (None otherwise).
+    """
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    bad = lo == hi if invalid is None else invalid | (lo == hi)
+    row = int(np.argmax(bad)) if bad.any() else len(ends)
+    width = int(hi.max()) + 1 if len(ends) else 1
+    key = lo * width + hi
+    order = np.argsort(key, kind="stable")
+    ranked = key[order]
+    if simple:
+        repeats = order[1:][ranked[1:] == ranked[:-1]]
+        if repeats.size and repeats.min() < row:
+            row = int(repeats.min())
+            # the stable sort puts a key's first row first
+            return None, (row, int(order[np.searchsorted(ranked, key[row])]))
+    if row < len(ends):
+        return None, (row, None)
+    return np.column_stack(np.divmod(ranked, width)), None
+
+
+@dataclass(frozen=True, eq=False)
 class Multigraph:
     """Edge multiset with fixed node count; self-loops are still forbidden.
 
     Used for randomized and sampled networks where parallel edges may occur.
+    ``edges`` is stored like :attr:`Graph.edges`, repeats included.
     """
 
     n: int
-    edges: tuple
+    edges: np.ndarray
     labels: tuple | None = None
 
     def __post_init__(self):
-        edges = tuple(tuple(sorted(e)) for e in self.edges)
-        object.__setattr__(self, "edges", edges)
-        for i, j in edges:
+        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        outside = np.any((ends < 0) | (ends >= self.n), axis=1)
+        edges, fault = _sorted_edges(ends, invalid=outside, simple=False)
+        if fault is not None:
+            i, j = sorted(ends[fault[0]].tolist())
             if i == j:
                 raise ValueError(f"self-loop at node index {i}")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
+            raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
 
     @property
     def degrees(self):
-        deg = np.zeros(self.n, dtype=np.int64)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
     def is_simple(self):
-        return len(set(self.edges)) == len(self.edges)
+        return not np.any(np.all(self.edges[1:] == self.edges[:-1], axis=1))
 
     def label_of(self, index):
         return self.labels[index] if self.labels is not None else index
@@ -138,53 +178,73 @@ def load_edge_list(source, allow_string_ids=False):
     """Parse an edge-list text into a :class:`Graph`.
 
     One edge per line (``"u v"``), ``#`` starts a comment line, blank lines
-    are skipped.  Node ids must be non-negative integers unless
-    ``allow_string_ids`` is set, in which case tokens are kept verbatim.
-
-    Raises
-    ------
-    EdgeListError
-        On non-integer tokens (in integer mode), wrong token count,
-        self-loops, or duplicate edges; the message carries the line number.
+    are skipped.  Node ids are integers (as ``int`` reads them) in
+    ``[0, 2**63)`` unless ``allow_string_ids`` is set, in which case tokens
+    are kept verbatim.  An :class:`EdgeListError` names the first bad line:
+    wrong token count, bad id, self-loop or duplicate edge.
     """
     if isinstance(source, str):
         lines = source.splitlines()
     else:
         lines = [line.rstrip("\n") for line in source]
+    tokens = list(map(str.split, lines))
+    counts = np.fromiter(map(len, tokens), np.int64, len(tokens))
+    keep = counts > 0
+    if "#" in "".join(lines):  # else no line can be a comment
+        keep[keep] = [t[0][0] != "#" for t in compress(tokens, keep.tolist())]
+    # each check sees only the lines above the first bad line found so far,
+    # so the last error found names the first bad line and its first fault
+    error = None
 
-    edges = []
-    seen = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise EdgeListError(
-                f"expected two node ids, got {len(tokens)}: {line!r}", lineno
-            )
-        if allow_string_ids:
-            u, v = tokens
-        else:
-            try:
-                u, v = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise EdgeListError(f"non-integer node id in {line!r}", lineno)
-            if u < 0 or v < 0:
-                raise EdgeListError(f"negative node id in {line!r}", lineno)
+    def cut(i, message):
+        nonlocal error
+        error = EdgeListError(message, int(i) + 1)
+        keep[i:] = False
+
+    def ids():
+        return list(chain.from_iterable(compress(tokens, keep.tolist())))
+
+    wrong = np.flatnonzero(keep & (counts != 2))
+    if wrong.size:
+        i = wrong[0]
+        cut(i, f"expected two node ids, got {counts[i]}: {lines[i].strip()!r}")
+    if allow_string_ids:
+        ends = np.array(ids(), dtype=object)
+    else:
+        try:
+            ends = np.array(list(map(int, ids())), np.int64)
+            valid = not np.any(ends < 0)
+        except (ValueError, OverflowError):
+            valid = False
+        if not valid:  # find the first bad id, then convert the lines above it
+            for i in np.flatnonzero(keep).tolist():
+                try:
+                    low, high = sorted(map(int, tokens[i]))
+                except ValueError:
+                    cut(i, f"non-integer node id in {lines[i].strip()!r}")
+                    break
+                if low < 0 or high >= 2**63:
+                    what = "negative node id" if low < 0 else "node id above 2**63 - 1"
+                    cut(i, f"{what} in {lines[i].strip()!r}")
+                    break
+            ends = np.array(list(map(int, ids())), np.int64)
+    labels, index = np.unique(ends, return_inverse=True)
+    labels, index = tuple(labels.tolist()), index.reshape(-1, 2)
+    edges, fault = _sorted_edges(index)
+    if fault is not None:
+        (row, first), rows = fault, np.flatnonzero(keep)
+        u, v = (labels[x] for x in index[row].tolist())
         if u == v:
-            raise EdgeListError(f"self-loop {u!r}-{v!r}", lineno)
-        key = (u, v) if u <= v else (v, u)
-        if key in seen:
-            raise EdgeListError(
-                f"duplicate edge {u!r}-{v!r} (first seen at line {seen[key]})",
-                lineno,
-            )
-        seen[key] = lineno
-        edges.append((u, v))
-    if not edges:
+            cut(rows[row], f"self-loop {u!r}-{v!r}")
+        else:
+            cut(rows[row], f"duplicate edge {u!r}-{v!r} (first seen at line {rows[first] + 1})")
+    if error is not None:
+        raise error
+    if not len(edges):
         raise EdgeListError("edge list contains no edges")
-    return Graph(edges)
+    g = Graph.__new__(Graph)
+    g._fill(labels, None, edges)
+    return g
 
 
 def karate_club():
@@ -239,16 +299,10 @@ def rank_nodes(g, policy="deterministic", seed=None):
     order = np.lexsort((np.arange(g.n), -deg))
     if policy == "random":
         rng = np.random.default_rng(seed)
-        order = order.copy()
-        start = 0
-        while start < g.n:
-            stop = start
-            d = deg[order[start]]
-            while stop < g.n and deg[order[stop]] == d:
-                stop += 1
+        bounds = (np.flatnonzero(np.diff(deg[order])) + 1).tolist()
+        for start, stop in zip([0, *bounds], [*bounds, g.n]):
             if stop - start > 1:
                 order[start:stop] = rng.permutation(order[start:stop])
-            start = stop
     ranking = Ranking(order, policy, seed)
     assert np.all(np.diff(deg[ranking.order]) <= 0)
     return ranking
@@ -308,12 +362,25 @@ def kplus_from_graph(g, ranking):
     if len(ranking) != g.n:
         raise ValueError("ranking size does not match graph")
     pos = ranking.positions
-    values = np.zeros(g.n, dtype=np.int64)
-    for r, node in enumerate(ranking.order):
-        values[r] = sum(1 for nb in g.adj[node] if pos[nb] < r)
+    # each link counts at its lower-ranked end
+    values = np.bincount(np.maximum(pos[g.edges[:, 0]], pos[g.edges[:, 1]]), minlength=g.n)
     kp = KPlusSequence(values, OBSERVED)
     assert kp.total == g.edge_count
     return kp
+
+
+def component_labels(n, edges):
+    """Smallest node index in each node's connected component under ``edges``."""
+    label = np.arange(n)
+    u, v = np.asarray(edges).reshape(-1, 2).T
+    while True:
+        lu, lv = label[u], label[v]
+        if np.array_equal(lu, lv):
+            return label
+        # labels only fall and stay within the component (label[x] <= x), so
+        # each pass lowers some label until every link agrees on the minimum
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        label = label[label]
 
 
 def rich_club_coefficient(kp, r):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from richnull.ensemble import LinkProbabilityModel, compute_weights, entropy_fast
-from richnull.errors import SingularWeights
+from richnull.errors import EdgeListError, SingularWeights
 from richnull.graph import ME2, ME3, Graph, karate_club, kplus_from_graph, rank_nodes
 from richnull.search import MAXIMIZE, kplus_bounds, random_feasible_kplus
 
@@ -83,6 +83,86 @@ def observed_instance(g):
     k = g.degrees[ranking.order]
     kp = kplus_from_graph(g, ranking)
     return k, kp.values, ranking
+
+
+def load_edge_list_by_lines(source, allow_string_ids=False):
+    """Reference for ``richnull.graph.load_edge_list``, one line at a time.
+
+    Stops at the first offending line, checking it for token count, integer
+    syntax, sign, the signed 64-bit range, self-loop and repeat in that
+    order.  Returns ``(labels, edges, degrees)``: ascending labels, sorted
+    index pairs ``(i, j)`` with ``i < j``, and the degree list.
+    """
+    if isinstance(source, str):
+        lines = source.splitlines()
+    else:
+        lines = [line.rstrip("\n") for line in source]
+    pairs = []
+    seen = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise EdgeListError(f"expected two node ids, got {len(tokens)}: {line!r}", lineno)
+        if allow_string_ids:
+            u, v = tokens
+        else:
+            try:
+                u, v = int(tokens[0]), int(tokens[1])
+            except ValueError:
+                raise EdgeListError(f"non-integer node id in {line!r}", lineno)
+            if u < 0 or v < 0:
+                raise EdgeListError(f"negative node id in {line!r}", lineno)
+            if max(u, v) >= 2**63:
+                raise EdgeListError(f"node id above 2**63 - 1 in {line!r}", lineno)
+        if u == v:
+            raise EdgeListError(f"self-loop {u!r}-{v!r}", lineno)
+        key = (u, v) if u <= v else (v, u)
+        if key in seen:
+            raise EdgeListError(
+                f"duplicate edge {u!r}-{v!r} (first seen at line {seen[key]})", lineno
+            )
+        seen[key] = lineno
+        pairs.append(key)
+    if not pairs:
+        raise EdgeListError("edge list contains no edges")
+    labels = sorted({x for pair in pairs for x in pair})
+    index = {label: i for i, label in enumerate(labels)}
+    edges = sorted(tuple(sorted((index[u], index[v]))) for u, v in pairs)
+    degrees = [0] * len(labels)
+    for i, j in edges:
+        degrees[i] += 1
+        degrees[j] += 1
+    return tuple(labels), edges, degrees
+
+
+def kplus_by_adjacency(g, ranking):
+    """Reference for ``kplus_from_graph``: neighbour sets, one rank at a time."""
+    adj = [set() for _ in range(g.n)]
+    for i, j in g.edges.tolist():
+        adj[i].add(j)
+        adj[j].add(i)
+    pos = ranking.positions
+    return [sum(1 for nb in adj[node] if pos[nb] < r) for r, node in enumerate(ranking.order)]
+
+
+def rank_order_by_loop(g, seed):
+    """Reference for the random policy of ``rank_nodes``: the same
+    ``rng.permutation`` per equal-degree block, blocks found node by node."""
+    deg = g.degrees
+    order = np.lexsort((np.arange(g.n), -deg))
+    rng = np.random.default_rng(seed)
+    start = 0
+    while start < g.n:
+        stop = start
+        while stop < g.n and deg[order[stop]] == deg[order[start]]:
+            stop += 1
+        if stop - start > 1:
+            order[start:stop] = rng.permutation(order[start:stop])
+        start = stop
+    return order
 
 
 def enumerate_feasible_kplus(k, mode):
@@ -344,7 +424,7 @@ def knn_data_by_loop(g):
     node_knn = np.full(g.n, np.nan)
     for i in range(g.n):
         if deg[i] > 0:
-            node_knn[i] = np.mean([deg[j] for j in g.adj[i]])
+            node_knn[i] = np.mean([deg[j] for j in g.neighbors(i)])
     return group_by_degree_by_loop(deg, node_knn)
 
 

@@ -218,9 +218,9 @@ def test_07_rewiring_correctness(karate):
             out = rr_randomize(karate, RRConfig(variant, seed=seed))
             slowest = max(slowest, time.perf_counter() - start)
             degrees_ok &= bool(np.array_equal(np.sort(out.degrees), reference))
-            loops_ok &= all(u != v for u, v in out.edges)
+            loops_ok &= all(u != v for u, v in out.edges.tolist())
             if variant == "rr1":
-                simple_ok &= len({frozenset(e) for e in out.edges}) == len(out.edges)
+                simple_ok &= len({frozenset(e) for e in out.edges.tolist()}) == len(out.edges)
     ok = degrees_ok and simple_ok and loops_ok and slowest < 1.0
     _criterion(
         7,
@@ -329,7 +329,7 @@ def test_12_consensus_reproducibility(karate):
         core_set = set(members)
         while frontier:
             node = frontier.pop()
-            for nb in karate.adj[node]:
+            for nb in karate.neighbors(node).tolist():
                 if nb in core_set and nb not in seen:
                     seen.add(nb)
                     frontier.append(nb)

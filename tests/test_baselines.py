@@ -91,13 +91,13 @@ class TestRandomization:
     def test_triangle_is_a_fixed_point(self, k3):
         # the triangle is the only simple graph with its degree sequence
         out = rr_randomize(k3, RRConfig("rr1", seed=0))
-        assert out.edges == k3.edges
+        assert np.array_equal(out.edges, k3.edges)
 
     def test_star_swaps_only_into_self_loops(self, s3):
         # every rewiring of a star would need a self-loop, so even the
         # multigraph variant returns it unchanged
         out = rr_randomize(s3, RRConfig("rr2", seed=1))
-        assert sorted(out.edges) == sorted(s3.edges)
+        assert sorted(out.edges.tolist()) == sorted(s3.edges.tolist())
 
     @pytest.mark.parametrize("variant", ["rr1", "rr2"])
     def test_degrees_preserved_across_seeds(self, karate, variant):
@@ -114,12 +114,12 @@ class TestRandomization:
 
     def test_actually_rewires(self, karate):
         out = rr_randomize(karate, RRConfig("rr1", seed=0))
-        assert out.edges != karate.edges
+        assert not np.array_equal(out.edges, karate.edges)
 
     def test_reproducible(self, karate):
         a = rr_randomize(karate, RRConfig("rr1", seed=7))
         b = rr_randomize(karate, RRConfig("rr1", seed=7))
-        assert a.edges == b.edges
+        assert np.array_equal(a.edges, b.edges)
 
     def test_rr1_outputs_are_valid_realizations(self):
         # brute-force the set of simple graphs with the path's degrees and
@@ -137,7 +137,7 @@ class TestRandomization:
         assert len(valid) > 1
         for seed in range(10):
             out = rr_randomize(path, RRConfig("rr1", seed=seed))
-            assert frozenset(out.edges) in valid
+            assert frozenset(map(tuple, out.edges.tolist())) in valid
 
     def test_labels_survive(self):
         ring = Graph([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from richnull import consensus
 from richnull.consensus import (
     CooccurrenceMatrix,
     ModelRecipe,
@@ -106,6 +107,33 @@ class TestRandomizedRuns:
         assert [f.index for f in rs.failures] == list(range(10))
         assert all(f.error == "InfeasibleNG" for f in rs.failures)
         assert all(isinstance(f, RunFailure) and f.message for f in rs.failures)
+
+    @pytest.mark.parametrize("null, calls", [("ng", 1), ("me1", 5)])
+    def test_ng_runs_the_pipeline_once(self, monkeypatch, barbell, null, calls):
+        # the degree-product matrix ignores the ranking: one run stands for all
+        seen = []
+
+        def counted(g, recipe, seed=None):
+            seen.append(seed)
+            return run_pipeline(g, recipe, seed=seed)
+
+        monkeypatch.setattr(consensus, "run_pipeline", counted)
+        rs = randomized_rank_runs(barbell, ModelRecipe(null), runs=5, master_seed=0)
+        assert len(seen) == calls and rs.successful == 5
+        # each run still equals a pipeline run on its own seed
+        for part, child in zip(rs.partitions, np.random.SeedSequence(0).spawn(5)):
+            alone = run_pipeline(barbell, ModelRecipe(null), seed=child)
+            assert np.array_equal(part.assignment, alone.assignment)
+
+    def test_ng_failure_repeated_for_every_run(self, monkeypatch, karate):
+        calls = []
+        monkeypatch.setattr(
+            consensus, "run_pipeline", lambda *a, **k: calls.append(1) or run_pipeline(*a, **k)
+        )
+        rs = randomized_rank_runs(karate, ModelRecipe("ng"), runs=4, master_seed=2)
+        assert len(calls) == 1
+        assert [f.index for f in rs.failures] == [0, 1, 2, 3]
+        assert len({(f.error, f.message) for f in rs.failures}) == 1
 
     def test_soft_recipe_runs(self, karate):
         rs = randomized_rank_runs(

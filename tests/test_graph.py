@@ -1,11 +1,20 @@
+import io
+
 import numpy as np
 import pytest
 
+from conftest import (
+    kplus_by_adjacency,
+    load_edge_list_by_lines,
+    random_simple_graph,
+    rank_order_by_loop,
+)
 from richnull.errors import EdgeListError
 from richnull.graph import (
     Graph,
     KPlusSequence,
     Multigraph,
+    component_labels,
     cutoff_degree,
     kplus_from_graph,
     load_edge_list,
@@ -19,7 +28,7 @@ class TestGraph:
         assert k3.n == 3
         assert k3.edge_count == 3
         assert list(k3.degrees) == [2, 2, 2]
-        assert k3.adj[0] == frozenset({1, 2})
+        assert k3.neighbors(0).tolist() == [1, 2]
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -55,6 +64,40 @@ class TestGraph:
         assert a[0, 2] == 0.0
         assert np.trace(a) == 0.0
 
+    def test_edges_are_sorted_index_pairs(self):
+        g = Graph([(3, 1), (2, 0), (1, 0), (3, 0)])
+        assert g.edges.dtype == np.int64
+        assert g.edges.tolist() == [[0, 1], [0, 2], [0, 3], [1, 3]]
+        assert not g.edges.flags.writeable
+
+    def test_neighbors_match_edge_list(self, instance_graphs, karate):
+        for g in [karate] + [entry[0] for entry in instance_graphs]:
+            expected = [[] for _ in range(g.n)]
+            for i, j in g.edges.tolist():
+                expected[i].append(j)
+                expected[j].append(i)
+            assert np.array_equal(np.diff(g.indptr), g.degrees)
+            for i in range(g.n):
+                assert g.neighbors(i).tolist() == sorted(expected[i])
+            a = g.adjacency_matrix()
+            assert np.array_equal(a.sum(axis=1), g.degrees)
+            assert np.array_equal(np.argwhere(np.triu(a)), g.edges)
+
+    def test_from_indices(self):
+        g = Graph.from_indices(("a", "b", "c"), [(2, 0), (0, 1)])
+        assert g.edges.tolist() == [[0, 1], [0, 2]]
+        assert g.neighbors(0).tolist() == [1, 2]
+        with pytest.raises(ValueError, match="duplicate edge 'b'-'a'"):
+            Graph.from_indices(("a", "b"), [(0, 1), (1, 0)])
+        with pytest.raises(ValueError, match="out of range"):
+            Graph.from_indices(("a", "b"), [(0, 2)])
+
+    def test_errors_name_the_first_bad_edge(self):
+        with pytest.raises(ValueError, match="self-loop at node 4"):
+            Graph([(0, 1), (4, 4), (1, 0)])
+        with pytest.raises(ValueError, match="duplicate edge 2-1"):
+            Graph([(0, 1), (1, 2), (2, 1), (3, 3)])
+
 
 class TestMultigraph:
     def test_parallel_edges_counted(self):
@@ -68,6 +111,16 @@ class TestMultigraph:
 
     def test_simple_check(self):
         assert Multigraph(3, ((0, 1), (1, 2))).is_simple()
+
+    def test_edges_sorted_with_repeats(self):
+        m = Multigraph(4, ((2, 1), (0, 3), (1, 2), (0, 1)))
+        assert m.edges.tolist() == [[0, 1], [0, 3], [1, 2], [1, 2]]
+
+    def test_first_bad_edge_reported(self):
+        with pytest.raises(ValueError, match=r"edge \(1,5\) out of range for n=3"):
+            Multigraph(3, ((0, 1), (5, 1), (2, 2)))
+        with pytest.raises(ValueError, match="self-loop at node index 4"):
+            Multigraph(3, ((0, 1), (4, 4), (5, 1)))
 
 
 class TestLoadEdgeList:
@@ -102,11 +155,122 @@ class TestLoadEdgeList:
         with pytest.raises(EdgeListError):
             load_edge_list("# nothing\n")
 
+    def test_ids_must_fit_in_int64(self):
+        g = load_edge_list(f"0 {2**63 - 1}\n")
+        assert g.labels == (0, 2**63 - 1)
+        with pytest.raises(EdgeListError, match=r"line 2: node id above 2\*\*63 - 1 in '9223372036854775808 1'"):
+            load_edge_list(f"0 1\n{2**63} 1\n")
+        with pytest.raises(EdgeListError, match="line 1: negative"):
+            load_edge_list(f"{-(2**63) - 1} 1\n")
+        with pytest.raises(EdgeListError, match="line 1: negative"):
+            load_edge_list(f"-1 {2**64}\n")
+
+    def test_file_object_lines(self):
+        g = load_edge_list(io.StringIO("# c\n0 1\n\n1 2\n"))
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
+
+    @pytest.mark.parametrize("string_ids", [False, True])
+    def test_matches_line_oracle(self, string_ids):
+        rng = np.random.default_rng(606)
+        for _ in range(60):
+            text = random_edge_text(rng, string_ids)
+            g = load_edge_list(text, allow_string_ids=string_ids)
+            labels, edges, degrees = load_edge_list_by_lines(text, string_ids)
+            assert g.labels == labels
+            assert all(type(x) is (str if string_ids else int) for x in g.labels)
+            assert np.array_equal(g.edges, np.array(edges).reshape(-1, 2))
+            assert g.degrees.tolist() == degrees
+
+    @pytest.mark.parametrize("string_ids", [False, True])
+    def test_planted_errors_match_line_oracle(self, string_ids):
+        rng = np.random.default_rng(707)
+        kinds = set()
+        for _ in range(150):
+            lines = random_edge_text(rng, string_ids).splitlines()
+            valid = [line.split() for line in lines if line.strip()[:1] not in ("", "#")]
+            for _ in range(int(rng.integers(1, 5))):
+                bad, kind = planted_error(rng, valid)
+                kinds.add(kind)
+                lines.insert(int(rng.integers(len(lines) + 1)), bad)
+            text = "\n".join(lines) + "\n"
+            try:
+                labels, edges, _ = load_edge_list_by_lines(text, string_ids)
+            except EdgeListError as expected:
+                with pytest.raises(EdgeListError) as found:
+                    load_edge_list(text, allow_string_ids=string_ids)
+                assert str(found.value) == str(expected)
+                assert found.value.line == expected.line
+            else:
+                # integer-syntax faults are valid string ids
+                assert string_ids
+                g = load_edge_list(text, allow_string_ids=True)
+                assert g.labels == labels and g.edges.tolist() == [list(e) for e in edges]
+        assert kinds == set(PLANTED)
+
 
 def test_karate_fixture(karate):
     assert karate.n == 34
     assert karate.edge_count == 78
     assert int(karate.degrees.max()) == 17
+
+
+def spell(rng, value):
+    """An integer token ``int`` reads as ``value``, in one of several spellings."""
+    digits = str(value)
+    style = int(rng.integers(4))
+    if style == 1:
+        return "+" + digits
+    if style == 2:
+        return "0" * int(rng.integers(1, 3)) + digits
+    if style == 3 and len(digits) > 1:
+        cut = int(rng.integers(1, len(digits)))
+        return digits[:cut] + "_" + digits[cut:]
+    return digits
+
+
+def random_edge_text(rng, string_ids):
+    """A valid edge list with comments, blanks, padding and both orientations."""
+    n = int(rng.integers(2, 40))
+    ids = rng.choice(10**6, size=n, replace=False).tolist()
+    ids[0] = 2**63 - 1 if rng.random() < 0.2 else ids[0]
+    if string_ids and rng.random() < 0.5:
+        ids = [f"node{x}" if rng.random() < 0.5 else f"x#{x}" for x in ids]
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.3]
+    pairs = pairs or [(0, 1)]
+    lines = []
+    for p in rng.permutation(len(pairs)).tolist():
+        u, v = (ids[x] for x in pairs[p])
+        if rng.random() < 0.5:
+            u, v = v, u
+        u, v = (x if isinstance(x, str) else spell(rng, x) for x in (u, v))
+        pad = [" ", "\t", "  "][int(rng.integers(3))]
+        lines.append(f"{pad * int(rng.integers(2))}{u}{pad}{v}{pad * int(rng.integers(2))}")
+        if rng.random() < 0.1:
+            lines.append(["", "   ", "# comment 1 2", "  #x", "#"][int(rng.integers(5))])
+    return "\n".join(lines) + "\n"
+
+
+PLANTED = ("tokens", "non-integer", "negative", "self-loop", "duplicate", "overflow")
+
+
+def planted_error(rng, valid):
+    """One bad line of a random kind, made from a ``valid`` token pair.
+
+    The kinds past ``self-loop`` (integer syntax) are valid string ids.
+    """
+    kind = PLANTED[int(rng.integers(len(PLANTED)))]
+    u, v = valid[int(rng.integers(len(valid)))]
+    bad = {
+        "tokens": [f"{u}", f"{u} {v} {v}", f"{u} {v} # note"][int(rng.integers(3))],
+        "non-integer": [f"{u} 1.5", f"a{u} {v}", f"{u} 0x1F"][int(rng.integers(3))],
+        "negative": [f"-{int(rng.integers(1, 9))} {v}", f"{u} -{2**64}", f"-1 {2**64}"][
+            int(rng.integers(3))
+        ],
+        "self-loop": [f"{u} {u}", f"{v}  {v}"][int(rng.integers(2))],
+        "duplicate": [f"{u} {v}", f"{v} {u}"][int(rng.integers(2))],
+        "overflow": [f"{2**63} {v}", f"{u} {2**70}"][int(rng.integers(2))],
+    }[kind]
+    return bad, kind
 
 
 class TestRanking:
@@ -136,6 +300,12 @@ class TestRanking:
         rnd = rank_nodes(karate, policy="random", seed=3)
         assert np.array_equal(karate.degrees[det.order], karate.degrees[rnd.order])
 
+    def test_random_policy_matches_loop_oracle(self, instance_graphs, karate):
+        for g in [karate] + [entry[0] for entry in instance_graphs]:
+            for seed in range(10):
+                order = rank_nodes(g, policy="random", seed=seed).order
+                assert np.array_equal(order, rank_order_by_loop(g, seed))
+
     def test_unknown_policy(self, k3):
         with pytest.raises(ValueError):
             rank_nodes(k3, policy="sideways")
@@ -161,6 +331,12 @@ class TestKPlus:
             kp = kplus_from_graph(g, rank_nodes(g))
             assert kp.total == g.edge_count
 
+    def test_matches_adjacency_oracle(self, instance_graphs, karate):
+        for g in [karate] + [entry[0] for entry in instance_graphs]:
+            for ranking in (rank_nodes(g), rank_nodes(g, policy="random", seed=g.n)):
+                kp = kplus_from_graph(g, ranking)
+                assert kp.values.tolist() == kplus_by_adjacency(g, ranking)
+
     def test_first_rank_must_be_zero(self):
         with pytest.raises(ValueError, match="rank 0"):
             KPlusSequence([1, 0], "observed")
@@ -178,6 +354,27 @@ class TestKPlus:
         kp = KPlusSequence([0, 3], "observed")
         with pytest.raises(ValueError, match="exceeds degree"):
             kp.validate_against(np.array([3, 2]))
+
+
+def test_component_labels_match_search():
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        n = int(rng.integers(1, 60))
+        edges = rng.integers(n, size=(int(rng.integers(0, n + 5)), 2))
+        label = component_labels(n, edges)
+        adj = [set() for _ in range(n)]
+        for i, j in edges.tolist():
+            adj[i].add(j)
+            adj[j].add(i)
+        for start in range(n):
+            seen, stack = {start}, [start]
+            while stack:
+                for nb in adj[stack.pop()] - seen:
+                    seen.add(nb)
+                    stack.append(nb)
+            assert label[start] == min(seen)
+    g = random_simple_graph(rng, 30, density=0.05)
+    assert component_labels(g.n, g.edges)[0] == 0
 
 
 def test_rich_club_star(s3):
