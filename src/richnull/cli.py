@@ -30,7 +30,15 @@ from .communities import (
     soft_modularity_matrix,
     standard_modularity_matrix,
 )
-from .consensus import ME1, NG, ModelRecipe, cooccurrence, invariant_cores, randomized_rank_runs
+from .consensus import (
+    ME1,
+    NG,
+    ModelRecipe,
+    build_ensemble,
+    cooccurrence,
+    invariant_cores,
+    randomized_rank_runs,
+)
 from .diagnostics import (
     DiagnosticsCurve,
     aggregate_knn_deviation,
@@ -42,7 +50,6 @@ from .diagnostics import (
     variation_curve,
 )
 from .ensemble import (
-    LinkProbabilityModel,
     entropy_fast,
     expected_multiedge_pairs,
     row_sums,
@@ -61,11 +68,9 @@ from .graph import (
     ME3,
     component_labels,
     cutoff_degree,
-    kplus_from_graph,
     load_edge_list,
     rank_nodes,
 )
-from .search import SearchConfig, greedy_search
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -94,6 +99,12 @@ def _meta(args):
     }
 
 
+def _stamp(args):
+    """The comment line that opens every text output."""
+    meta = _meta(args)
+    return f"# richnull {meta['version']} seed={meta['seed']} config={meta['config']}"
+
+
 def _ints(values):
     return map(str, np.asarray(values).tolist())
 
@@ -111,12 +122,7 @@ def _write_csv(args, out_dir, name, header, columns):
     """One CSV file from ``columns``, each an iterable of cell strings."""
     if args.format == "json":
         return
-    meta = _meta(args)
-    lines = [
-        f"# richnull {meta['version']} seed={meta['seed']} config={meta['config']}",
-        ",".join(header),
-        *map(",".join, zip(*columns)),
-    ]
+    lines = [_stamp(args), ",".join(header), *map(",".join, zip(*columns))]
     (out_dir / name).write_text("\n".join(lines) + "\n")
 
 
@@ -154,37 +160,20 @@ def _out_dir(args):
     return out
 
 
-def _component_sizes(g):
-    """Sizes of the connected components of ``g``, largest first."""
-    sizes = np.bincount(component_labels(g.n, g.edges))
-    return sorted(sizes[sizes > 0].tolist(), reverse=True)
-
-
 def _ranked_model(g, tag, args):
     """Deterministic ranking plus the requested ensemble; search result too."""
     ranking = rank_nodes(g)
-    k = g.degrees[ranking.order]
-    result = None
-    if tag == ME1:
-        kp = kplus_from_graph(g, ranking)
-    else:
-        cfg = SearchConfig(
-            mode=tag,
-            direction=args.direction,
-            seed=args.seed,
-            stall_limit=args.stall_limit,
-        )
-        result = greedy_search(k, cfg)
-        kp = result.kplus
+    recipe = ModelRecipe(tag, direction=args.direction, stall_limit=args.stall_limit)
     try:
-        model = LinkProbabilityModel(k, kp.values, tag=tag)
+        model, search = build_ensemble(g, tag, ranking, recipe, args.seed)
     except SingularWeights as exc:
         if tag != ME1 or not exc.detail.startswith("denominator"):
             raise
         # with observed counts this happens only when the top m - 1 ranks
         # share no link with the ranks below m; a disconnected input may or
         # may not do that, so its components are reported, not rejected
-        sizes = _component_sizes(g)
+        sizes = np.bincount(component_labels(g.n, g.edges))
+        sizes = sorted(sizes[sizes > 0].tolist(), reverse=True)
         shown = ", ".join(map(str, sizes[:10])) + (", ..." if len(sizes) > 10 else "")
         raise SingularWeights(
             exc.m,
@@ -192,7 +181,7 @@ def _ranked_model(g, tag, args):
             f"ranks below {exc.m}; the input has {len(sizes)} connected "
             f"component(s), of sizes {shown}",
         ) from exc
-    return model, ranking, result
+    return model, ranking, search
 
 
 def cmd_ensemble(args):
@@ -201,28 +190,20 @@ def cmd_ensemble(args):
 
     if args.model in ("rr1", "rr2"):
         randomized = rr_randomize(g, RRConfig(args.model, seed=args.seed))
-        meta = _meta(args)
-        lines = [f"# richnull {meta['version']} seed={meta['seed']} config={meta['config']}"]
+        lines = [_stamp(args)]
         if args.model == "rr2":
             lines.append("# multigraph: repeated lines are parallel links")
         names = _names(g)
         lines.extend(map(" ".join, names[randomized.edges].tolist()))
         (out / "randomized.edges").write_text("\n".join(lines) + "\n")
-        simple = randomized.is_simple() if args.model == "rr2" else True
-        _write_json(
-            args,
-            out,
-            "summary.json",
-            {
-                "model": args.model,
-                "nodes": g.n,
-                "links": len(randomized.edges),
-                "degrees_preserved": bool(
-                    np.array_equal(np.sort(randomized.degrees), np.sort(g.degrees))
-                ),
-                "simple": bool(simple),
-            },
-        )
+        summary = {
+            "model": args.model,
+            "nodes": g.n,
+            "links": len(randomized.edges),
+            "degrees_preserved": bool(np.array_equal(randomized.degrees, g.degrees)),
+            "simple": bool(randomized.is_simple() if args.model == "rr2" else True),
+        }
+        _write_json(args, out, "summary.json", summary)
         return EXIT_OK
 
     if args.model == NG:
@@ -231,18 +212,14 @@ def cmd_ensemble(args):
         if args.dump_probabilities:
             header = ("i", "j", "expected_links")
             _write_pairs(args, out, "expected.csv", header, g, model.expected_matrix(), _floats)
-        _write_json(
-            args,
-            out,
-            "summary.json",
-            {
-                "model": NG,
-                "nodes": g.n,
-                "links": model.links,
-                "max_degree": int(g.degrees.max()),
-                "cutoff_degree": cutoff_degree(g),
-            },
-        )
+        summary = {
+            "model": NG,
+            "nodes": g.n,
+            "links": model.links,
+            "max_degree": int(g.degrees.max()),
+            "cutoff_degree": cutoff_degree(g),
+        }
+        _write_json(args, out, "summary.json", summary)
         return EXIT_OK
 
     model, ranking, search = _ranked_model(g, args.model, args)
@@ -309,25 +286,16 @@ def cmd_diagnose(args):
     cv = variation_curve(model)
     _write_curves(args, out, "cv.csv", (cv,))
 
-    cutoff = detect_cutoff_from_ipr(ipr)
-    _write_json(
-        args,
-        out,
-        "diagnostics.json",
-        {
-            "model": args.model,
-            "uncorrelated_knn": baseline,
-            "knn_deviation": aggregate_knn_deviation(model_curve, baseline),
-            "ipr_cutoff_degree": cutoff,
-            "single_link_cutoff_degree": cutoff_degree(g),
-            "curves": {
-                "knn_data": data_curve.rows(),
-                "knn_model": model_curve.rows(),
-                "ipr": ipr.rows(),
-                "cv": cv.rows(),
-            },
-        },
-    )
+    curves = {"knn_data": data_curve, "knn_model": model_curve, "ipr": ipr, "cv": cv}
+    report = {
+        "model": args.model,
+        "uncorrelated_knn": baseline,
+        "knn_deviation": aggregate_knn_deviation(model_curve, baseline),
+        "ipr_cutoff_degree": detect_cutoff_from_ipr(ipr),
+        "single_link_cutoff_degree": cutoff_degree(g),
+        "curves": {name: curve.rows() for name, curve in curves.items()},
+    }
+    _write_json(args, out, "diagnostics.json", report)
     return EXIT_OK
 
 
@@ -352,21 +320,17 @@ def cmd_communities(args):
     _write_csv(args, out, "partition.csv", ("node", "community"), columns)
     if args.dump_matrix:
         _write_pairs(args, out, "matrix.csv", ("i", "j", "m"), g, matrix.matrix, _floats)
-    _write_json(
-        args,
-        out,
-        "dendrogram.json",
-        {
-            "model": args.model,
-            "model2": args.model2,
-            "kind": matrix.kind,
-            "clamped_pairs": matrix.clamped_pairs,
-            "n_communities": partition.n_communities,
-            "q": modularity_value(matrix, partition),
-            "q_trace": dendrogram.q_trace,
-            "dendrogram": dendrogram.to_dict(labels=g.labels),
-        },
-    )
+    report = {
+        "model": args.model,
+        "model2": args.model2,
+        "kind": matrix.kind,
+        "clamped_pairs": matrix.clamped_pairs,
+        "n_communities": partition.n_communities,
+        "q": modularity_value(matrix, partition),
+        "q_trace": dendrogram.q_trace,
+        "dendrogram": dendrogram.to_dict(labels=g.labels),
+    }
+    _write_json(args, out, "dendrogram.json", report)
     return EXIT_OK
 
 
@@ -416,16 +380,9 @@ def cmd_consensus(args):
     cm = cooccurrence(runs.partitions)
     _write_pairs(args, out, "cooccurrence.csv", ("i", "j", "count"), g, cm.counts, _ints)
     cores = invariant_cores(cm, g, threshold=args.threshold)
-    _write_json(
-        args,
-        out,
-        "cores.json",
-        {
-            "run_count": cm.run_count,
-            "threshold": args.threshold,
-            "cores": [sorted(g.label_of(i) for i in core) for core in cores],
-        },
-    )
+    labelled = [sorted(g.label_of(i) for i in core) for core in cores]
+    report = {"run_count": cm.run_count, "threshold": args.threshold, "cores": labelled}
+    _write_json(args, out, "cores.json", report)
     return EXIT_OK
 
 

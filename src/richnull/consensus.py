@@ -81,20 +81,26 @@ class RunSet:
         return len(self.partitions)
 
 
-def _build_ensemble(g, tag, ranking, recipe, rng):
+def build_ensemble(g, tag, ranking, recipe, seed=None):
+    """The ``tag`` ensemble on ``ranking`` and its search result (me1: None).
+
+    ``seed`` drives the me2/me3 search: an int, or a generator to share.
+    """
     k = g.degrees[ranking.order]
+    search = None
     if tag == ME1:
         kp = kplus_from_graph(g, ranking)
     else:
         cfg = SearchConfig(
             mode=tag,
             direction=recipe.direction,
-            seed=rng,
+            seed=seed,
             stall_limit=recipe.stall_limit,
             max_proposals=recipe.max_proposals,
         )
-        kp = greedy_search(k, cfg).kplus
-    return LinkProbabilityModel(k, kp.values, tag=tag)
+        search = greedy_search(k, cfg)
+        kp = search.kplus
+    return LinkProbabilityModel(k, kp.values, tag=tag), search
 
 
 def run_pipeline(g, recipe, seed=None):
@@ -104,11 +110,11 @@ def run_pipeline(g, recipe, seed=None):
     if recipe.null == NG:
         matrix = standard_modularity_matrix(g, newman_girvan(g))
     elif recipe.null2 is None:
-        model = _build_ensemble(g, recipe.null, ranking, recipe, rng)
+        model, _ = build_ensemble(g, recipe.null, ranking, recipe, rng)
         matrix = standard_modularity_matrix(g, model, ranking=ranking)
     else:
-        model1 = _build_ensemble(g, recipe.null, ranking, recipe, rng)
-        model2 = _build_ensemble(g, recipe.null2, ranking, recipe, rng)
+        model1, _ = build_ensemble(g, recipe.null, ranking, recipe, rng)
+        model2, _ = build_ensemble(g, recipe.null2, ranking, recipe, rng)
         matrix = soft_modularity_matrix(model1, model2, ranking, ranking)
     _, partition = recursive_partition(matrix, strict=recipe.strict_splits)
     return partition

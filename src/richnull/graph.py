@@ -48,8 +48,11 @@ class Graph:
     __slots__ = ("n", "labels", "edges", "degrees", "indptr", "indices", "_index")
 
     def __init__(self, edges, extra_nodes=()):
-        extra = list(extra_nodes)
-        values = np.array(extra + list(chain.from_iterable(edges)), dtype=object)
+        edges, extra = list(edges), list(extra_nodes)
+        if set(map(len, edges)) - {2}:
+            raise ValueError("every edge must have exactly two ends")
+        # object dtype keeps each label whole, tuples included
+        values = np.fromiter(chain(extra, chain.from_iterable(edges)), dtype=object)
         labels, index = np.unique(values, return_inverse=True)
         if not labels.size:
             raise ValueError("graph must have at least one node")
@@ -58,28 +61,23 @@ class Graph:
     @classmethod
     def from_indices(cls, labels, edges):
         """Graph on the ascending ``labels`` from (L, 2) node indices in any order."""
-        g = cls.__new__(cls)
         ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if np.any((ends < 0) | (ends >= len(labels))):
+        if ends.size and not 0 <= ends.min() <= ends.max() < len(labels):
             raise ValueError(f"node index out of range for {len(labels)} labels")
+        g = cls.__new__(cls)
         g._fill(tuple(labels), ends)
         return g
 
-    def _fill(self, labels, ends, edges=None):
-        """Set up from node-index pairs ``ends``, or from ``edges`` already sorted and checked."""
-        if edges is None:
-            edges, fault = _sorted_edges(ends)
-            if fault is not None:
-                u, v = (labels[x] for x in ends[fault[0]].tolist())
-                raise ValueError(
-                    f"self-loop at node {u!r}" if u == v else f"duplicate edge {u!r}-{v!r}"
-                )
-        n = len(labels)
-        self.n = n
-        self.labels = labels
-        self._index = dict(zip(labels, range(n)))
-        self.edges = edges
-        self.degrees = np.bincount(edges.ravel(), minlength=n)
+    def _fill(self, labels, ends):
+        edges, fault = _sorted_edges(ends)
+        if fault is not None:
+            row, first = fault
+            u, v = (repr(labels[x]) for x in ends[row].tolist())
+            message = f"self-loop at node {u}" if first is None else f"duplicate edge {u}-{v}"
+            raise ValueError(message)
+        self.n, self.labels, self.edges = len(labels), labels, edges
+        self._index = dict(zip(labels, range(self.n)))
+        self.degrees = np.bincount(edges.ravel(), minlength=self.n)
         # both directions of each link, grouped by source: every j -> i
         # (i < j) comes first, so a stable sort leaves each group ascending
         order = np.argsort(np.concatenate((edges[:, 1], edges[:, 0])), kind="stable")
@@ -114,28 +112,25 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
-def _sorted_edges(ends, invalid=None, simple=True):
-    """Sort (L, 2) node indices into rows ``i < j`` in lexicographic order.
+def _sorted_edges(ends):
+    """Rows ``i < j`` of (L, 2) node indices, sorted, as ``(edges, None)``.
 
-    Returns ``(edges, None)``, or ``(None, (row, first))`` for the first row
-    in input order that ``invalid`` marks, that is a self-loop or, if
-    ``simple``, that repeats the earlier row ``first`` (None otherwise).
+    Else ``(None, (row, first))`` for the first row in input order that is a
+    self-loop (``first`` None) or repeats the earlier row ``first``.
     """
     lo, hi = ends.min(axis=1), ends.max(axis=1)
-    bad = lo == hi if invalid is None else invalid | (lo == hi)
-    row = int(np.argmax(bad)) if bad.any() else len(ends)
     width = int(hi.max()) + 1 if len(ends) else 1
     key = lo * width + hi
     order = np.argsort(key, kind="stable")
     ranked = key[order]
-    if simple:
-        repeats = order[1:][ranked[1:] == ranked[:-1]]
-        if repeats.size and repeats.min() < row:
-            row = int(repeats.min())
-            # the stable sort puts a key's first row first
-            return None, (row, int(order[np.searchsorted(ranked, key[row])]))
-    if row < len(ends):
-        return None, (row, None)
+    loops = np.flatnonzero(lo == hi)
+    repeats = order[1:][ranked[1:] == ranked[:-1]]
+    if repeats.size and (not loops.size or repeats.min() < loops[0]):
+        row = int(repeats.min())
+        # the stable sort puts a key's first row first
+        return None, (row, int(order[np.searchsorted(ranked, key[row])]))
+    if loops.size:
+        return None, (int(loops[0]), None)
     return np.column_stack(np.divmod(ranked, width)), None
 
 
@@ -152,14 +147,14 @@ class Multigraph:
     labels: tuple | None = None
 
     def __post_init__(self):
-        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-        outside = np.any((ends < 0) | (ends >= self.n), axis=1)
-        edges, fault = _sorted_edges(ends, invalid=outside, simple=False)
-        if fault is not None:
-            i, j = sorted(ends[fault[0]].tolist())
+        ends = np.sort(np.array(self.edges, dtype=np.int64).reshape(-1, 2), axis=1)
+        bad = (ends[:, 0] == ends[:, 1]) | (ends[:, 0] < 0) | (ends[:, 1] >= self.n)
+        if bad.any():
+            i, j = ends[np.argmax(bad)].tolist()
             if i == j:
                 raise ValueError(f"self-loop at node index {i}")
             raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
+        edges = ends[np.lexsort(ends.T[::-1])]
         edges.flags.writeable = False
         object.__setattr__(self, "edges", edges)
 
@@ -183,10 +178,7 @@ def load_edge_list(source, allow_string_ids=False):
     are kept verbatim.  An :class:`EdgeListError` names the first bad line:
     wrong token count, bad id, self-loop or duplicate edge.
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in source]
+    lines = source.splitlines() if isinstance(source, str) else list(source)
     tokens = list(map(str.split, lines))
     counts = np.fromiter(map(len, tokens), np.int64, len(tokens))
     keep = counts > 0
@@ -198,7 +190,7 @@ def load_edge_list(source, allow_string_ids=False):
 
     def cut(i, message):
         nonlocal error
-        error = EdgeListError(message, int(i) + 1)
+        error = EdgeListError(f"{message} {lines[i].strip()!r}", int(i) + 1)
         keep[i:] = False
 
     def ids():
@@ -206,26 +198,23 @@ def load_edge_list(source, allow_string_ids=False):
 
     wrong = np.flatnonzero(keep & (counts != 2))
     if wrong.size:
-        i = wrong[0]
-        cut(i, f"expected two node ids, got {counts[i]}: {lines[i].strip()!r}")
+        cut(wrong[0], f"expected two node ids, got {counts[wrong[0]]}:")
     if allow_string_ids:
         ends = np.array(ids(), dtype=object)
     else:
         try:
             ends = np.array(list(map(int, ids())), np.int64)
-            valid = not np.any(ends < 0)
         except (ValueError, OverflowError):
-            valid = False
-        if not valid:  # find the first bad id, then convert the lines above it
+            ends = np.array([-1])
+        if np.any(ends < 0):  # find the first bad id, then convert the lines above it
             for i in np.flatnonzero(keep).tolist():
                 try:
                     low, high = sorted(map(int, tokens[i]))
                 except ValueError:
-                    cut(i, f"non-integer node id in {lines[i].strip()!r}")
+                    cut(i, "non-integer node id in")
                     break
                 if low < 0 or high >= 2**63:
-                    what = "negative node id" if low < 0 else "node id above 2**63 - 1"
-                    cut(i, f"{what} in {lines[i].strip()!r}")
+                    cut(i, "negative node id in" if low < 0 else "node id above 2**63 - 1 in")
                     break
             ends = np.array(list(map(int, ids())), np.int64)
     labels, index = np.unique(ends, return_inverse=True)
@@ -234,17 +223,14 @@ def load_edge_list(source, allow_string_ids=False):
     if fault is not None:
         (row, first), rows = fault, np.flatnonzero(keep)
         u, v = (labels[x] for x in index[row].tolist())
-        if u == v:
-            cut(rows[row], f"self-loop {u!r}-{v!r}")
-        else:
-            cut(rows[row], f"duplicate edge {u!r}-{v!r} (first seen at line {rows[first] + 1})")
+        kind = "self-loop" if first is None else "duplicate edge"
+        seen = "" if first is None else f" (first seen at line {rows[first] + 1})"
+        error = EdgeListError(f"{kind} {u!r}-{v!r}{seen}", int(rows[row]) + 1)
     if error is not None:
         raise error
     if not len(edges):
         raise EdgeListError("edge list contains no edges")
-    g = Graph.__new__(Graph)
-    g._fill(labels, None, edges)
-    return g
+    return Graph.from_indices(labels, edges)
 
 
 def karate_club():

@@ -42,6 +42,17 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph([])
 
+    def test_rejects_edges_without_two_ends(self):
+        for edges in ([(0, 1, 2), (3,)], [(0, 1), (2,)], [(0, 1), (1, 2, 3)]):
+            with pytest.raises(ValueError, match="exactly two ends"):
+                Graph(edges)
+
+    def test_tuple_labels_stay_whole(self):
+        g = Graph([((0, "a"), (1, "b")), ((1, "b"), (2, "c"))], extra_nodes=[(3, "d")])
+        assert g.labels == ((0, "a"), (1, "b"), (2, "c"), (3, "d"))
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
+        assert g.index_of((1, "b")) == 1
+
     def test_labels_sorted_and_indexed(self):
         g = Graph([(10, 3), (3, 7)])
         assert g.labels == (3, 7, 10)
