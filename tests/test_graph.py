@@ -132,6 +132,9 @@ class TestMultigraph:
             Multigraph(3, ((0, 1), (5, 1), (2, 2)))
         with pytest.raises(ValueError, match="self-loop at node index 4"):
             Multigraph(3, ((0, 1), (4, 4), (5, 1)))
+        for i, j in ((0, 3), (-1, 2)):
+            with pytest.raises(ValueError, match=rf"edge \({i},{j}\) out of range for n=3"):
+                Multigraph(3, ((i, j),))
 
 
 class TestLoadEdgeList:
