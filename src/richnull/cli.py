@@ -163,7 +163,7 @@ def _out_dir(args):
 def _ranked_model(g, tag, args):
     """Deterministic ranking plus the requested ensemble; search result too."""
     ranking = rank_nodes(g)
-    recipe = ModelRecipe(tag, direction=args.direction, stall_limit=args.stall_limit)
+    recipe = ModelRecipe(tag, direction=args.direction)
     try:
         model, search = build_ensemble(g, tag, ranking, recipe, args.seed)
     except SingularWeights as exc:
@@ -259,7 +259,6 @@ def cmd_ensemble(args):
             "direction": args.direction,
             "proposals_used": search.proposals_used,
             "accepted_moves": search.accepted_count,
-            "evaluations": search.evaluations,
             "stop_reason": search.stop_reason,
             "entropy_initial": search.trace[0],
             "entropy_final": search.entropy,
@@ -341,7 +340,6 @@ def cmd_consensus(args):
         null=args.model,
         null2=args.model2,
         direction=args.direction,
-        stall_limit=args.stall_limit,
         strict_splits=args.strict_splits,
     )
     runs = randomized_rank_runs(g, recipe, runs=args.runs, master_seed=args.seed)
@@ -403,7 +401,6 @@ def _add_common(sp, models, with_model2=False):
         )
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--direction", choices=("maximize", "minimize"), default="maximize")
-    sp.add_argument("--stall-limit", type=int, default=None)
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--format", choices=("csv", "json", "both"), default="both")
 

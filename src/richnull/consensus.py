@@ -42,8 +42,6 @@ class ModelRecipe:
     null: str
     null2: str | None = None
     direction: str = MAXIMIZE
-    stall_limit: int | None = None
-    max_proposals: int | None = None
     strict_splits: bool = False
 
     def __post_init__(self):
@@ -91,14 +89,7 @@ def build_ensemble(g, tag, ranking, recipe, seed=None):
     if tag == ME1:
         kp = kplus_from_graph(g, ranking)
     else:
-        cfg = SearchConfig(
-            mode=tag,
-            direction=recipe.direction,
-            seed=seed,
-            stall_limit=recipe.stall_limit,
-            max_proposals=recipe.max_proposals,
-        )
-        search = greedy_search(k, cfg)
+        search = greedy_search(k, SearchConfig(tag, recipe.direction, seed))
         kp = search.kplus
     return LinkProbabilityModel(k, kp.values, tag=tag), search
 

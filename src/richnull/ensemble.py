@@ -14,8 +14,9 @@ links to higher ranks equals ``kplus[r]``.  The expected link count of a
 pair is ``e = L * p`` with variance ``s = L * p * (1 - p)``.
 
 The recursion has an integer closed form (:func:`weight_rows`): the weights
-are one cumulative product and the entropy a few cumulative sums, evaluated
-with numpy over a whole block of rich-club sequences at once.
+are one cumulative product and the entropy a sum of local integer terms, so
+the exact entropy change of every single-unit move of ``kplus`` follows
+from a few prefix sums (:func:`move_gains`).
 
 With ``a[j] = kplus[j] / (prefix[j] * L)`` (0 where ``kplus[j] == 0``) the
 probabilities factorize as ``p(i, j) = residuals[i] * a[j]``, so every
@@ -126,56 +127,108 @@ def _validated(k, kplus):
     return k, kp, links
 
 
+def _phi(x):
+    """``x * log(x)`` elementwise, 0 at 0."""
+    return x * np.log(np.where(x > 0, x, 1))
+
+
+def _phi_step(x, d):
+    """``_phi(x + d) - _phi(x)`` for integers, without cancellation."""
+    y = x + d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = x * np.log1p(d / x) + d * np.log(y)
+    return np.where(x > 0, np.where(y > 0, step, -_phi(x)), _phi(y))
+
+
+def _rank_terms(k, kp):
+    """The integers ``(c, g, dp)`` of each row: ``c = k - kplus``,
+    ``dp[m] = D[m-1]`` (0 at rank 0) with ``D[m] = sum_{r<=m} (k[r] -
+    2 * kplus[r])``, and ``g = dp - kplus``."""
+    dp = np.zeros_like(kp)
+    np.cumsum(k[:-1] - 2 * kp[:, :-1], axis=1, out=dp[:, 1:])
+    return k - kp, dp - kp, dp
+
+
 def weight_rows(k, kplus):
     """The weight recursion and the entropy of every row of ``kplus`` at once.
 
     ``kplus`` is a ``(B, N)`` block of rich-club sequences for the degrees
     ``k`` (one sequence is a block of one).  From ``w[0] = 1`` the recursion
-    divides by ``prefix[m] - kplus[m] * w[m-1]``; with the exact integers
-    ``D[m] = sum_{r<=m} (k[r] - 2 * kplus[r])`` it has the closed form
-    ``prefix[m + 1] = D[m] * w[m]``, ``w[m] = w[m-1] * D[m-1] / (D[m-1] -
-    kplus[m])``, so the denominator is positive exactly when
-    ``D[m-1] > kplus[m]`` and the weights are one cumulative product.  With
-    ``f[i] = residuals[i] / L`` and ``r[j] = kplus[j] / prefix[j]``,
-    ``p(i, j) = f[i] * r[j]`` and ``sum_{i<j} f[i] = prefix[j] / L``, so the
-    entropy is ``S = -2 * sum_j (r[j] * F[j] + kplus[j] * log(r[j]) / L)``
-    with ``F[j] = sum_{i<j} f[i] log f[i]``: cumulative sums only.
+    divides by ``prefix[m] - kplus[m] * w[m-1]``; with the integers of
+    :func:`_rank_terms` it has the closed form ``prefix[m + 1] = D[m] *
+    w[m]``, ``w[m] = w[m-1] * D[m-1] / g[m]``: the denominator is positive
+    exactly when ``g[m] > 0``, and the weights are one cumulative product.
+    In ``S = -2 * sum_{i<j} p log p`` the weights then cancel, leaving local
+    terms (``phi(x) = x log x``):
 
-    Every operation acts on each row alone and in rank order, so a row's
-    results are bit-identical in any block.  A row is singular at the first
-    rank with a nonpositive denominator or an overflowing weight or prefix
-    sum, or at the last linked rank when not all its links point upward:
-    its implicit denominator is ``w * (kplus - k)``, and unsaturated it
-    would underfill every degree constraint.
+        S = 2 log L - (2 / L) * sum_m [phi(c[m]) + phi(kplus[m]) + phi(g[m]) - phi(D[m-1])]
+
+    Each row is computed alone, so its results are bit-identical in any
+    block.  A row is singular at the first rank with a nonpositive ``g`` or
+    an overflowing weight or prefix sum, or at the last linked rank when not
+    all its links point upward (unsaturated, it would underfill every
+    degree constraint).
     """
     k, kp, links = _validated(k, kplus)
     last = int(np.count_nonzero(k)) - 1  # the ranks past it are inert
     rows, n = kp.shape
-    d = np.cumsum(k[:last] - 2 * kp[:, :last], axis=1)  # D[m], m < last
-    gap = d[:, :-1] - kp[:, 1:last]  # D[m-1] - kplus[m], 0 < m < last
+    c, g, dp = _rank_terms(k, kp)
     w = np.full((rows, n - 1), np.inf)
     w[:, 0] = 1.0
     residuals = np.zeros((rows, n - 1))
     prefix = np.zeros((rows, n))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.cumprod(d[:, :-1] / gap, axis=1, out=w[:, 1:last])
-        np.multiply(d, w[:, :last], out=prefix[:, 1 : last + 1])
+        np.cumprod(dp[:, 1:last] / g[:, 1:last], axis=1, out=w[:, 1:last])
+        np.multiply(dp[:, 1 : last + 1], w[:, :last], out=prefix[:, 1 : last + 1])
         prefix[:, last + 1 :] = prefix[:, last : last + 1]
-        np.multiply(w[:, :last], k[:last] - kp[:, :last], out=residuals[:, :last])
-        f = residuals[:, :last] / links
-        # f_log_f[:, j - 1] = F[j]; a zero f contributes f * log(1) = 0
-        f_log_f = np.cumsum(f * np.log(np.where(f > 0.0, f, 1.0)), axis=1)
-        kp_up = kp[:, 1 : last + 1]
-        r = kp_up / prefix[:, 1 : last + 1]
-        terms = r * f_log_f + kp_up * np.log(np.where(kp_up > 0, r, 1.0)) / links
-        entropy = -2.0 * np.cumsum(terms, axis=1)[:, -1]
+        np.multiply(w[:, :last], c[:, :last], out=residuals[:, :last])
+        terms = _phi(c) + _phi(kp) - _phi_step(g, kp)
+    entropy = 2.0 * np.log(links) - 2.0 / links * terms.sum(axis=1)
     # column c flags the 0-based rank c + 1
     fail = ~np.isfinite(prefix[:, 1 : last + 1])
-    fail[:, :-1] |= (gap <= 0) | ~np.isfinite(w[:, 1:last])
+    fail[:, :-1] |= (g[:, 1:last] <= 0) | ~np.isfinite(w[:, 1:last])
     fail[:, -1] |= kp[:, last] != k[last]
     singular = np.where(fail.any(axis=1), fail.argmax(axis=1) + 2, 0)
     entropy[singular > 0] = np.nan
     return WeightRows(k, kp, w, residuals, prefix, entropy, singular)
+
+
+def move_gains(k, kplus, sources):
+    """Exact entropy change of every single-unit move from one sequence.
+
+    Entry ``[b, j]`` is ``S(moved) - S(kplus)`` for the move of one upward
+    link from rank ``j`` to rank ``i = sources[b]``; ``kplus`` must have
+    weights.  The move changes ``c`` and ``kplus`` at its ends, ``g`` by
+    ``-1`` (``i < j``) or ``+1`` (``j < i``) there, and ``D[m-1]`` and ``g``
+    by ``-2`` or ``+2`` on the ranks between (:func:`_rank_terms`), so a gain
+    is a few endpoint terms plus a difference of prefix sums.  NaN where the
+    moved sequence leaves ``0 <= kplus <= k`` or ``kplus[0] == 0``, or fails
+    :func:`weight_rows`' integer test; weight overflow is not detected.  A
+    row is the same in any block of sources.
+    """
+    k, kp, links = _validated(k, kplus)
+    (c,), (g,), (dp,) = _rank_terms(k, kp)
+    kp = kp[0]
+    take = _phi_step(c, -1) + _phi_step(kp, 1)  # at the receiving rank i
+    give = _phi_step(c, 1) + _phi_step(kp, -1)  # at the giving rank j
+    g_down, g_up = _phi_step(g, -1), _phi_step(g, 1)
+    dp_down, dp_up = _phi_step(dp, -2), _phi_step(dp, 2)
+    # sums over the ranks before m; a rank with g < 3 (NaN at g = 1, set to
+    # 0) is never read, as between the ends it leaves the move singular
+    down = np.append(0.0, np.cumsum(np.nan_to_num(_phi_step(g, -2) - dp_down)))
+    up = np.append(0.0, np.cumsum(_phi_step(g, 2) - dp_up))
+    i = np.asarray(sources, dtype=np.int64)[:, None]
+    j = np.arange(k.size)
+    with np.errstate(invalid="ignore"):
+        later = (take + g_down - down[1:])[i] + (give + g_down - dp_down + down[:-1])
+        earlier = (take + g_up - dp_up + up[:-1])[i] + (give + g_up - up[1:])
+    # j > i keeps weights up to the first rank after i with g <= 2, and there
+    # only if that g is 2; j < i raises every g it touches
+    low = np.append(np.flatnonzero(g <= 2), k.size)
+    reach = low[np.searchsorted(low, i, side="right")]
+    ok = np.where(j > i, (g[i] >= 2) & (j <= reach) & (g >= 2), j < i)
+    ok &= (c[i] > 0) & (kp >= 1)
+    return np.where(ok, -2.0 / links * np.where(j > i, later, earlier), np.nan)
 
 
 def _feasible_row(k, kplus):
@@ -392,7 +445,7 @@ def entropy_fast(k, kplus):
     """Pair-distribution entropy in nats in O(N).
 
     The one-row case of :func:`weight_rows`, so the value is bit-identical
-    to the one a search block gives for the same sequence.  Raises
+    to any block's row for the same sequence.  Raises
     :class:`SingularWeights` when the weights do not exist.
     """
     return float(_feasible_row(k, kplus).entropy[0])
@@ -421,7 +474,7 @@ def expected_multiedge_pairs(model):
     return flagged
 
 
-def link_stat_matrices(model, clamp_tol=0.0):
+def link_stat_matrices(model):
     """Dense rank-space matrices (e, s) plus the count of clamped pairs.
 
     ``e = L * p`` and ``s = L * p * (1 - p)``.  Multigraph ensembles can
@@ -431,7 +484,7 @@ def link_stat_matrices(model, clamp_tol=0.0):
     """
     p = model.probability_matrix()
     e = model.links * p
-    clamped = int(np.count_nonzero(np.triu(p, 1) > 1.0 + clamp_tol))
+    clamped = int(np.count_nonzero(np.triu(p, 1) > 1.0))
     pc = np.clip(p, 0.0, 1.0)
     s = model.links * pc * (1.0 - pc)
     return e, s, clamped

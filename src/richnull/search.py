@@ -1,20 +1,12 @@
-"""Greedy entropy optimization of the rich-club sequence.
+"""Exact entropy optimization of the rich-club sequence.
 
-For ensembles where the rich-club sequence is free, the sequence is found
-by repeatedly proposing to move one upward link from a random rank to
-another and keeping the move only if the ensemble entropy strictly improves
-in the configured direction.  Feasibility bounds depend on the mode:
-``me2`` caps each rank at ``min(k[r], r)`` so that on average at most one
-link joins any pair, ``me3`` caps at ``k[r]`` and permits expected
-multi-links (never self-loops).
-
-Proposals are drawn :data:`_BLOCK` at a time, in one call that yields the
-serial loop's stream of two scalar draws per proposal, and the in-bounds
-ones are evaluated as rows of one :func:`~richnull.ensemble.weight_rows`
-block.  The first strict improvement in draw order is accepted and the
-proposals after it are queued again, so the search takes the serial path,
-stops at the same proposal, and rewinds the generator to leave it where the
-serial loop would.
+Where the rich-club sequence is free, it is optimized by single-unit moves
+of one upward link between ranks, within the mode bounds: ``me2`` caps each
+rank at ``min(k[r], r)`` so that on average at most one link joins any
+pair, ``me3`` caps at ``k[r]`` and permits expected multi-links (never
+self-loops).  :func:`~richnull.ensemble.move_gains` gives the exact gain of
+every move, so the search stops only where no move gains more than the
+tolerance: the result is certified locally optimal.
 """
 
 from __future__ import annotations
@@ -23,16 +15,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import compute_weights, entropy_fast, weight_rows
+from .ensemble import compute_weights, entropy_fast, move_gains
 from .errors import InfeasibleConstraints, SingularWeights
 from .graph import ME2, ME3, KPlusSequence
 
 MAXIMIZE = "maximize"
 MINIMIZE = "minimize"
-STALL = "stall"
-CAP = "cap"
+CERTIFIED = "certified"
 
-_BLOCK = 64  # proposals drawn and evaluated together
+_SOURCES = 64  # receiving ranks whose moves are evaluated together
+_TOLERANCE = 1e-10  # smallest gain taken, relative to max(1, |S|)
+_MAX_RESAMPLES = 200  # random fills tried before the greedy realization
 
 
 def kplus_bounds(k, mode):
@@ -49,17 +42,11 @@ def kplus_bounds(k, mode):
 
 @dataclass
 class SearchConfig:
-    """Knobs for one greedy run.
-
-    ``stall_limit`` consecutive rejections end the search (default 50*N);
-    ``max_proposals`` is a hard cap (default 5000*N).
-    """
+    """One search: mode bounds, direction and the seed of the random start."""
 
     mode: str
     direction: str = MAXIMIZE
     seed: int | None = None
-    stall_limit: int | None = None
-    max_proposals: int | None = None
 
     def __post_init__(self):
         if self.mode not in (ME2, ME3):
@@ -67,26 +54,16 @@ class SearchConfig:
         if self.direction not in (MAXIMIZE, MINIMIZE):
             raise ValueError(f"unknown direction {self.direction!r}")
 
-    def resolved(self, n):
-        stall = self.stall_limit if self.stall_limit is not None else 50 * n
-        cap = self.max_proposals if self.max_proposals is not None else 5000 * n
-        if stall < 1:
-            raise ValueError("stall_limit must be at least 1")
-        if cap < stall:
-            raise ValueError("max_proposals must be at least stall_limit")
-        return stall, cap
-
 
 @dataclass
 class SearchResult:
-    """Outcome of a greedy run.
+    """Outcome of a search.
 
-    ``trace`` holds the starting entropy followed by the entropy after each
-    accepted move, so it is monotone in the configured direction.
-    ``evaluations`` counts the proposals up to the stop that passed the
-    bounds and were evaluated.  ``stop_reason`` is ``"stall"`` when
-    ``stall_limit`` consecutive proposals were rejected and ``"cap"`` when
-    ``max_proposals`` ran out first.
+    ``trace`` holds the starting entropy and the entropy after each accepted
+    move, strictly monotone in the configured direction.  ``proposals_used``
+    counts the feasible moves whose gain was computed.  ``stop_reason`` is
+    ``"certified"``: the last pass found no move with weights that gains
+    more than the tolerance.
     """
 
     kplus: KPlusSequence
@@ -94,8 +71,7 @@ class SearchResult:
     trace: list = field(repr=False)
     proposals_used: int = 0
     accepted_count: int = 0
-    evaluations: int = 0
-    stop_reason: str = STALL
+    stop_reason: str = CERTIFIED
 
 
 def _validate_degrees(k):
@@ -130,27 +106,17 @@ def _simple_realization_kplus(k):
     the next-largest ones.  Returns None when ``k`` has no simple
     realization.
     """
-    n = k.size
     remaining = k.astype(np.int64).copy()
-    kp = np.zeros(n, dtype=np.int64)
-    for _ in range(n):
+    kp = np.zeros(k.size, dtype=np.int64)
+    while remaining.max() > 0:
         a = int(np.argmax(remaining))
-        need = int(remaining[a])
-        if need == 0:
-            break
-        if need >= n:
-            return None
-        remaining[a] = -1  # exclude self while picking partners
+        need, remaining[a] = int(remaining[a]), -1  # exclude self while picking
         partners = np.argsort(-remaining, kind="stable")[:need]
-        if remaining[partners[-1]] <= 0:
+        if partners.size < need or remaining[partners[-1]] <= 0:
             return None
         remaining[a] = 0
-        for b in partners:
-            remaining[b] -= 1
-            hi, lo = (a, int(b)) if a < b else (int(b), a)
-            kp[lo] += 1
-    if np.any(remaining > 0):
-        return None
+        remaining[partners] -= 1
+        np.add.at(kp, np.maximum(a, partners), 1)
     return kp
 
 
@@ -170,12 +136,12 @@ def _multigraph_realization_kplus(k):
         kp[max(a, b)] += 1
 
 
-def random_feasible_kplus(k, mode, seed=None, max_resamples=200):
+def random_feasible_kplus(k, mode, seed=None):
     """Random rich-club sequence within the mode bounds and weight-feasible.
 
-    Draws are resampled while the weight recursion rejects them; if random
-    sampling keeps failing, falls back to the observed sequence of a greedy
-    degree-sequence realization, which is feasible whenever one exists.
+    Draws are resampled while the weight recursion rejects them; if
+    :data:`_MAX_RESAMPLES` draws fail, falls back to the observed sequence
+    of a greedy degree-sequence realization, feasible whenever one exists.
     """
     k = _validate_degrees(k)
     bounds = kplus_bounds(k, mode)
@@ -193,7 +159,7 @@ def random_feasible_kplus(k, mode, seed=None, max_resamples=200):
                 f"the only sequence within bounds is not weight-feasible: {exc}"
             ) from exc
         return KPlusSequence(bounds, mode)  # unique feasible point
-    for _ in range(max_resamples):
+    for _ in range(_MAX_RESAMPLES):
         kp = _random_fill(rng, bounds, links)
         try:
             compute_weights(k, kp)
@@ -215,64 +181,56 @@ def random_feasible_kplus(k, mode, seed=None, max_resamples=200):
 
 
 def greedy_search(k, config, initial=None):
-    """Optimize the rich-club sequence by single-unit exchange moves.
+    """Optimize the rich-club sequence by exact single-unit moves.
 
-    Each proposal picks distinct random ranks ``(i, j)``, moves one upward
-    link from ``j`` to ``i`` when the bounds allow it, and keeps the move
-    only on strict entropy improvement in ``config.direction``.  Proposals
-    that violate bounds or make the weights singular count as rejections.
-    Stops after ``stall_limit`` consecutive rejections or ``max_proposals``
-    total.
+    Starts from ``initial`` or from :func:`random_feasible_kplus` seeded by
+    ``config.seed``.  Receiving ranks go in blocks of :data:`_SOURCES`, and
+    in each the best move in ``config.direction`` is taken while it gains
+    more than ``_TOLERANCE * max(1, |S|)``.  :func:`entropy_fast` confirms a
+    taken move; one whose weights overflow or whose entropy does not improve
+    is set aside for the rest of the block.  The search stops after a full
+    pass that takes no move.
     """
     k = _validate_degrees(k)
-    n = k.size
-    stall_limit, max_proposals = config.resolved(n)
     bounds = kplus_bounds(k, config.mode)
-    rng = np.random.default_rng(config.seed)
-
     if initial is not None:
         kp = np.array(getattr(initial, "values", initial), dtype=np.int64)
         if np.any(kp > bounds):
             raise InfeasibleConstraints("initial kplus violates the mode bounds")
     else:
-        kp = random_feasible_kplus(k, config.mode, rng).values
+        kp = random_feasible_kplus(k, config.mode, config.seed).values
     entropy = entropy_fast(k, kp)
     trace = [entropy]
     sign = 1.0 if config.direction == MAXIMIZE else -1.0
-    highs = np.tile([n, n - 1], _BLOCK)
-    pending = np.empty((0, 2), dtype=np.int64)  # drawn (i, j) pairs not yet used
-    proposals = evaluations = accepted = stall = 0
-    while proposals < max_proposals and stall < stall_limit:
-        if not len(pending):
-            drawn_at, drawn_from = rng.bit_generator.state, proposals
-            pending = rng.integers(highs).reshape(-1, 2)
-            pending[:, 1] += pending[:, 1] >= pending[:, 0]
-        # without an accept the serial loop stops after `room` proposals
-        room = min(max_proposals - proposals, stall_limit - stall)
-        i, j = pending[:room].T
-        movable = np.flatnonzero((kp[i] < bounds[i]) & (kp[j] >= 1))
-        rows = np.repeat(kp[None, :], movable.size, axis=0)
-        rows[np.arange(movable.size), i[movable]] += 1
-        rows[np.arange(movable.size), j[movable]] -= 1
-        candidates = weight_rows(k, rows).entropy
-        # a singular row's entropy is NaN, which never compares as better
-        better = np.flatnonzero(sign * (candidates - entropy) > 0.0)
-        used = int(movable[better[0]]) + 1 if better.size else i.size
-        proposals += used
-        evaluations += int(np.searchsorted(movable, used))
-        pending = pending[used:]
-        if not better.size:
-            stall += used
-            continue
-        stall = 0
-        kp = rows[better[0]].copy()
-        entropy = float(candidates[better[0]])
-        trace.append(entropy)
-        accepted += 1
-    # leave the generator where the serial loop's scalar draws would
-    rng.bit_generator.state = drawn_at
-    rng.integers(highs[: 2 * (proposals - drawn_from)])
+    proposals = 0
+    moved = True
+    while moved:
+        moved = False
+        for start in range(0, k.size, _SOURCES):
+            sources = np.arange(start, min(start + _SOURCES, k.size))
+            rejected = np.zeros((sources.size, k.size), dtype=bool)
+            gains = None
+            while True:
+                if gains is None:
+                    gains = sign * move_gains(k, kp, sources)
+                    gains[kp[sources] >= bounds[sources]] = np.nan
+                    proposals += int(np.count_nonzero(~np.isnan(gains)))
+                    gains[np.isnan(gains) | rejected] = -np.inf
+                b, j = divmod(int(np.argmax(gains)), k.size)
+                if not gains[b, j] > _TOLERANCE * max(1.0, abs(entropy)):
+                    break
+                row = kp.copy()
+                row[[sources[b], j]] += [1, -1]
+                try:
+                    candidate = entropy_fast(k, row)
+                except SingularWeights:
+                    candidate = entropy  # overflow, which move_gains cannot see
+                if sign * (candidate - entropy) > 0.0:
+                    kp, entropy, gains, moved = row, candidate, None, True
+                    trace.append(entropy)
+                else:
+                    gains[b, j] = -np.inf
+                    rejected[b, j] = True
 
     result = KPlusSequence(kp, config.mode).validate_against(k)
-    stop = STALL if stall >= stall_limit else CAP
-    return SearchResult(result, entropy, trace, proposals, accepted, evaluations, stop)
+    return SearchResult(result, entropy, trace, proposals, len(trace) - 1)

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from richnull.ensemble import LinkProbabilityModel, compute_weights, entropy_fast
+from richnull.ensemble import LinkProbabilityModel, compute_weights, weight_rows
 from richnull.errors import EdgeListError, SingularWeights
 from richnull.graph import ME2, ME3, Graph, karate_club, kplus_from_graph, rank_nodes
-from richnull.search import MAXIMIZE, kplus_bounds, random_feasible_kplus
+from richnull.search import kplus_bounds, random_feasible_kplus
 
 
 @pytest.fixture
@@ -260,52 +260,26 @@ def random_fill_by_loop(rng, bounds, total):
     return kp
 
 
-def greedy_search_from_scratch(k, config):
-    """Reference greedy search that re-evaluates every proposal in full.
+def entropies_by_factorization(k, rows):
+    """Entropy of every row of a ``(B, N)`` block of rich-club sequences,
+    summed over the factorization ``p(i, j) = f[i] * r[j]``.
 
-    The serial loop ``richnull.search.greedy_search`` reproduces with blocks:
-    the same two scalar draws per proposal, bounds and strict-improvement
-    rule, but each proposal calls ``entropy_fast`` on the whole sequence.
-    A generator passed as ``config.seed`` is advanced as the search's is.
-    Returns
-    ``(kplus, trace, proposals, accepted, evaluations)``.
+    The reference for the local-term entropy of ``weight_rows`` and
+    ``move_gains``: with ``f[i] = residuals[i] / L`` and ``r[j] = kplus[j] /
+    prefix[j]`` from ``weight_rows``' weights, ``S = -2 * sum_j (r[j] * F[j] +
+    kplus[j] * log(r[j]) / L)`` where ``F[j] = sum_{i<j} f log f``.  NaN for
+    a row without weights.
     """
-    k = np.asarray(k, dtype=np.int64)
-    n = k.size
-    stall_limit, max_proposals = config.resolved(n)
-    bounds = kplus_bounds(k, config.mode)
-    rng = np.random.default_rng(config.seed)
-    kp = random_feasible_kplus(k, config.mode, rng).values.copy()
-    entropy = entropy_fast(k, kp)
-    trace = [entropy]
-    sign = 1.0 if config.direction == MAXIMIZE else -1.0
-    proposals = accepted = evaluations = stall = 0
-    while proposals < max_proposals and stall < stall_limit:
-        proposals += 1
-        i = int(rng.integers(n))
-        j = int(rng.integers(n - 1))
-        if j >= i:
-            j += 1
-        if kp[i] >= bounds[i] or kp[j] < 1:
-            stall += 1
-            continue
-        kp[i] += 1
-        kp[j] -= 1
-        evaluations += 1
-        try:
-            candidate = entropy_fast(k, kp)
-        except SingularWeights:
-            candidate = None
-        if candidate is not None and sign * (candidate - entropy) > 0.0:
-            entropy = candidate
-            trace.append(entropy)
-            accepted += 1
-            stall = 0
-        else:
-            kp[i] -= 1
-            kp[j] += 1
-            stall += 1
-    return kp, trace, proposals, accepted, evaluations
+    wr = weight_rows(k, rows)
+    links = int(wr.k.sum()) // 2
+    last = int(np.count_nonzero(wr.k)) - 1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f = wr.residuals[:, :last] / links
+        f_log_f = np.cumsum(f * np.log(np.where(f > 0.0, f, 1.0)), axis=1)
+        kp_up = wr.kplus[:, 1 : last + 1]
+        r = kp_up / wr.prefix[:, 1 : last + 1]
+        terms = r * f_log_f + kp_up * np.log(np.where(kp_up > 0, r, 1.0)) / links
+    return np.where(wr.singular > 0, np.nan, -2.0 * terms.sum(axis=1))
 
 
 def brute_force_best_split(m):

@@ -88,8 +88,8 @@ class TestEnsembleCommand:
         assert search["direction"] == "maximize"
         assert search["entropy_final"] >= search["entropy_initial"]
         assert summary["entropy"] == search["entropy_final"]
-        assert search["stop_reason"] == "stall"
-        assert 0 < search["evaluations"] <= search["proposals_used"]
+        assert search["stop_reason"] == "certified"
+        assert 0 < search["accepted_moves"] < search["proposals_used"]
         _, body = csv_body(out / "sequences.csv")
         for row in body:
             rank, degree, kplus = int(row[0]), int(row[2]), int(row[3])
