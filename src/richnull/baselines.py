@@ -12,6 +12,7 @@ never self-loops (``RR2``).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,9 @@ from .graph import Graph, Multigraph
 
 RR1 = "rr1"
 RR2 = "rr2"
+
+# swap attempts drawn per rng.integers call
+_DRAW_BLOCK = 4096
 
 
 class NGModel:
@@ -94,7 +98,8 @@ def expected_self_loops(k, mean_degree, n):
 class RRConfig:
     """Settings for one randomization run.
 
-    ``swap_attempts`` defaults to 20 times the link count when left None.
+    ``swap_attempts`` is a positive integer (bool excluded), or None for
+    20 times the link count.
     """
 
     variant: str
@@ -104,8 +109,11 @@ class RRConfig:
     def __post_init__(self):
         if self.variant not in (RR1, RR2):
             raise ValueError(f"variant must be rr1 or rr2, got {self.variant!r}")
-        if self.swap_attempts is not None and self.swap_attempts < 1:
-            raise ValueError("swap_attempts must be at least 1")
+        attempts = self.swap_attempts
+        if attempts is None:
+            return
+        if isinstance(attempts, bool) or not isinstance(attempts, numbers.Integral) or attempts < 1:
+            raise ValueError(f"swap_attempts must be an integer of at least 1, got {attempts!r}")
 
 
 def rr_randomize(g, cfg):
@@ -115,6 +123,11 @@ def rr_randomize(g, cfg):
     random orientation and keeps only swaps that create no self-loop, and
     for RR1 no duplicate link either.  Returns a :class:`Graph` for RR1 and
     a :class:`Multigraph` for RR2, both with the exact input degrees.
+
+    The four draws of each attempt (two distinct links, two orientations)
+    come in blocks of ``_DRAW_BLOCK`` attempts from one array-valued
+    ``rng.integers`` call, which consumes the generator exactly like four
+    scalar calls per attempt.
     """
     links = g.edge_count
     if links < 2:
@@ -122,35 +135,37 @@ def rr_randomize(g, cfg):
     attempts = cfg.swap_attempts if cfg.swap_attempts is not None else 20 * links
     rng = np.random.default_rng(cfg.seed)
 
-    edges = g.edges.tolist()
+    edges = list(map(tuple, g.edges.tolist()))
     simple = cfg.variant == RR1
-    present = set(map(tuple, edges)) if simple else None
+    present = set(edges) if simple else None
+    highs = np.tile(np.array([links, links - 1, 2, 2], dtype=np.int64), _DRAW_BLOCK)
 
-    for _ in range(attempts):
-        e1 = int(rng.integers(links))
-        e2 = int(rng.integers(links - 1))
-        if e2 >= e1:
-            e2 += 1
-        a, b = edges[e1]
-        c, d = edges[e2]
-        if rng.integers(2):
-            a, b = b, a
-        if rng.integers(2):
-            c, d = d, c
-        # proposed replacement: (a,d) and (c,b)
-        if a == d or c == b:
-            continue
-        new1 = (a, d) if a < d else (d, a)
-        new2 = (c, b) if c < b else (b, c)
-        if simple:
-            if new1 == new2 or new1 in present or new2 in present:
+    for start in range(0, attempts, _DRAW_BLOCK):
+        block = min(_DRAW_BLOCK, attempts - start)
+        draws = iter(rng.integers(highs[: 4 * block]).tolist())
+        for e1, e2, flip1, flip2 in zip(draws, draws, draws, draws):
+            if e2 >= e1:
+                e2 += 1
+            a, b = edges[e1]
+            c, d = edges[e2]
+            if flip1:
+                a, b = b, a
+            if flip2:
+                c, d = d, c
+            # proposed replacement: (a,d) and (c,b)
+            if a == d or c == b:
                 continue
-            present.discard(tuple(sorted((a, b))))
-            present.discard(tuple(sorted((c, d))))
-            present.add(new1)
-            present.add(new2)
-        edges[e1] = new1
-        edges[e2] = new2
+            new1 = (a, d) if a < d else (d, a)
+            new2 = (c, b) if c < b else (b, c)
+            if simple:
+                if new1 == new2 or new1 in present or new2 in present:
+                    continue
+                present.discard(edges[e1])
+                present.discard(edges[e2])
+                present.add(new1)
+                present.add(new2)
+            edges[e1] = new1
+            edges[e2] = new2
 
     if simple:
         return Graph.from_indices(g.labels, edges)

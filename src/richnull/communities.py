@@ -361,7 +361,11 @@ def spectral_bipartition(mm, members=None, tol=EIGEN_TOL, max_iter=EIGEN_MAX_MAT
     if members is None:
         members = np.arange(m.shape[0])
     else:
-        members = np.unique(np.asarray(members, dtype=np.int64))
+        # sort and drop repeats like np.unique, which would load numpy.ma
+        members = np.sort(np.asarray(members, dtype=np.int64), axis=None)
+        first = np.ones(members.size, dtype=bool)
+        first[1:] = members[1:] != members[:-1]
+        members = members[first]
         if members.size and (members[0] < 0 or members[-1] >= m.shape[0]):
             raise ValueError("members out of range")
     if members.size < 2:

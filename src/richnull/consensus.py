@@ -195,7 +195,8 @@ def invariant_cores(cm, g, threshold=1.0):
         raise ValueError("co-occurrence matrix does not match the graph")
     required = int(np.ceil(threshold * cm.run_count))
     kept = g.edges[cm.counts[g.edges[:, 0], g.edges[:, 1]] >= required]
-    nodes = np.unique(kept)
+    # the linked nodes, ascending; np.unique would load numpy.ma
+    nodes = np.flatnonzero(np.bincount(kept.ravel(), minlength=g.n))
     roots = component_labels(g.n, kept)[nodes]
     order = np.argsort(roots, kind="stable")
     groups = np.split(nodes[order], np.flatnonzero(np.diff(roots[order])) + 1)

@@ -175,6 +175,15 @@ def _per_degree_curve(model, values, label):
     )
 
 
+def _median(values):
+    """``np.median`` of a nonempty sequence of floats, without loading numpy.ma."""
+    ordered = sorted(values)
+    half = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[half])
+    return float((ordered[half - 1] + ordered[half]) / 2.0)
+
+
 def detect_cutoff_from_ipr(curve, rel_tol=0.10):
     """Degree where the participation curve leaves its low-degree plateau.
 
@@ -193,7 +202,7 @@ def detect_cutoff_from_ipr(curve, rel_tol=0.10):
     plateau = [values[0]]
     idx = 1
     while idx < values.size:
-        m = float(np.median(plateau))
+        m = _median(plateau)
         scale = max(abs(m), 1e-300)
         if abs(values[idx] - m) > rel_tol * scale:
             if idx + 1 < values.size and abs(values[idx + 1] - m) > rel_tol * scale:

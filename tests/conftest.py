@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from richnull.baselines import RR1
 from richnull.ensemble import LinkProbabilityModel, compute_weights, weight_rows
 from richnull.errors import EdgeListError, SingularWeights
-from richnull.graph import ME2, ME3, Graph, karate_club, kplus_from_graph, rank_nodes
+from richnull.graph import ME2, ME3, Graph, Multigraph, karate_club, kplus_from_graph, rank_nodes
 from richnull.search import kplus_bounds, random_feasible_kplus
 
 
@@ -464,3 +465,46 @@ def check_parts_against_eigh(mm, dendrogram, tol):
         agree = signs[clear] * np.sign(u[clear])
         assert np.all(agree == agree[:1]), (where, gap)
     return checked
+
+
+def rr_randomize_by_loop(g, cfg):
+    """Reference for ``richnull.baselines.rr_randomize``: four scalar draws per attempt."""
+    links = g.edge_count
+    if links < 2:
+        raise ValueError("need at least two links to swap")
+    attempts = cfg.swap_attempts if cfg.swap_attempts is not None else 20 * links
+    rng = np.random.default_rng(cfg.seed)
+
+    edges = g.edges.tolist()
+    simple = cfg.variant == RR1
+    present = set(map(tuple, edges)) if simple else None
+
+    for _ in range(attempts):
+        e1 = int(rng.integers(links))
+        e2 = int(rng.integers(links - 1))
+        if e2 >= e1:
+            e2 += 1
+        a, b = edges[e1]
+        c, d = edges[e2]
+        if rng.integers(2):
+            a, b = b, a
+        if rng.integers(2):
+            c, d = d, c
+        # proposed replacement: (a,d) and (c,b)
+        if a == d or c == b:
+            continue
+        new1 = (a, d) if a < d else (d, a)
+        new2 = (c, b) if c < b else (b, c)
+        if simple:
+            if new1 == new2 or new1 in present or new2 in present:
+                continue
+            present.discard(tuple(sorted((a, b))))
+            present.discard(tuple(sorted((c, d))))
+            present.add(new1)
+            present.add(new2)
+        edges[e1] = new1
+        edges[e2] = new2
+
+    if simple:
+        return Graph.from_indices(g.labels, edges)
+    return Multigraph(g.n, edges, labels=g.labels)

@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import rr_randomize_by_loop
 
 from richnull.baselines import (
+    _DRAW_BLOCK,
     NGModel,
     RRConfig,
     expected_self_loops,
@@ -86,6 +88,16 @@ class TestRRConfig:
         with pytest.raises(ValueError):
             RRConfig("rr1", swap_attempts=0)
 
+    @pytest.mark.parametrize("attempts", [2.5, 3.0, True, False, "3", -1])
+    def test_attempts_must_be_a_positive_integer(self, attempts):
+        with pytest.raises(ValueError, match="swap_attempts"):
+            RRConfig("rr1", swap_attempts=attempts)
+
+    def test_numpy_integer_attempts_accepted(self, karate):
+        cfg = RRConfig("rr1", swap_attempts=np.int64(50), seed=0)
+        out = rr_randomize(karate, cfg)
+        assert np.array_equal(out.edges, rr_randomize(karate, RRConfig("rr1", 50, 0)).edges)
+
 
 class TestRandomization:
     def test_triangle_is_a_fixed_point(self, k3):
@@ -152,3 +164,19 @@ class TestRandomization:
         # a single attempt may or may not land a swap, but degrees hold
         out = rr_randomize(karate, RRConfig("rr2", swap_attempts=1, seed=3))
         assert np.array_equal(out.degrees, karate.degrees)
+
+
+ORACLE_ATTEMPTS = [1, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, 2 * _DRAW_BLOCK + 1, None]
+
+
+@pytest.mark.parametrize("variant", ["rr1", "rr2"])
+@pytest.mark.parametrize("attempts", ORACLE_ATTEMPTS)
+@pytest.mark.parametrize("name", ["karate", "p3", "k3", "s3"])
+def test_block_draws_match_scalar_loop(request, name, attempts, variant):
+    # p3 is the 2-link path: its second link is drawn from a range of one
+    g = request.getfixturevalue(name)
+    for seed in range(5):
+        cfg = RRConfig(variant, swap_attempts=attempts, seed=seed)
+        out, want = rr_randomize(g, cfg), rr_randomize_by_loop(g, cfg)
+        assert type(out) is type(want)
+        assert np.array_equal(out.edges, want.edges), (seed, attempts)

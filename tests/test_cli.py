@@ -1,7 +1,10 @@
 import functools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -491,3 +494,38 @@ class TestConsensusCommand:
         assert not (out / "cores.json").exists()
         err = capsys.readouterr().err
         assert "every consensus run failed; first: PowerIterationError: leading eigenpair" in err
+
+
+NUMPY_MA_PROBE = """
+import json, sys
+import numpy
+if "numpy.ma" in sys.modules:
+    print(json.dumps(None))
+    raise SystemExit
+from richnull import cli
+karate, out = sys.argv[1:]
+loaded = {}
+for command, extra in [
+    ("communities", []),
+    ("consensus", ["--runs", "5", "--seed", "0"]),
+    ("diagnose", []),
+]:
+    argv = [command, "--input", karate, "--model", "me1", "--out", f"{out}/{command}", *extra]
+    loaded[command] = (cli.main(argv), "numpy.ma" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_partition_and_diagnose_paths_do_not_load_numpy_ma(karate_file, tmp_path):
+    # importing numpy.ma adds about 10 ms and 1.3 MB of peak RSS to a process
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_PROBE, karate_file, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    if loaded is None:
+        pytest.skip("this numpy loads numpy.ma on import")
+    assert loaded == {c: [EXIT_OK, False] for c in ("communities", "consensus", "diagnose")}

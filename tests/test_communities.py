@@ -205,6 +205,18 @@ class TestSpectralBipartition:
         with pytest.raises(ValueError):
             spectral_bipartition(mm, members=[0, 9])
 
+    @pytest.mark.parametrize(
+        "members, distinct",
+        [([2, 0, 2, 1], [0, 1, 2]), ([9, 3, 17, 0, 3, 9, 21, 4], [0, 3, 4, 9, 17, 21])],
+    )
+    def test_members_sorted_and_deduplicated(self, karate, members, distinct):
+        mm = me1_matrix(karate)
+        out = spectral_bipartition(mm, members=members)
+        want = spectral_bipartition(mm, members=distinct)
+        fields = ("divisible", "reason", "eigenvalue", "q_gain", "matvecs", "residual")
+        assert [getattr(out, f) for f in fields] == [getattr(want, f) for f in fields]
+        assert (out.signs is None and want.signs is None) or np.array_equal(out.signs, want.signs)
+
     def test_deterministic(self, karate):
         mm = me1_matrix(karate)
         a = spectral_bipartition(mm)

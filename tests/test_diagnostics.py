@@ -13,6 +13,7 @@ from conftest import (
 )
 from richnull.diagnostics import (
     DiagnosticsCurve,
+    _median,
     aggregate_knn_deviation,
     coefficient_of_variation,
     detect_cutoff_from_ipr,
@@ -221,6 +222,13 @@ class TestCutoffDetection:
     def test_rel_tol_validated(self):
         with pytest.raises(ValueError):
             detect_cutoff_from_ipr(self.curve([3.0] * 5), rel_tol=0.0)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 8, 33, 100])
+    def test_median_matches_numpy_bit_for_bit(self, size):
+        rng = np.random.default_rng(size)
+        for _ in range(20):
+            values = list(rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4, size))
+            assert np.float64(_median(values)).tobytes() == np.median(values).tobytes()
 
     def test_karate_cutoffs(self, karate):
         k, kp, _ = observed_instance(karate)
