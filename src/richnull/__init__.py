@@ -1,162 +1,43 @@
 """Maximum-entropy network null models constrained by degree and rich-club
-structure, with correlation diagnostics and soft community detection."""
+structure, with correlation diagnostics and soft community detection.
 
-from .baselines import (
-    NGModel,
-    RR1,
-    RR2,
-    RRConfig,
-    expected_self_loops,
-    newman_girvan,
-    rr_randomize,
-)
-from .communities import (
-    Dendrogram,
-    ModularityMatrix,
-    Partition,
-    modularity_value,
-    recursive_partition,
-    soft_modularity_matrix,
-    spectral_bipartition,
-    standard_modularity_matrix,
-)
-from .consensus import (
-    ME1,
-    NG,
-    CooccurrenceMatrix,
-    ModelRecipe,
-    RunSet,
-    cooccurrence,
-    invariant_cores,
-    randomized_rank_runs,
-    run_pipeline,
-)
-from .diagnostics import (
-    DiagnosticsCurve,
-    aggregate_knn_deviation,
-    coefficient_of_variation,
-    detect_cutoff_from_ipr,
-    inverse_participation,
-    ipr_curve,
-    knn_data,
-    knn_ensemble,
-    uncorrelated_knn,
-    variation_curve,
-)
-from .ensemble import (
-    LinkProbabilityModel,
-    WeightSequence,
-    compute_weights,
-    entropy_fast,
-    expected_multiedge_pairs,
-    link_stat_matrices,
-    row_sums,
-    sample_network,
-    total_probability,
-    verify_soft_constraints,
-)
-from .errors import (
-    EdgeListError,
-    InfeasibleConstraints,
-    InfeasibleNG,
-    PowerIterationError,
-    RichNullError,
-    SingularWeights,
-)
-from .graph import (
-    ME2,
-    ME3,
-    Graph,
-    KPlusSequence,
-    Multigraph,
-    Ranking,
-    cutoff_degree,
-    karate_club,
-    kplus_from_graph,
-    load_edge_list,
-    rank_nodes,
-    rich_club_coefficient,
-)
-from .search import (
-    MAXIMIZE,
-    MINIMIZE,
-    SearchConfig,
-    SearchResult,
-    greedy_search,
-    kplus_bounds,
-    random_feasible_kplus,
-)
+The public names load on first access (PEP 562), so ``import richnull``
+and each command-line call import only the submodules they use.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CooccurrenceMatrix",
-    "Dendrogram",
-    "DiagnosticsCurve",
-    "EdgeListError",
-    "Graph",
-    "InfeasibleConstraints",
-    "InfeasibleNG",
-    "KPlusSequence",
-    "LinkProbabilityModel",
-    "MAXIMIZE",
-    "MINIMIZE",
-    "ME1",
-    "ME2",
-    "ME3",
-    "ModelRecipe",
-    "ModularityMatrix",
-    "Multigraph",
-    "NG",
-    "NGModel",
-    "Partition",
-    "PowerIterationError",
-    "RR1",
-    "RR2",
-    "RRConfig",
-    "Ranking",
-    "RichNullError",
-    "RunSet",
-    "SearchConfig",
-    "SearchResult",
-    "SingularWeights",
-    "WeightSequence",
-    "aggregate_knn_deviation",
-    "coefficient_of_variation",
-    "compute_weights",
-    "cooccurrence",
-    "cutoff_degree",
-    "detect_cutoff_from_ipr",
-    "entropy_fast",
-    "expected_multiedge_pairs",
-    "expected_self_loops",
-    "greedy_search",
-    "invariant_cores",
-    "inverse_participation",
-    "ipr_curve",
-    "karate_club",
-    "knn_data",
-    "knn_ensemble",
-    "kplus_bounds",
-    "kplus_from_graph",
-    "link_stat_matrices",
-    "load_edge_list",
-    "modularity_value",
-    "newman_girvan",
-    "randomized_rank_runs",
-    "random_feasible_kplus",
-    "rank_nodes",
-    "recursive_partition",
-    "rich_club_coefficient",
-    "row_sums",
-    "rr_randomize",
-    "run_pipeline",
-    "sample_network",
-    "soft_modularity_matrix",
-    "spectral_bipartition",
-    "standard_modularity_matrix",
-    "total_probability",
-    "uncorrelated_knn",
-    "variation_curve",
-    "verify_soft_constraints",
-]
+# defining submodule -> its public names; each loads on first access
+_EXPORTS = {
+    "baselines": "NGModel RR1 RR2 RRConfig expected_self_loops newman_girvan rr_randomize",
+    "communities": "Dendrogram ModularityMatrix Partition modularity_value recursive_partition"
+    " soft_modularity_matrix spectral_bipartition standard_modularity_matrix",
+    "consensus": "CooccurrenceMatrix ModelRecipe RunSet cooccurrence invariant_cores"
+    " randomized_rank_runs run_pipeline",
+    "diagnostics": "DiagnosticsCurve aggregate_knn_deviation coefficient_of_variation"
+    " detect_cutoff_from_ipr inverse_participation ipr_curve knn_data knn_ensemble"
+    " uncorrelated_knn variation_curve",
+    "ensemble": "LinkProbabilityModel WeightSequence compute_weights entropy_fast"
+    " expected_multiedge_pairs link_stat_matrices row_sums sample_network total_probability"
+    " verify_soft_constraints",
+    "errors": "EdgeListError InfeasibleConstraints InfeasibleNG PowerIterationError"
+    " RichNullError SingularWeights",
+    "graph": "ME1 ME2 ME3 NG Graph KPlusSequence Multigraph Ranking cutoff_degree karate_club"
+    " kplus_from_graph load_edge_list rank_nodes rich_club_coefficient",
+    "search": "MAXIMIZE MINIMIZE SearchConfig SearchResult greedy_search kplus_bounds"
+    " random_feasible_kplus",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value

@@ -9,6 +9,9 @@ Outputs are plain CSV (for plotting) and JSON (for structure).  Every file
 embeds the tool version, the seed, and a short hash of the full
 configuration, and contains no timestamps, so identical invocations
 produce byte-identical files.
+
+A subcommand imports the library modules it uses when it runs, so a call
+never pays for loading the others.
 """
 
 from __future__ import annotations
@@ -23,39 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import RRConfig, newman_girvan, rr_randomize
-from .communities import (
-    modularity_value,
-    recursive_partition,
-    soft_modularity_matrix,
-    standard_modularity_matrix,
-)
-from .consensus import (
-    ME1,
-    NG,
-    ModelRecipe,
-    build_ensemble,
-    cooccurrence,
-    invariant_cores,
-    randomized_rank_runs,
-)
-from .diagnostics import (
-    DiagnosticsCurve,
-    aggregate_knn_deviation,
-    detect_cutoff_from_ipr,
-    ipr_curve,
-    knn_data,
-    knn_ensemble,
-    uncorrelated_knn,
-    variation_curve,
-)
-from .ensemble import (
-    entropy_fast,
-    expected_multiedge_pairs,
-    row_sums,
-    total_probability,
-    verify_soft_constraints,
-)
 from .errors import (
     EdgeListError,
     InfeasibleConstraints,
@@ -63,14 +33,7 @@ from .errors import (
     PowerIterationError,
     SingularWeights,
 )
-from .graph import (
-    ME2,
-    ME3,
-    component_labels,
-    cutoff_degree,
-    load_edge_list,
-    rank_nodes,
-)
+from .graph import ME1, ME2, ME3, NG, component_labels, cutoff_degree, load_edge_list, rank_nodes
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -162,10 +125,11 @@ def _out_dir(args):
 
 def _ranked_model(g, tag, args):
     """Deterministic ranking plus the requested ensemble; search result too."""
+    from .search import build_ensemble
+
     ranking = rank_nodes(g)
-    recipe = ModelRecipe(tag, direction=args.direction)
     try:
-        model, search = build_ensemble(g, tag, ranking, recipe, args.seed)
+        model, search = build_ensemble(g, tag, ranking, args.direction, args.seed)
     except SingularWeights as exc:
         if tag != ME1 or not exc.detail.startswith("denominator"):
             raise
@@ -189,6 +153,8 @@ def cmd_ensemble(args):
     out = _out_dir(args)
 
     if args.model in ("rr1", "rr2"):
+        from .baselines import RRConfig, rr_randomize
+
         randomized = rr_randomize(g, RRConfig(args.model, seed=args.seed))
         lines = [_stamp(args)]
         if args.model == "rr2":
@@ -207,6 +173,8 @@ def cmd_ensemble(args):
         return EXIT_OK
 
     if args.model == NG:
+        from .baselines import newman_girvan
+
         model = newman_girvan(g)
         _write_csv(args, out, "sequences.csv", ("node", "degree"), (_names(g), _ints(g.degrees)))
         if args.dump_probabilities:
@@ -221,6 +189,14 @@ def cmd_ensemble(args):
         }
         _write_json(args, out, "summary.json", summary)
         return EXIT_OK
+
+    from .ensemble import (
+        entropy_fast,
+        expected_multiedge_pairs,
+        row_sums,
+        total_probability,
+        verify_soft_constraints,
+    )
 
     model, ranking, search = _ranked_model(g, args.model, args)
     residuals = verify_soft_constraints(model)
@@ -268,6 +244,17 @@ def cmd_ensemble(args):
 
 
 def cmd_diagnose(args):
+    from .diagnostics import (
+        DiagnosticsCurve,
+        aggregate_knn_deviation,
+        detect_cutoff_from_ipr,
+        ipr_curve,
+        knn_data,
+        knn_ensemble,
+        uncorrelated_knn,
+        variation_curve,
+    )
+
     g = _load_graph(args)
     out = _out_dir(args)
     model, _, _ = _ranked_model(g, args.model, args)
@@ -299,17 +286,23 @@ def cmd_diagnose(args):
 
 
 def _build_matrix(g, args):
+    from .communities import soft_modularity_matrix, standard_modularity_matrix
+
     if args.model2 is not None:
         model1, ranking, _ = _ranked_model(g, args.model, args)
         model2, _, _ = _ranked_model(g, args.model2, args)
         return soft_modularity_matrix(model1, model2, ranking, ranking)
     if args.model == NG:
+        from .baselines import newman_girvan
+
         return standard_modularity_matrix(g, newman_girvan(g))
     model, ranking, _ = _ranked_model(g, args.model, args)
     return standard_modularity_matrix(g, model, ranking=ranking)
 
 
 def cmd_communities(args):
+    from .communities import modularity_value, recursive_partition
+
     g = _load_graph(args)
     out = _out_dir(args)
     matrix = _build_matrix(g, args)
@@ -334,6 +327,8 @@ def cmd_communities(args):
 
 
 def cmd_consensus(args):
+    from .consensus import ModelRecipe, cooccurrence, invariant_cores, randomized_rank_runs
+
     g = _load_graph(args)
     out = _out_dir(args)
     recipe = ModelRecipe(
@@ -384,6 +379,24 @@ def cmd_consensus(args):
     return EXIT_OK
 
 
+def _checked(convert, ok, rule):
+    """An argparse ``type``: ``convert`` the text, then require ``ok(value)``.
+
+    A failure is a usage error (exit 2) raised before any input is read.
+    """
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+        return value
+
+    return parse
+
+
 def _add_common(sp, models, with_model2=False):
     sp.add_argument("--input", required=True, help="edge-list file (u v per line)")
     sp.add_argument(
@@ -399,7 +412,7 @@ def _add_common(sp, models, with_model2=False):
             default=None,
             help="second ensemble; switches to the soft contrast matrix",
         )
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=_checked(int, lambda v: v >= 0, "an integer >= 0"))
     sp.add_argument("--direction", choices=("maximize", "minimize"), default="maximize")
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--format", choices=("csv", "json", "both"), default="both")
@@ -430,8 +443,12 @@ def build_parser():
 
     sp = sub.add_parser("consensus", help="partition stability over random rankings")
     _add_common(sp, _ENSEMBLE_MODELS + (NG,), with_model2=True)
-    sp.add_argument("--runs", type=int, default=100)
-    sp.add_argument("--threshold", type=float, default=1.0)
+    sp.add_argument("--runs", type=_checked(int, lambda v: v >= 1, "an integer >= 1"), default=100)
+    sp.add_argument(
+        "--threshold",
+        type=_checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]"),
+        default=1.0,
+    )
     sp.add_argument("--strict-splits", action="store_true")
     sp.set_defaults(func=cmd_consensus)
     return parser

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import NGModel
 from .ensemble import LinkProbabilityModel, link_stat_matrices
 from .errors import PowerIterationError
 
@@ -207,15 +206,17 @@ class Dendrogram:
 
 def _expected_node_matrix(null, ranking=None, n=None):
     """Expected-links matrix in node-index order for either null family."""
-    if isinstance(null, NGModel):
-        e = null.expected_matrix()
-    elif isinstance(null, LinkProbabilityModel):
+    if isinstance(null, LinkProbabilityModel):
         e = null.links * null.probability_matrix()
         if ranking is not None:
             pos = ranking.positions
             e = e[np.ix_(pos, pos)]
     else:
-        raise TypeError(f"unsupported null model {type(null).__name__}")
+        from .baselines import NGModel  # only the degree-product null needs it
+
+        if not isinstance(null, NGModel):
+            raise TypeError(f"unsupported null model {type(null).__name__}")
+        e = null.expected_matrix()
     if n is not None and e.shape[0] != n:
         raise ValueError("null model size does not match the graph")
     return e

@@ -14,19 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import newman_girvan
 from .communities import (
     recursive_partition,
     soft_modularity_matrix,
     standard_modularity_matrix,
 )
-from .ensemble import LinkProbabilityModel
 from .errors import RichNullError
-from .graph import ME2, ME3, component_labels, kplus_from_graph, rank_nodes
-from .search import MAXIMIZE, MINIMIZE, SearchConfig, greedy_search
+from .graph import ME1, ME2, ME3, NG, component_labels, rank_nodes
+from .search import MAXIMIZE, MINIMIZE, build_ensemble
 
-ME1 = "me1"
-NG = "ng"
 _ENSEMBLE_TAGS = (ME1, ME2, ME3)
 
 
@@ -79,33 +75,20 @@ class RunSet:
         return len(self.partitions)
 
 
-def build_ensemble(g, tag, ranking, recipe, seed=None):
-    """The ``tag`` ensemble on ``ranking`` and its search result (me1: None).
-
-    ``seed`` drives the me2/me3 search: an int, or a generator to share.
-    """
-    k = g.degrees[ranking.order]
-    search = None
-    if tag == ME1:
-        kp = kplus_from_graph(g, ranking)
-    else:
-        search = greedy_search(k, SearchConfig(tag, recipe.direction, seed))
-        kp = search.kplus
-    return LinkProbabilityModel(k, kp.values, tag=tag), search
-
-
 def run_pipeline(g, recipe, seed=None):
     """One full run: random tie-broken ranking through to a partition."""
     rng = np.random.default_rng(seed)
     ranking = rank_nodes(g, policy="random", seed=rng)
     if recipe.null == NG:
+        from .baselines import newman_girvan
+
         matrix = standard_modularity_matrix(g, newman_girvan(g))
     elif recipe.null2 is None:
-        model, _ = build_ensemble(g, recipe.null, ranking, recipe, rng)
+        model, _ = build_ensemble(g, recipe.null, ranking, recipe.direction, rng)
         matrix = standard_modularity_matrix(g, model, ranking=ranking)
     else:
-        model1, _ = build_ensemble(g, recipe.null, ranking, recipe, rng)
-        model2, _ = build_ensemble(g, recipe.null2, ranking, recipe, rng)
+        model1, _ = build_ensemble(g, recipe.null, ranking, recipe.direction, rng)
+        model2, _ = build_ensemble(g, recipe.null2, ranking, recipe.direction, rng)
         matrix = soft_modularity_matrix(model1, model2, ranking, ranking)
     _, partition = recursive_partition(matrix, strict=recipe.strict_splits)
     return partition

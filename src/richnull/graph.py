@@ -13,8 +13,8 @@ higher-ranked (lower ``r``) nodes.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
-from importlib import resources
 from itertools import chain, compress
 
 import numpy as np
@@ -22,8 +22,10 @@ import numpy as np
 from .errors import EdgeListError
 
 OBSERVED = "observed"
+ME1 = "me1"
 ME2 = "me2"
 ME3 = "me3"
+NG = "ng"
 _KPLUS_MODES = (OBSERVED, ME2, ME3)
 
 
@@ -68,6 +70,13 @@ class Graph:
         g._fill(tuple(labels), ends)
         return g
 
+    @classmethod
+    def _from_sorted(cls, labels, edges):
+        """Graph on the ``labels`` tuple from edges :func:`_sorted_edges` returned."""
+        g = cls.__new__(cls)
+        g._store(labels, edges)
+        return g
+
     def _fill(self, labels, ends):
         edges, fault = _sorted_edges(ends)
         if fault is not None:
@@ -75,6 +84,9 @@ class Graph:
             u, v = (repr(labels[x]) for x in ends[row].tolist())
             message = f"self-loop at node {u}" if first is None else f"duplicate edge {u}-{v}"
             raise ValueError(message)
+        self._store(labels, edges)
+
+    def _store(self, labels, edges):
         self.n, self.labels, self.edges = len(labels), labels, edges
         self._index = dict(zip(labels, range(self.n)))
         self.degrees = np.bincount(edges.ravel(), minlength=self.n)
@@ -169,6 +181,31 @@ class Multigraph:
         return self.labels[index] if self.labels is not None else index
 
 
+def _loadtxt_ends(text):
+    """(L, 2) node ids of an integer edge-list text from one ``np.loadtxt`` pass.
+
+    loadtxt reads the lines ``str.splitlines`` makes, as the line rules of
+    :func:`load_edge_list` do.  None where the pass fails or finds no edge,
+    a wrong column count or a negative id; the line rules then decide.
+    """
+    lines = text.splitlines()
+    comments = None
+    if "#" in text:
+        # loadtxt would also cut "1 2 # x" at the '#', a line the rules reject
+        if any(not line.lstrip().startswith("#") for line in lines if "#" in line):
+            return None
+        comments = "#"
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. "input contained no data"
+            ends = np.loadtxt(lines, dtype=np.int64, comments=comments, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if ends.shape[1] != 2 or not ends.size or ends.min() < 0:
+        return None
+    return ends
+
+
 def load_edge_list(source, allow_string_ids=False):
     """Parse an edge-list text into a :class:`Graph`.
 
@@ -177,7 +214,17 @@ def load_edge_list(source, allow_string_ids=False):
     ``[0, 2**63)`` unless ``allow_string_ids`` is set, in which case tokens
     are kept verbatim.  An :class:`EdgeListError` names the first bad line:
     wrong token count, bad id, self-loop or duplicate edge.
+
+    An integer-id ``str`` is read in one ``np.loadtxt`` pass; string ids,
+    other sources, and any text that pass does not read as a valid simple
+    graph go through the line rules, which find the first bad line.
     """
+    ends = None if allow_string_ids or not isinstance(source, str) else _loadtxt_ends(source)
+    if ends is not None:
+        labels, index = np.unique(ends, return_inverse=True)
+        edges, fault = _sorted_edges(index.reshape(-1, 2))
+        if fault is None:
+            return Graph._from_sorted(tuple(labels.tolist()), edges)
     lines = source.splitlines() if isinstance(source, str) else list(source)
     tokens = list(map(str.split, lines))
     counts = np.fromiter(map(len, tokens), np.int64, len(tokens))
@@ -230,11 +277,13 @@ def load_edge_list(source, allow_string_ids=False):
         raise error
     if not len(edges):
         raise EdgeListError("edge list contains no edges")
-    return Graph.from_indices(labels, edges)
+    return Graph._from_sorted(labels, edges)
 
 
 def karate_club():
     """The bundled Zachary karate club graph (34 nodes, 78 edges)."""
+    from importlib import resources
+
     text = resources.files("richnull.data").joinpath("karate.edges").read_text()
     return load_edge_list(text)
 

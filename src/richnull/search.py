@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import compute_weights, entropy_fast, move_gains
+from .ensemble import LinkProbabilityModel, compute_weights, entropy_fast, move_gains
 from .errors import InfeasibleConstraints, SingularWeights
-from .graph import ME2, ME3, KPlusSequence
+from .graph import ME1, ME2, ME3, KPlusSequence, kplus_from_graph
 
 MAXIMIZE = "maximize"
 MINIMIZE = "minimize"
@@ -234,3 +234,19 @@ def greedy_search(k, config, initial=None):
 
     result = KPlusSequence(kp, config.mode).validate_against(k)
     return SearchResult(result, entropy, trace, proposals, len(trace) - 1)
+
+
+def build_ensemble(g, tag, ranking, direction=MAXIMIZE, seed=None):
+    """The ``tag`` ensemble on ``ranking`` and its search result (me1: None).
+
+    ``direction`` and ``seed`` drive the me2/me3 search; ``seed`` is an int,
+    or a generator to share.
+    """
+    k = g.degrees[ranking.order]
+    search = None
+    if tag == ME1:
+        kp = kplus_from_graph(g, ranking)
+    else:
+        search = greedy_search(k, SearchConfig(tag, direction, seed))
+        kp = search.kplus
+    return LinkProbabilityModel(k, kp.values, tag=tag), search

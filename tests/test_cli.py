@@ -12,7 +12,7 @@ import pytest
 
 from conftest import multiedge_pairs_by_rows, observed_instance
 from richnull import __version__
-from richnull import cli, consensus
+from richnull import cli, communities, consensus
 from richnull.cli import EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE, main
 from richnull.communities import recursive_partition
 from richnull.ensemble import LinkProbabilityModel
@@ -233,6 +233,28 @@ class TestExitCodes:
         assert rc == EXIT_PARSE
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["consensus", "--model", "me1", "--runs", "0"],
+            ["consensus", "--model", "me1", "--runs", "-2"],
+            ["consensus", "--model", "me1", "--threshold", "1.5"],
+            ["consensus", "--model", "me1", "--threshold", "-1"],
+            ["consensus", "--model", "me1", "--threshold", "nan"],
+            ["ensemble", "--model", "me2", "--seed", "-1"],
+        ],
+    )
+    def test_bad_value_is_a_usage_error(self, argv, tmp_path, capsys):
+        # the input does not exist, so exit 2 means the value failed before it was read
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--input", str(tmp_path / "absent.edges"), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: richnull")
+        assert f"error: argument {argv[-2]}: {argv[-1]!r} is not " in err
+        assert not out.exists()
+
     def test_hub_too_large_for_degree_product(self, karate_file, tmp_path, capsys):
         rc = main(
             ["ensemble", "--input", karate_file, "--model", "ng", "--out", str(tmp_path / "out")]
@@ -398,7 +420,7 @@ class TestCommunitiesCommand:
 
     def test_unconverged_solve_exits_4(self, karate_file, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(
-            cli, "recursive_partition", functools.partial(recursive_partition, max_iter=3)
+            communities, "recursive_partition", functools.partial(recursive_partition, max_iter=3)
         )
         rc = main(
             ["communities", "--input", karate_file, "--model", "me1", "--out", str(tmp_path)]
@@ -529,3 +551,44 @@ def test_partition_and_diagnose_paths_do_not_load_numpy_ma(karate_file, tmp_path
     if loaded is None:
         pytest.skip("this numpy loads numpy.ma on import")
     assert loaded == {c: [EXIT_OK, False] for c in ("communities", "consensus", "diagnose")}
+
+
+IMPORT_PROBE = """
+import json, sys
+import richnull
+from richnull import cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("richnull."))
+
+karate, out = sys.argv[1:]
+report = {"import": loaded()}
+for argv in (["ensemble", "--model", "me2", "--seed", "0"], ["diagnose", "--model", "me1"]):
+    rc = cli.main([*argv, "--input", karate, "--out", f"{out}/{argv[0]}"])
+    report[argv[0]] = [rc, loaded()]
+report["unresolved"] = [name for name in richnull.__all__ if not hasattr(richnull, name)]
+try:
+    richnull.no_such_name
+    report["unknown"] = "resolved"
+except AttributeError as exc:
+    report["unknown"] = str(exc)
+print(json.dumps(report))
+"""
+
+
+def test_each_subcommand_imports_only_its_modules(karate_file, tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, karate_file, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    report = json.loads(proc.stdout.splitlines()[-1])
+    base = ["richnull.cli", "richnull.errors", "richnull.graph"]
+    assert report["import"] == base
+    fitted = sorted([*base, "richnull.ensemble", "richnull.search"])
+    assert report["ensemble"] == [EXIT_OK, fitted]
+    assert report["diagnose"] == [EXIT_OK, sorted([*fitted, "richnull.diagnostics"])]
+    assert report["unresolved"] == []
+    assert report["unknown"] == "module 'richnull' has no attribute 'no_such_name'"

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from conftest import (
     random_simple_graph,
     rank_order_by_loop,
 )
+from richnull import graph
 from richnull.errors import EdgeListError
 from richnull.graph import (
     Graph,
@@ -221,6 +223,100 @@ class TestLoadEdgeList:
                 assert g.labels == labels and g.edges.tolist() == [list(e) for e in edges]
         assert kinds == set(PLANTED)
 
+
+# tokens and layouts that int() and np.loadtxt may read differently
+LOADTXT_TOKENS = (
+    "+1", "-0", "007", "1_0", "\uff11", "1.0", "1e3", "0x1", str(2**63 - 1), str(2**63), "-1",
+)
+LOADTXT_TEXTS = (
+    *(f"{t} 5\n5 6\n" for t in LOADTXT_TOKENS),
+    *(f"5 6\n6 {t}\n" for t in LOADTXT_TOKENS),
+    "0\t1\n1\t2\n",
+    "0\x0c1\n1 2\n",  # \x0c ends a line for str.splitlines, separates for loadtxt
+    "0 1\x0c1 2\n",
+    "0 1\x0b1 2\n",
+    "0 1\x1c1 2\n",
+    "0 1\x851 2\n",
+    "0 1\u20281 2\n",
+    "0\x1f1\n",
+    "0\xa01\n",
+    "0 1\r\n1 2\r\n",
+    "0 1\r1 2\r",
+    "0\r1\n",
+    "0 1  \n1 2\t\n  \n",
+    "0 1 # x\n",
+    "0 1\n1 2 #x\n",
+    "# header\n0 1\n1 2\n",
+    "  # indented\n0 1\n",
+    "0 1\n#\n1 2\n",
+    "",
+    "\n\n",
+    "# only a comment\n",
+    "0 1\n1 0\n",
+    "0 1\n1 1\n",
+    "0 1 2\n",
+    "0\n",
+)
+
+
+def assert_parsed_like_oracle(text):
+    try:
+        labels, edges, degrees = load_edge_list_by_lines(text)
+    except EdgeListError as expected:
+        with pytest.raises(EdgeListError) as found:
+            load_edge_list(text)
+        assert (str(found.value), found.value.line) == (str(expected), expected.line)
+    else:
+        g = load_edge_list(text)
+        assert g.labels == labels and all(type(x) is int for x in g.labels)
+        assert g.edges.tolist() == [list(e) for e in edges]
+        assert g.degrees.tolist() == degrees
+
+
+@pytest.mark.parametrize("commented", [False, True])
+@pytest.mark.parametrize("text", LOADTXT_TEXTS)
+def test_loadtxt_pass_matches_line_oracle(text, commented, capfd):
+    text = "# comment\n" + text if commented else text
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert_parsed_like_oracle(text)
+    assert caught == []
+    assert capfd.readouterr().err == ""
+
+
+def test_loadtxt_pass_matches_line_oracle_on_random_texts(capfd):
+    # mostly valid lines, each with a small chance of an odd token, gap or end
+    rng = np.random.default_rng(808)
+    odd_words = ("1_0", "1.0", "-1", "-0", str(2**63), "#", "#x", "\uff11", "")
+    odd_gaps = ("\x0c", "\x0b", "\x1f", "\xa0", " # ")
+    odd_ends = ("\r", "\x0c", "\x1c", "\x85", "\u2028")
+
+    def pick(options, odd, p=0.07):
+        return odd[int(rng.integers(len(odd)))] if rng.random() < p else options
+
+    fast = 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(400):
+            lines = []
+            for _ in range(int(rng.integers(0, 6))):
+                u, v = (pick(str(x), ("+" + str(x), "00" + str(x)), 0.2) for x in rng.choice(30, 2))
+                lines.append(pick(u, odd_words) + pick(" \t"[int(rng.integers(2))], odd_gaps))
+                lines.append(pick(v, odd_words) + pick("\n", ("\r\n",) + odd_ends, 0.15))
+            text = "".join(lines)
+            fast += graph._loadtxt_ends(text) is not None
+            assert_parsed_like_oracle(text)
+    assert caught == []
+    assert capfd.readouterr().err == ""
+    assert fast > 100  # the loadtxt pass itself was exercised
+
+
+@pytest.mark.parametrize("header", ["", "# karate\n", "  # a\n#\n"])
+def test_integer_text_takes_loadtxt_pass(karate, header):
+    text = header + "".join(f"{u} {v}\r\n" for u, v in karate.edges.tolist())
+    ends = graph._loadtxt_ends(text)
+    assert ends is not None and ends.tolist() == karate.edges.tolist()
+    assert graph._loadtxt_ends("0 1\n1 2 # x\n") is None
 
 def test_karate_fixture(karate):
     assert karate.n == 34
