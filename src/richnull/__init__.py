@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 # defining submodule -> its public names; each loads on first access
 _EXPORTS = {
     "baselines": "NGModel RR1 RR2 RRConfig expected_self_loops newman_girvan rr_randomize",
-    "communities": "Dendrogram ModularityMatrix Partition modularity_value recursive_partition"
-    " soft_modularity_matrix spectral_bipartition standard_modularity_matrix",
+    "communities": "Dendrogram ModularityMatrix Partition build_modularity_matrix modularity_value"
+    " recursive_partition soft_modularity_matrix spectral_bipartition standard_modularity_matrix",
     "consensus": "CooccurrenceMatrix ModelRecipe RunSet cooccurrence invariant_cores"
     " randomized_rank_runs run_pipeline",
     "diagnostics": "DiagnosticsCurve aggregate_knn_deviation coefficient_of_variation"
@@ -24,10 +24,9 @@ _EXPORTS = {
     " verify_soft_constraints",
     "errors": "EdgeListError InfeasibleConstraints InfeasibleNG PowerIterationError"
     " RichNullError SingularWeights",
-    "graph": "ME1 ME2 ME3 NG Graph KPlusSequence Multigraph Ranking cutoff_degree karate_club"
-    " kplus_from_graph load_edge_list rank_nodes rich_club_coefficient",
-    "search": "MAXIMIZE MINIMIZE SearchConfig SearchResult greedy_search kplus_bounds"
-    " random_feasible_kplus",
+    "graph": "MAXIMIZE MINIMIZE ME1 ME2 ME3 NG RANKED Graph KPlusSequence Multigraph Ranking"
+    " cutoff_degree karate_club kplus_from_graph load_edge_list rank_nodes rich_club_coefficient",
+    "search": "SearchConfig SearchResult greedy_search kplus_bounds random_feasible_kplus",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

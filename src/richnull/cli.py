@@ -33,14 +33,12 @@ from .errors import (
     PowerIterationError,
     SingularWeights,
 )
-from .graph import ME1, ME2, ME3, NG, component_labels, cutoff_degree, load_edge_list, rank_nodes
+from .graph import MAXIMIZE, MINIMIZE, NG, RANKED, cutoff_degree, load_edge_list, rank_nodes
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_PARSE = 3
 EXIT_NUMERICAL = 4
-
-_ENSEMBLE_MODELS = (ME1, ME2, ME3)
 
 
 def _config_hash(args):
@@ -123,31 +121,6 @@ def _out_dir(args):
     return out
 
 
-def _ranked_model(g, tag, args):
-    """Deterministic ranking plus the requested ensemble; search result too."""
-    from .search import build_ensemble
-
-    ranking = rank_nodes(g)
-    try:
-        model, search = build_ensemble(g, tag, ranking, args.direction, args.seed)
-    except SingularWeights as exc:
-        if tag != ME1 or not exc.detail.startswith("denominator"):
-            raise
-        # with observed counts this happens only when the top m - 1 ranks
-        # share no link with the ranks below m; a disconnected input may or
-        # may not do that, so its components are reported, not rejected
-        sizes = np.bincount(component_labels(g.n, g.edges))
-        sizes = sorted(sizes[sizes > 0].tolist(), reverse=True)
-        shown = ", ".join(map(str, sizes[:10])) + (", ..." if len(sizes) > 10 else "")
-        raise SingularWeights(
-            exc.m,
-            f"{exc.detail}; the top {exc.m - 1} rank(s) share no link with the "
-            f"ranks below {exc.m}; the input has {len(sizes)} connected "
-            f"component(s), of sizes {shown}",
-        ) from exc
-    return model, ranking, search
-
-
 def cmd_ensemble(args):
     g = _load_graph(args)
     out = _out_dir(args)
@@ -197,8 +170,10 @@ def cmd_ensemble(args):
         total_probability,
         verify_soft_constraints,
     )
+    from .search import build_ensemble
 
-    model, ranking, search = _ranked_model(g, args.model, args)
+    ranking = rank_nodes(g)
+    model, search = build_ensemble(g, args.model, ranking, args.direction, args.seed)
     residuals = verify_soft_constraints(model)
     _write_csv(
         args,
@@ -254,10 +229,11 @@ def cmd_diagnose(args):
         uncorrelated_knn,
         variation_curve,
     )
+    from .search import build_ensemble
 
     g = _load_graph(args)
     out = _out_dir(args)
-    model, _, _ = _ranked_model(g, args.model, args)
+    model, _ = build_ensemble(g, args.model, rank_nodes(g), args.direction, args.seed)
 
     data_curve = knn_data(g)
     model_curve = knn_ensemble(model)
@@ -285,27 +261,14 @@ def cmd_diagnose(args):
     return EXIT_OK
 
 
-def _build_matrix(g, args):
-    from .communities import soft_modularity_matrix, standard_modularity_matrix
-
-    if args.model2 is not None:
-        model1, ranking, _ = _ranked_model(g, args.model, args)
-        model2, _, _ = _ranked_model(g, args.model2, args)
-        return soft_modularity_matrix(model1, model2, ranking, ranking)
-    if args.model == NG:
-        from .baselines import newman_girvan
-
-        return standard_modularity_matrix(g, newman_girvan(g))
-    model, ranking, _ = _ranked_model(g, args.model, args)
-    return standard_modularity_matrix(g, model, ranking=ranking)
-
-
 def cmd_communities(args):
-    from .communities import modularity_value, recursive_partition
+    from .communities import build_modularity_matrix, modularity_value, recursive_partition
 
     g = _load_graph(args)
     out = _out_dir(args)
-    matrix = _build_matrix(g, args)
+    matrix = build_modularity_matrix(
+        g, args.model, rank_nodes(g), args.model2, args.direction, args.seed
+    )
     dendrogram, partition = recursive_partition(matrix, strict=args.strict_splits)
 
     columns = (_names(g), _ints(partition.assignment))
@@ -408,12 +371,12 @@ def _add_common(sp, models, with_model2=False):
     if with_model2:
         sp.add_argument(
             "--model2",
-            choices=_ENSEMBLE_MODELS,
+            choices=RANKED,
             default=None,
             help="second ensemble; switches to the soft contrast matrix",
         )
     sp.add_argument("--seed", type=_checked(int, lambda v: v >= 0, "an integer >= 0"))
-    sp.add_argument("--direction", choices=("maximize", "minimize"), default="maximize")
+    sp.add_argument("--direction", choices=(MAXIMIZE, MINIMIZE), default=MAXIMIZE)
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--format", choices=("csv", "json", "both"), default="both")
 
@@ -427,22 +390,22 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("ensemble", help="fit a null model or rewire the graph")
-    _add_common(sp, _ENSEMBLE_MODELS + (NG, "rr1", "rr2"))
+    _add_common(sp, RANKED + (NG, "rr1", "rr2"))
     sp.add_argument("--dump-probabilities", action="store_true")
     sp.set_defaults(func=cmd_ensemble)
 
     sp = sub.add_parser("diagnose", help="correlation and homogeneity curves")
-    _add_common(sp, _ENSEMBLE_MODELS)
+    _add_common(sp, RANKED)
     sp.set_defaults(func=cmd_diagnose)
 
     sp = sub.add_parser("communities", help="recursive spectral partition")
-    _add_common(sp, _ENSEMBLE_MODELS + (NG,), with_model2=True)
+    _add_common(sp, RANKED + (NG,), with_model2=True)
     sp.add_argument("--strict-splits", action="store_true")
     sp.add_argument("--dump-matrix", action="store_true")
     sp.set_defaults(func=cmd_communities)
 
     sp = sub.add_parser("consensus", help="partition stability over random rankings")
-    _add_common(sp, _ENSEMBLE_MODELS + (NG,), with_model2=True)
+    _add_common(sp, RANKED + (NG,), with_model2=True)
     sp.add_argument("--runs", type=_checked(int, lambda v: v >= 1, "an integer >= 1"), default=100)
     sp.add_argument(
         "--threshold",
@@ -457,6 +420,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "model2", None) is not None and args.model == NG:
+        parser.error("--model2 contrasts two ranked ensembles; --model ng has no ranking")
     try:
         return args.func(args)
     except EdgeListError as exc:

@@ -8,6 +8,9 @@ pairs of a modularity matrix M.  Two constructions of M are supported:
   ensembles of the same graph, each pair weighted by its pooled ensemble
   standard deviation.
 
+:func:`build_modularity_matrix` picks the construction and builds the
+nulls from their names.
+
 Each part is split by the sign pattern of the leading eigenvector of the
 restricted matrix ``B_ij = M_ij - delta_ij * sum_l M_il``, and the
 recursion continues until every part is indivisible, even when a split does
@@ -27,15 +30,13 @@ scale is immaterial.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ensemble import LinkProbabilityModel, link_stat_matrices
 from .errors import PowerIterationError
-
-log = logging.getLogger(__name__)
+from .graph import MAXIMIZE, NG, RANKED
 
 STANDARD = "standard"
 SOFT = "soft"
@@ -204,33 +205,25 @@ class Dendrogram:
         }
 
 
-def _expected_node_matrix(null, ranking=None, n=None):
-    """Expected-links matrix in node-index order for either null family."""
-    if isinstance(null, LinkProbabilityModel):
-        e = null.links * null.probability_matrix()
-        if ranking is not None:
-            pos = ranking.positions
-            e = e[np.ix_(pos, pos)]
-    else:
-        from .baselines import NGModel  # only the degree-product null needs it
-
-        if not isinstance(null, NGModel):
-            raise TypeError(f"unsupported null model {type(null).__name__}")
-        e = null.expected_matrix()
-    if n is not None and e.shape[0] != n:
-        raise ValueError("null model size does not match the graph")
-    return e
-
-
 def standard_modularity_matrix(g, null, ranking=None):
     """Build M = a - e for graph ``g`` against a null's expected links.
 
     Rank-space ensembles need the ``ranking`` that ties ranks back to node
     indices; the degree-product null is already in node order.
     """
-    if isinstance(null, LinkProbabilityModel) and ranking is None:
-        raise ValueError("a ranked ensemble needs its ranking to address nodes")
-    e = _expected_node_matrix(null, ranking, n=g.n)
+    if isinstance(null, LinkProbabilityModel):
+        if ranking is None:
+            raise ValueError("a ranked ensemble needs its ranking to address nodes")
+        pos = ranking.positions
+        e = (null.links * null.probability_matrix())[np.ix_(pos, pos)]
+    else:
+        from .baselines import NGModel  # only the degree-product null needs it
+
+        if not isinstance(null, NGModel):
+            raise TypeError(f"unsupported null model {type(null).__name__}")
+        e = null.expected_matrix()
+    if e.shape[0] != g.n:
+        raise ValueError("null model size does not match the graph")
     return ModularityMatrix(g.adjacency_matrix() - e, STANDARD)
 
 
@@ -260,12 +253,40 @@ def soft_modularity_matrix(model1, model2, ranking1=None, ranking2=None):
         e2, s2 = e2[ix2], s2[ix2]
     clamped = c1 + c2
     if clamped:
-        log.warning("clamped %d pair probabilities above 1 inside variances", clamped)
+        import logging  # loaded only when there is something to report
+
+        logging.getLogger(__name__).warning(
+            "clamped %d pair probabilities above 1 inside variances", clamped
+        )
     denom = s1 + s2
     m = np.zeros_like(denom)
     mask = denom > 0.0
     m[mask] = (e1[mask] - e2[mask]) / np.sqrt(denom[mask])
     return ModularityMatrix(m, SOFT, clamped_pairs=clamped)
+
+
+def build_modularity_matrix(g, null, ranking, null2=None, direction=MAXIMIZE, seed=None):
+    """The modularity matrix of ``g`` against the null model named ``null``.
+
+    ``ng`` is the degree-product null.  A ranked name (me1-me3) builds that
+    ensemble on ``ranking``; with ``null2`` also ranked, both ensembles are
+    built on it and contrasted by :func:`soft_modularity_matrix`.
+    ``direction`` and ``seed`` drive the me2/me3 searches, and both get the
+    same ``seed``: an int starts each from that seed, a generator is shared.
+    """
+    if null2 is not None and not {null, null2} <= set(RANKED):
+        raise ValueError("soft contrast needs ranked ensembles on both sides")
+    if null == NG:
+        from .baselines import newman_girvan
+
+        return standard_modularity_matrix(g, newman_girvan(g))
+    from .search import build_ensemble  # the degree-product null needs no search
+
+    model, _ = build_ensemble(g, null, ranking, direction, seed)
+    if null2 is None:
+        return standard_modularity_matrix(g, model, ranking=ranking)
+    model2, _ = build_ensemble(g, null2, ranking, direction, seed)
+    return soft_modularity_matrix(model, model2, ranking, ranking)
 
 
 def modularity_value(mm, partition):

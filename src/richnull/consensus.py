@@ -14,16 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .communities import (
-    recursive_partition,
-    soft_modularity_matrix,
-    standard_modularity_matrix,
-)
+from .communities import build_modularity_matrix, recursive_partition
 from .errors import RichNullError
-from .graph import ME1, ME2, ME3, NG, component_labels, rank_nodes
-from .search import MAXIMIZE, MINIMIZE, build_ensemble
-
-_ENSEMBLE_TAGS = (ME1, ME2, ME3)
+from .graph import MAXIMIZE, MINIMIZE, NG, RANKED, component_labels, rank_nodes
 
 
 @dataclass(frozen=True)
@@ -41,12 +34,12 @@ class ModelRecipe:
     strict_splits: bool = False
 
     def __post_init__(self):
-        if self.null not in _ENSEMBLE_TAGS + (NG,):
+        if self.null not in RANKED + (NG,):
             raise ValueError(f"unknown null {self.null!r}")
         if self.null2 is not None:
-            if self.null2 not in _ENSEMBLE_TAGS:
+            if self.null2 not in RANKED:
                 raise ValueError("soft contrast needs a ranked ensemble as null2")
-            if self.null not in _ENSEMBLE_TAGS:
+            if self.null not in RANKED:
                 raise ValueError("soft contrast needs ranked ensembles on both sides")
         if self.direction not in (MAXIMIZE, MINIMIZE):
             raise ValueError(f"unknown direction {self.direction!r}")
@@ -79,17 +72,7 @@ def run_pipeline(g, recipe, seed=None):
     """One full run: random tie-broken ranking through to a partition."""
     rng = np.random.default_rng(seed)
     ranking = rank_nodes(g, policy="random", seed=rng)
-    if recipe.null == NG:
-        from .baselines import newman_girvan
-
-        matrix = standard_modularity_matrix(g, newman_girvan(g))
-    elif recipe.null2 is None:
-        model, _ = build_ensemble(g, recipe.null, ranking, recipe.direction, rng)
-        matrix = standard_modularity_matrix(g, model, ranking=ranking)
-    else:
-        model1, _ = build_ensemble(g, recipe.null, ranking, recipe.direction, rng)
-        model2, _ = build_ensemble(g, recipe.null2, ranking, recipe.direction, rng)
-        matrix = soft_modularity_matrix(model1, model2, ranking, ranking)
+    matrix = build_modularity_matrix(g, recipe.null, ranking, recipe.null2, recipe.direction, rng)
     _, partition = recursive_partition(matrix, strict=recipe.strict_splits)
     return partition
 

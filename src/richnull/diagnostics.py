@@ -10,16 +10,19 @@ is reported as the cut-off.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ensemble import row_sums
 
-log = logging.getLogger(__name__)
-
 DATA = "data"
+
+
+def _warn(message, *args):
+    import logging  # loaded only when there is something to report
+
+    logging.getLogger(__name__).warning(message, *args)
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,7 @@ def knn_data(g):
     if g.edge_count == 0:
         raise ValueError("graph has no links")
     if np.any(deg == 0):
-        log.warning("dropping %d isolated node(s) from knn curve", int((deg == 0).sum()))
+        _warn("dropping %d isolated node(s) from knn curve", int((deg == 0).sum()))
     u, v = g.edges.T
     # integer-valued sums, exact in float64: the same values as a mean per node
     neighbour_deg = np.bincount(u, weights=deg[v], minlength=g.n)
@@ -98,9 +101,7 @@ def knn_ensemble(model):
     """
     k = model.k.astype(np.float64)
     if np.any(k == 0):
-        log.warning(
-            "dropping %d zero-degree rank(s) from knn curve", int((k == 0).sum())
-        )
+        _warn("dropping %d zero-degree rank(s) from knn curve", int((k == 0).sum()))
     weighted = row_sums(model, k).weighted
     with np.errstate(invalid="ignore"):  # zero-degree ranks: 0/0 = NaN, skipped
         x, values, counts = _group_by_degree(model.k, model.links * weighted / k)

@@ -26,6 +26,9 @@ ME1 = "me1"
 ME2 = "me2"
 ME3 = "me3"
 NG = "ng"
+RANKED = (ME1, ME2, ME3)  # the nulls built on a degree ranking
+MAXIMIZE = "maximize"  # directions of the me2/me3 entropy search
+MINIMIZE = "minimize"
 _KPLUS_MODES = (OBSERVED, ME2, ME3)
 
 

@@ -17,10 +17,10 @@ import numpy as np
 
 from .ensemble import LinkProbabilityModel, compute_weights, entropy_fast, move_gains
 from .errors import InfeasibleConstraints, SingularWeights
-from .graph import ME1, ME2, ME3, KPlusSequence, kplus_from_graph
+from .graph import (
+    MAXIMIZE, ME1, ME2, ME3, MINIMIZE, KPlusSequence, component_labels, kplus_from_graph,
+)
 
-MAXIMIZE = "maximize"
-MINIMIZE = "minimize"
 CERTIFIED = "certified"
 
 _SOURCES = 64  # receiving ranks whose moves are evaluated together
@@ -240,13 +240,27 @@ def build_ensemble(g, tag, ranking, direction=MAXIMIZE, seed=None):
     """The ``tag`` ensemble on ``ranking`` and its search result (me1: None).
 
     ``direction`` and ``seed`` drive the me2/me3 search; ``seed`` is an int,
-    or a generator to share.
+    or a generator to share.  An me1 recursion that breaks on a zero
+    denominator names the input's connected components in its message.
     """
     k = g.degrees[ranking.order]
-    search = None
-    if tag == ME1:
-        kp = kplus_from_graph(g, ranking)
-    else:
+    if tag != ME1:
         search = greedy_search(k, SearchConfig(tag, direction, seed))
-        kp = search.kplus
-    return LinkProbabilityModel(k, kp.values, tag=tag), search
+        return LinkProbabilityModel(k, search.kplus.values, tag=tag), search
+    try:
+        return LinkProbabilityModel(k, kplus_from_graph(g, ranking).values, tag=tag), None
+    except SingularWeights as exc:
+        if not exc.detail.startswith("denominator"):
+            raise
+        # with observed counts this happens only when the top m - 1 ranks
+        # share no link with the ranks below m; a disconnected input may or
+        # may not do that, so its components are reported, not rejected
+        sizes = np.bincount(component_labels(g.n, g.edges))
+        sizes = sorted(sizes[sizes > 0].tolist(), reverse=True)
+        shown = ", ".join(map(str, sizes[:10])) + (", ..." if len(sizes) > 10 else "")
+        raise SingularWeights(
+            exc.m,
+            f"{exc.detail}; the top {exc.m - 1} rank(s) share no link with the "
+            f"ranks below {exc.m}; the input has {len(sizes)} connected "
+            f"component(s), of sizes {shown}",
+        ) from exc

@@ -32,7 +32,6 @@ from richnull.communities import (
     standard_modularity_matrix,
 )
 from richnull.consensus import (
-    ME1,
     ModelRecipe,
     cooccurrence,
     invariant_cores,
@@ -54,7 +53,7 @@ from richnull.ensemble import (
     verify_soft_constraints,
 )
 from richnull.errors import InfeasibleNG, SingularWeights
-from richnull.graph import ME2, ME3, Graph, load_edge_list
+from richnull.graph import ME1, ME2, ME3, Graph, load_edge_list
 from richnull.search import SearchConfig, greedy_search
 
 

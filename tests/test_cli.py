@@ -255,6 +255,18 @@ class TestExitCodes:
         assert f"error: argument {argv[-2]}: {argv[-1]!r} is not " in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["communities", "consensus"])
+    def test_soft_contrast_against_ng_is_a_usage_error(self, command, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["--model", "ng", "--model2", "me3", "--input", str(tmp_path / "absent.edges")]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *argv, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: richnull")
+        assert "error: --model2 contrasts two ranked ensembles; --model ng has no ranking" in err
+        assert not out.exists()
+
     def test_hub_too_large_for_degree_product(self, karate_file, tmp_path, capsys):
         rc = main(
             ["ensemble", "--input", karate_file, "--model", "ng", "--out", str(tmp_path / "out")]
@@ -402,6 +414,13 @@ class TestCommunitiesCommand:
             groups.setdefault(community, set()).add(int(node))
         assert sorted(sorted(g) for g in groups.values()) == [[0, 1, 2], [3, 4, 5]]
 
+    def test_disconnected_me1_names_the_components(self, two_tri_file, tmp_path, capsys):
+        rc = main(
+            ["communities", "--input", two_tri_file, "--model", "me1", "--out", str(tmp_path)]
+        )
+        assert rc == EXIT_INFEASIBLE
+        assert "2 connected component(s), of sizes 3, 3" in capsys.readouterr().err
+
     def test_soft_contrast_of_identical_models_is_whole(self, barbell_file, tmp_path):
         out = tmp_path / "out"
         rc = main(
@@ -534,12 +553,14 @@ for command, extra in [
 ]:
     argv = [command, "--input", karate, "--model", "me1", "--out", f"{out}/{command}", *extra]
     loaded[command] = (cli.main(argv), "numpy.ma" in sys.modules)
+loaded["logging"] = "logging" in sys.modules
 print(json.dumps(loaded))
 """
 
 
 def test_partition_and_diagnose_paths_do_not_load_numpy_ma(karate_file, tmp_path):
-    # importing numpy.ma adds about 10 ms and 1.3 MB of peak RSS to a process
+    # importing numpy.ma adds about 10 ms and 1.3 MB of peak RSS to a process;
+    # logging is loaded only where a warning is emitted
     src = str(Path(cli.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
@@ -550,6 +571,7 @@ def test_partition_and_diagnose_paths_do_not_load_numpy_ma(karate_file, tmp_path
     loaded = json.loads(proc.stdout.splitlines()[-1])
     if loaded is None:
         pytest.skip("this numpy loads numpy.ma on import")
+    assert loaded.pop("logging") is False
     assert loaded == {c: [EXIT_OK, False] for c in ("communities", "consensus", "diagnose")}
 
 
@@ -561,11 +583,12 @@ from richnull import cli
 def loaded():
     return sorted(m for m in sys.modules if m.startswith("richnull."))
 
-karate, out = sys.argv[1:]
+karate, out, runs = sys.argv[1], sys.argv[2], sys.argv[3:]
 report = {"import": loaded()}
-for argv in (["ensemble", "--model", "me2", "--seed", "0"], ["diagnose", "--model", "me1"]):
-    rc = cli.main([*argv, "--input", karate, "--out", f"{out}/{argv[0]}"])
-    report[argv[0]] = [rc, loaded()]
+for run in runs:
+    argv = run.split()
+    rc = cli.main([*argv, "--input", karate, "--out", f"{out}/{'-'.join(argv)}"])
+    report[run] = [rc, loaded()]
 report["unresolved"] = [name for name in richnull.__all__ if not hasattr(richnull, name)]
 try:
     richnull.no_such_name
@@ -576,19 +599,33 @@ print(json.dumps(report))
 """
 
 
-def test_each_subcommand_imports_only_its_modules(karate_file, tmp_path):
+def import_probe(karate_file, tmp_path, *runs):
+    """Run the ``runs`` (each a command line) in one fresh process, in order."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, karate_file, str(tmp_path)],
+        [sys.executable, "-c", IMPORT_PROBE, karate_file, str(tmp_path), *runs],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
-    report = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_each_subcommand_imports_only_its_modules(karate_file, tmp_path):
+    ensemble, diagnose = "ensemble --model me2 --seed 0", "diagnose --model me1"
+    report = import_probe(karate_file, tmp_path / "fit", ensemble, diagnose)
     base = ["richnull.cli", "richnull.errors", "richnull.graph"]
     assert report["import"] == base
     fitted = sorted([*base, "richnull.ensemble", "richnull.search"])
-    assert report["ensemble"] == [EXIT_OK, fitted]
-    assert report["diagnose"] == [EXIT_OK, sorted([*fitted, "richnull.diagnostics"])]
+    assert report[ensemble] == [EXIT_OK, fitted]
+    assert report[diagnose] == [EXIT_OK, sorted([*fitted, "richnull.diagnostics"])]
     assert report["unresolved"] == []
     assert report["unknown"] == "module 'richnull' has no attribute 'no_such_name'"
+    # a partition never loads consensus; the degree-product null (infeasible
+    # on karate) adds baselines
+    me1, ng = "communities --model me1", "communities --model ng"
+    report = import_probe(karate_file, tmp_path / "partition", me1, ng)
+    assert report[me1] == [EXIT_OK, sorted([*fitted, "richnull.communities"])]
+    assert report[ng] == [
+        EXIT_INFEASIBLE, sorted([*fitted, "richnull.baselines", "richnull.communities"])
+    ]

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,14 @@ from conftest import (
     observed_instance,
     random_simple_graph,
 )
+from richnull import communities
 from richnull.baselines import newman_girvan
 from richnull.communities import (
     EIGEN_MAX_MATVECS,
     EIGEN_TOL,
     ModularityMatrix,
     Partition,
+    build_modularity_matrix,
     modularity_value,
     recursive_partition,
     soft_modularity_matrix,
@@ -21,10 +25,10 @@ from richnull.communities import (
     _lanczos_leading,
     _start_vector,
 )
-from richnull.ensemble import LinkProbabilityModel
+from richnull.ensemble import LinkProbabilityModel, link_stat_matrices
 from richnull.errors import InfeasibleNG, PowerIterationError
 from richnull.graph import Graph, KPlusSequence, rank_nodes
-from richnull.search import SearchConfig, greedy_search
+from richnull.search import SearchConfig, build_ensemble, greedy_search
 
 
 def me1_matrix(g):
@@ -143,6 +147,54 @@ class TestSoftMatrix:
             soft_modularity_matrix(m3, mk)
         with pytest.raises(ValueError, match="rankings"):
             soft_modularity_matrix(m3, m3, rank_nodes(k3), None)
+
+    def test_clamped_pairs_logged(self, karate, monkeypatch, caplog):
+        def one_clamped(model):
+            e, s, _ = link_stat_matrices(model)
+            return e, s, 1
+
+        monkeypatch.setattr(communities, "link_stat_matrices", one_clamped)
+        k, kp, _ = observed_instance(karate)
+        m = LinkProbabilityModel(k, kp)
+        ranking = rank_nodes(karate)
+        with caplog.at_level(logging.WARNING, logger="richnull.communities"):
+            sm = soft_modularity_matrix(m, m, ranking, ranking)
+        assert sm.clamped_pairs == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            "clamped 2 pair probabilities above 1 inside variances"
+        ]
+
+
+class TestBuildModularityMatrix:
+    def test_degree_product_null(self, two_triangles):
+        built = build_modularity_matrix(two_triangles, "ng", rank_nodes(two_triangles))
+        direct = standard_modularity_matrix(two_triangles, newman_girvan(two_triangles))
+        assert np.array_equal(built.matrix, direct.matrix)
+
+    def test_observed_ensemble(self, karate):
+        built = build_modularity_matrix(karate, "me1", rank_nodes(karate))
+        assert built.kind == "standard"
+        assert np.array_equal(built.matrix, me1_matrix(karate).matrix)
+
+    @pytest.mark.parametrize("seed", [0, "generator"])
+    def test_soft_contrast_shares_the_seed(self, karate, seed):
+        # an int seeds each search afresh; a generator is drawn on in turn
+        def fresh():
+            return np.random.default_rng(0) if seed == "generator" else seed
+
+        ranking = rank_nodes(karate)
+        built = build_modularity_matrix(karate, "me2", ranking, null2="me3", seed=fresh())
+        shared = fresh()
+        me2, _ = build_ensemble(karate, "me2", ranking, seed=shared)
+        me3, _ = build_ensemble(karate, "me3", ranking, seed=shared)
+        composed = soft_modularity_matrix(me2, me3, ranking, ranking)
+        assert built.kind == "soft"
+        assert np.array_equal(built.matrix, composed.matrix)
+
+    @pytest.mark.parametrize("null, null2", [("ng", "me3"), ("me1", "ng")])
+    def test_soft_contrast_needs_ranked_nulls(self, karate, null, null2):
+        with pytest.raises(ValueError, match="ranked ensembles on both sides"):
+            build_modularity_matrix(karate, null, rank_nodes(karate), null2=null2)
 
 
 class TestModularityValue:

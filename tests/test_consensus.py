@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from richnull.consensus import (
     run_pipeline,
 )
 from richnull.communities import Partition
+from richnull.errors import SingularWeights
 from richnull.graph import Graph
 
 
@@ -134,6 +137,17 @@ class TestRandomizedRuns:
         assert len(calls) == 1
         assert [f.index for f in rs.failures] == [0, 1, 2, 3]
         assert len({(f.error, f.message) for f in rs.failures}) == 1
+
+    def test_disconnected_failure_names_the_components(self, two_triangles):
+        # seed 4 draws a tie order whose top ranks share no link with the rest
+        component = "the input has 2 connected component(s), of sizes 3, 3"
+        with pytest.raises(SingularWeights, match=re.escape(component)):
+            run_pipeline(two_triangles, ModelRecipe("me1"), seed=4)
+        rs = randomized_rank_runs(two_triangles, ModelRecipe("me1"), runs=5, master_seed=0)
+        assert rs.successful == 4
+        [failure] = rs.failures
+        assert (failure.index, failure.error) == (2, "SingularWeights")
+        assert component in failure.message
 
     def test_soft_recipe_runs(self, karate):
         rs = randomized_rank_runs(

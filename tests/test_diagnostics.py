@@ -102,6 +102,15 @@ class TestKnn:
         assert 0.0 not in c.x
         assert "isolated" in caplog.text
 
+    def test_zero_degree_ranks_dropped_with_warning(self, caplog):
+        model = LinkProbabilityModel([2, 2, 2, 0], [0, 1, 2, 0])
+        with caplog.at_level(logging.WARNING, logger="richnull.diagnostics"):
+            c = knn_ensemble(model)
+        assert c.x.tolist() == [2.0]
+        assert [r.getMessage() for r in caplog.records] == [
+            "dropping 1 zero-degree rank(s) from knn curve"
+        ]
+
     def test_karate_deviations_ordered(self, karate):
         # the observed rich-club structure keeps most of the degree-degree
         # correlation; optimizing the sequence for entropy removes it
