@@ -190,7 +190,7 @@ def cmd_ensemble(args):
     )
     if args.dump_probabilities:
         i, j = np.triu_indices(g.n, 1)
-        p = np.concatenate([model.upper_row(r) for r in range(g.n)])
+        p = model._pair(i, j)
         header = ("rank_i", "rank_j", "p", "expected")
         columns = (_ints(i), _ints(j), _floats(p), _floats(model.links * p))
         _write_csv(args, out, "probabilities.csv", header, columns)
@@ -279,7 +279,6 @@ def cmd_communities(args):
         "model": args.model,
         "model2": args.model2,
         "kind": matrix.kind,
-        "clamped_pairs": matrix.clamped_pairs,
         "n_communities": partition.n_communities,
         "q": modularity_value(matrix, partition),
         "q_trace": dendrogram.q_trace,

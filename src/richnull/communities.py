@@ -53,7 +53,6 @@ class ModularityMatrix:
 
     matrix: np.ndarray
     kind: str
-    clamped_pairs: int = 0
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.float64)
@@ -101,6 +100,8 @@ class Partition:
         raw = np.full(n, -1, dtype=np.int64)
         for cid, members in enumerate(groups):
             for i in members:
+                if not 0 <= i < n:
+                    raise ValueError(f"node {i} out of range for {n} nodes")
                 if raw[i] != -1:
                     raise ValueError(f"node {i} assigned twice")
                 raw[i] = cid
@@ -233,9 +234,7 @@ def soft_modularity_matrix(model1, model2, ranking1=None, ranking2=None):
     Entries are ``(e1 - e2) / sqrt(s1 + s2)`` with ``e = L p`` and
     ``s = L p (1 - p)``; pairs where both variances vanish get 0.  Each
     model is mapped to node order by its own ranking (pass none for both to
-    stay in a shared rank space).  Pairs with p > 1 (possible for
-    multigraph ensembles) have p clipped to 1 inside ``s`` only; the count
-    is recorded on the result and logged.
+    stay in a shared rank space).
     """
     if model1.n != model2.n:
         raise ValueError("models span different node counts")
@@ -244,25 +243,18 @@ def soft_modularity_matrix(model1, model2, ranking1=None, ranking2=None):
     if (ranking1 is None) != (ranking2 is None):
         raise ValueError("pass rankings for both models or for neither")
 
-    e1, s1, c1 = link_stat_matrices(model1)
-    e2, s2, c2 = link_stat_matrices(model2)
+    e1, s1 = link_stat_matrices(model1)
+    e2, s2 = link_stat_matrices(model2)
     if ranking1 is not None:
         ix1 = np.ix_(ranking1.positions, ranking1.positions)
         ix2 = np.ix_(ranking2.positions, ranking2.positions)
         e1, s1 = e1[ix1], s1[ix1]
         e2, s2 = e2[ix2], s2[ix2]
-    clamped = c1 + c2
-    if clamped:
-        import logging  # loaded only when there is something to report
-
-        logging.getLogger(__name__).warning(
-            "clamped %d pair probabilities above 1 inside variances", clamped
-        )
     denom = s1 + s2
     m = np.zeros_like(denom)
     mask = denom > 0.0
     m[mask] = (e1[mask] - e2[mask]) / np.sqrt(denom[mask])
-    return ModularityMatrix(m, SOFT, clamped_pairs=clamped)
+    return ModularityMatrix(m, SOFT)
 
 
 def build_modularity_matrix(g, null, ranking, null2=None, direction=MAXIMIZE, seed=None):

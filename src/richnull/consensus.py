@@ -159,8 +159,10 @@ def invariant_cores(cm, g, threshold=1.0):
         raise ValueError("threshold must be in (0, 1]")
     if cm.n != g.n:
         raise ValueError("co-occurrence matrix does not match the graph")
-    required = int(np.ceil(threshold * cm.run_count))
-    kept = g.edges[cm.counts[g.edges[:, 0], g.edges[:, 1]] >= required]
+    # a share, not ceil(threshold * runs): that product is inexact in
+    # floating point (0.55 * 100 > 55)
+    share = cm.counts[g.edges[:, 0], g.edges[:, 1]] / cm.run_count
+    kept = g.edges[share >= threshold]
     # the linked nodes, ascending; np.unique would load numpy.ma
     nodes = np.flatnonzero(np.bincount(kept.ravel(), minlength=g.n))
     roots = component_labels(g.n, kept)[nodes]

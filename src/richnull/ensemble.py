@@ -255,9 +255,14 @@ class LinkProbabilityModel:
 
     Immutable once built; evaluation methods are pure and safe to call
     concurrently.  All ``i``/``j`` arguments are 0-based ranks.
+
+    Construction stores three read-only arrays of N entries: the residuals
+    with a 0 for the last rank (``_res``), ``_den = prefix * L`` and the
+    column factors ``_a = kplus / _den`` (0 where ``kplus == 0``).  Every
+    pair probability comes from :meth:`_pair`.
     """
 
-    __slots__ = ("k", "kplus", "weights", "links", "tag")
+    __slots__ = ("k", "kplus", "weights", "links", "tag", "_res", "_den", "_a")
 
     def __init__(self, k, kplus, tag=None):
         self.k = np.array(k, dtype=np.int64)
@@ -268,10 +273,22 @@ class LinkProbabilityModel:
         self.weights = compute_weights(self.k, kplus)
         self.links = int(self.k.sum()) // 2
         self.tag = tag if tag is not None else _TAG_FOR_MODE[kplus.mode]
+        kp = kplus.values
+        self._res = np.append(self.weights.residuals, 0.0)  # the last rank stores none
+        self._den = self.weights.prefix * self.links
+        self._a = np.zeros(self.n)
+        np.divide(kp, self._den, out=self._a, where=kp > 0)
+        for arr in (self._res, self._den, self._a):
+            arr.flags.writeable = False
 
     @property
     def n(self):
         return self.k.size
+
+    def _pair(self, i, j):
+        """``p(i, j) = res[i] * kplus[j] / den[j]`` for ranks ``i < j``
+        (scalars or broadcasting index arrays)."""
+        return self._res[i] * self.kplus.values[j] / self._den[j]
 
     def probability(self, i, j):
         """Link probability of the rank pair ``(i, j)``; zero never pairs."""
@@ -281,11 +298,7 @@ class LinkProbabilityModel:
             i, j = j, i
         if not (0 <= i < j < self.n):
             raise IndexError("rank out of range")
-        kp_j = self.kplus.values[j]
-        if kp_j == 0:
-            return 0.0
-        ws = self.weights
-        return ws.residuals[i] * kp_j / (ws.prefix[j] * self.links)
+        return self._pair(i, j)
 
     def expected(self, i, j):
         """Expected link count e = L * p of the pair."""
@@ -300,40 +313,28 @@ class LinkProbabilityModel:
         """Vector of p(i, j) over all j, with the diagonal entry 0."""
         if not (0 <= i < self.n):
             raise IndexError("rank out of range")
-        ws = self.weights
-        kp = self.kplus.values
+        j = np.arange(self.n)
         out = np.zeros(self.n)
-        if i < self.n - 1:
-            j = np.arange(i + 1, self.n)
-            out[j] = ws.residuals[i] * kp[j] / (ws.prefix[j] * self.links)
-        if i > 0:
-            # same multiply-then-divide order as the j > i branch, so the
-            # probability matrix is symmetric to the last ulp
-            j = np.arange(i)
-            out[j] = ws.residuals[j] * kp[i] / (ws.prefix[i] * self.links)
+        out[i + 1 :] = self._pair(i, j[i + 1 :])
+        out[:i] = self._pair(j[:i], i)
         return out
 
     def upper_row(self, i):
         """Vector of p(i, j) for j > i only (empty for the last rank)."""
-        if i >= self.n - 1:
-            return np.zeros(0)
-        ws = self.weights
-        kp = self.kplus.values
-        j = np.arange(i + 1, self.n)
-        return ws.residuals[i] * kp[j] / (ws.prefix[j] * self.links)
+        if not (0 <= i < self.n):
+            raise IndexError("rank out of range")
+        return self._pair(i, np.arange(i + 1, self.n))
 
     def probability_matrix(self):
         """Dense symmetric N x N matrix of pair probabilities (O(N^2)).
 
-        One outer product in :meth:`row`'s operation order, mirrored from
-        the upper triangle, so it equals the stacked rows bit for bit.
+        The upper triangle mirrored, so it equals the stacked rows bit for
+        bit.
         """
-        ws = self.weights
+        r = np.arange(self.n)
         upper = np.zeros((self.n, self.n))
-        # no j > i in the last row, no i < j in column 0 (prefix 0 there)
-        upper[:-1, 1:] = (ws.residuals[:, None] * self.kplus.values[1:]) / (
-            ws.prefix[1:] * self.links
-        )
+        # no j > i in the last row, no i < j in column 0 (den 0 there)
+        upper[:-1, 1:] = self._pair(r[:-1, None], r[1:])
         upper = np.triu(upper, 1)
         return upper + upper.T
 
@@ -374,15 +375,6 @@ class RowSums(NamedTuple):
     weighted: np.ndarray | None
 
 
-def _column_factors(model):
-    """``a[j] = kplus[j] / (prefix[j] * L)``, 0 where ``kplus[j] == 0``."""
-    kp = model.kplus.values
-    a = np.zeros(model.n)
-    up = kp > 0
-    a[up] = kp[up] / (model.weights.prefix[up] * model.links)
-    return a
-
-
 def _before(v):
     """``out[i] = sum(v[:i])``."""
     return np.concatenate(([0.0], np.cumsum(v[:-1])))
@@ -402,8 +394,7 @@ def row_sums(model, x=None):
     prefix sums are accumulated here, not read from ``weights.prefix``, so
     :func:`verify_soft_constraints` tests that the two agree.
     """
-    res = np.append(model.weights.residuals, 0.0)  # the last rank stores none
-    a = _column_factors(model)
+    res, a = model._res, model._a
     lower = a * _before(res)
     weighted = None
     if x is not None:
@@ -462,9 +453,8 @@ def expected_multiedge_pairs(model):
     keeps rows within 1e-9 of the threshold, and ``upper_row`` evaluates the
     rows kept.  The list equals a scan of every row.
     """
-    a = _column_factors(model)
-    reach = np.maximum.accumulate(a[:0:-1])[::-1]  # max_{j>i} a[j], i < N-1
-    screen = model.weights.residuals * model.links * reach > 1.0 - 1e-9
+    reach = np.maximum.accumulate(model._a[:0:-1])[::-1]  # max_{j>i} a[j], i < N-1
+    screen = model._res[:-1] * model.links * reach > 1.0 - 1e-9
     flagged = []
     for i in np.nonzero(screen)[0].tolist():
         e = model.links * model.upper_row(i)
@@ -475,19 +465,13 @@ def expected_multiedge_pairs(model):
 
 
 def link_stat_matrices(model):
-    """Dense rank-space matrices (e, s) plus the count of clamped pairs.
+    """Dense rank-space matrices ``e = L * p`` and ``s = L * p * (1 - p)``.
 
-    ``e = L * p`` and ``s = L * p * (1 - p)``.  Multigraph ensembles can
-    put ``p > 1`` on a pair, which would make the variance negative; the
-    probability is clipped to [0, 1] inside ``s`` only, and the number of
-    clipped pairs is returned so callers can log it.
+    ``p`` is a distribution over pairs (nonnegative, summing to 1), so no
+    pair exceeds 1 and ``s`` is nonnegative, multigraph ensembles included.
     """
     p = model.probability_matrix()
-    e = model.links * p
-    clamped = int(np.count_nonzero(np.triu(p, 1) > 1.0))
-    pc = np.clip(p, 0.0, 1.0)
-    s = model.links * pc * (1.0 - pc)
-    return e, s, clamped
+    return model.links * p, model.links * p * (1.0 - p)
 
 
 def sample_pairs(model, ndraws, seed=None):

@@ -1,5 +1,3 @@
-import logging
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from conftest import (
     observed_instance,
     random_simple_graph,
 )
-from richnull import communities
 from richnull.baselines import newman_girvan
 from richnull.communities import (
     EIGEN_MAX_MATVECS,
@@ -25,7 +22,7 @@ from richnull.communities import (
     _lanczos_leading,
     _start_vector,
 )
-from richnull.ensemble import LinkProbabilityModel, link_stat_matrices
+from richnull.ensemble import LinkProbabilityModel
 from richnull.errors import InfeasibleNG, PowerIterationError
 from richnull.graph import Graph, KPlusSequence, rank_nodes
 from richnull.search import SearchConfig, build_ensemble, greedy_search
@@ -68,6 +65,11 @@ class TestPartition:
             Partition.from_groups([[0, 1], [1, 2]], 3)
         with pytest.raises(ValueError, match="every node"):
             Partition.from_groups([[0, 1]], 3)
+        # no wrap-around for negative indices, no bare IndexError past n
+        with pytest.raises(ValueError, match="node -1 out of range"):
+            Partition.from_groups([[0, -1], [1]], 3)
+        with pytest.raises(ValueError, match="node 3 out of range"):
+            Partition.from_groups([[0, 3], [1, 2]], 3)
 
     def test_community_sets(self):
         p = Partition([0, 1, 0])
@@ -147,22 +149,6 @@ class TestSoftMatrix:
             soft_modularity_matrix(m3, mk)
         with pytest.raises(ValueError, match="rankings"):
             soft_modularity_matrix(m3, m3, rank_nodes(k3), None)
-
-    def test_clamped_pairs_logged(self, karate, monkeypatch, caplog):
-        def one_clamped(model):
-            e, s, _ = link_stat_matrices(model)
-            return e, s, 1
-
-        monkeypatch.setattr(communities, "link_stat_matrices", one_clamped)
-        k, kp, _ = observed_instance(karate)
-        m = LinkProbabilityModel(k, kp)
-        ranking = rank_nodes(karate)
-        with caplog.at_level(logging.WARNING, logger="richnull.communities"):
-            sm = soft_modularity_matrix(m, m, ranking, ranking)
-        assert sm.clamped_pairs == 2
-        assert [r.getMessage() for r in caplog.records] == [
-            "clamped 2 pair probabilities above 1 inside variances"
-        ]
 
 
 class TestBuildModularityMatrix:
@@ -371,7 +357,6 @@ class TestRecursivePartition:
             k, greedy_search(k, SearchConfig("me3", seed=1)).kplus
         )
         sm = soft_modularity_matrix(me1, me3, ranking, ranking)
-        assert sm.clamped_pairs == 0
         _, part = recursive_partition(sm)
         assert part.n_communities == 17
 

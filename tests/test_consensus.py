@@ -215,6 +215,16 @@ class TestInvariantCores:
         loose = invariant_cores(cm, g, threshold=0.5)
         assert sorted(sorted(c) for c in loose) == [[0, 1], [2, 3]]
 
+    def test_threshold_share_is_exact(self):
+        # 0.55 * 100 rounds above 55, yet 55 of 100 runs is a share of 0.55
+        g = Graph([(0, 1), (1, 2)])
+        parts = [Partition([0, 0, 1])] * 55 + [Partition([0, 1, 1])] * 45
+        cm = cooccurrence(parts)
+        for threshold in (0.54, 0.55):
+            assert invariant_cores(cm, g, threshold=threshold) == [frozenset({0, 1})]
+        assert invariant_cores(cm, g, threshold=0.56) == []
+        assert invariant_cores(cm, g, threshold=1.0) == []
+
     def test_threshold_validation(self, karate, karate_runs):
         cm = cooccurrence(karate_runs.partitions[:3])
         with pytest.raises(ValueError):

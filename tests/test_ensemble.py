@@ -31,7 +31,7 @@ from richnull.ensemble import (
 )
 from richnull.errors import InfeasibleConstraints, SingularWeights
 from richnull.graph import Graph, KPlusSequence
-from richnull.search import random_feasible_kplus
+from richnull.search import SearchConfig, greedy_search, random_feasible_kplus
 
 
 class TestWeights:
@@ -178,6 +178,32 @@ class TestProbabilities:
             m.probability(1, 1)
         with pytest.raises(IndexError):
             m.probability(0, 3)
+        for i in (-1, 3):
+            with pytest.raises(IndexError):
+                m.row(i)
+            with pytest.raises(IndexError):
+                m.upper_row(i)
+        assert m.upper_row(2).shape == (0,)
+
+    def test_stored_arrays_read_only(self, karate):
+        k, kp, _ = observed_instance(karate)
+        m = LinkProbabilityModel(k, kp)
+        for arr in (m._res, m._den, m._a):
+            assert arr.shape == (m.n,)
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_pair_matches_weight_formula(self, karate):
+        # every pair quantity reads _pair, in the multiply-then-divide order
+        # of res[i] * kplus[j] / (prefix[j] * L)
+        k, kp, _ = observed_instance(karate)
+        m = LinkProbabilityModel(k, kp)
+        ws = m.weights
+        i, j = np.triu_indices(m.n, 1)
+        res = np.append(ws.residuals, 0.0)
+        expected = res[i] * kp[j] / (ws.prefix[j] * m.links)
+        assert np.array_equal(m._pair(i, j), expected)
+        assert np.array_equal(np.concatenate([m.upper_row(r) for r in range(m.n)]), expected)
 
     def test_tag_follows_mode(self):
         assert LinkProbabilityModel([2, 2, 2], [0, 1, 2]).tag == "me1"
@@ -535,9 +561,8 @@ class TestMultigraphEnsembles:
 
     def test_link_stat_matrices(self):
         m = LinkProbabilityModel(self.K, self.KP)
-        e, s, clamped = link_stat_matrices(m)
+        e, s = link_stat_matrices(m)
         assert e[0, 1] == pytest.approx(2.0)
-        assert clamped == 0
         assert np.all(s >= 0.0)
         assert s[0, 1] == pytest.approx(4 * 0.5 * 0.5)
 
@@ -545,9 +570,8 @@ class TestMultigraphEnsembles:
         # a 2-node multigraph is a single pair carrying every link
         m = LinkProbabilityModel([3, 3], KPlusSequence([0, 3], "me3"))
         assert m.probability(0, 1) == pytest.approx(1.0, abs=1e-15)
-        _, s, clamped = link_stat_matrices(m)
+        _, s = link_stat_matrices(m)
         assert s[0, 1] == pytest.approx(0.0, abs=1e-15)
-        assert clamped == 0
 
     def test_low_degree_instances_have_no_multiedge_pairs(self, p3):
         k, kp, _ = observed_instance(p3)
@@ -561,6 +585,27 @@ class TestMultigraphEnsembles:
         assert [(i, j) for i, j, _ in pairs] == [(0, 8), (1, 8)]
         assert pairs[0][2] == pytest.approx(1.2207621183645319, abs=1e-12)
         assert pairs[1][2] == pytest.approx(1.1489525819901476, abs=1e-12)
+
+
+class TestPairDistributionBounds:
+    # p is a distribution over pairs, so no entry exceeds 1 and every
+    # variance L * p * (1 - p) is nonnegative without clipping
+    @staticmethod
+    def check(m):
+        e, s = link_stat_matrices(m)
+        assert m.probability_matrix().max() <= 1.0
+        assert np.all(s >= 0.0)
+        assert np.array_equal(e, m.links * m.probability_matrix())
+
+    def test_instance_pool(self, instance_pool):
+        for _, _, m in instance_pool:
+            self.check(m)
+
+    def test_karate_models(self, karate):
+        k, kp, _ = observed_instance(karate)
+        self.check(LinkProbabilityModel(k, kp))
+        for mode in ("me2", "me3"):
+            self.check(LinkProbabilityModel(k, greedy_search(k, SearchConfig(mode, seed=0)).kplus))
 
 
 class TestSampling:
