@@ -13,10 +13,11 @@ expected degree of every rank equals ``k[r]`` and the expected number of
 links to higher ranks equals ``kplus[r]``.  The expected link count of a
 pair is ``e = L * p`` with variance ``s = L * p * (1 - p)``.
 
-The recursion has an integer closed form (:func:`weight_rows`): the weights
-are one cumulative product and the entropy a sum of local integer terms, so
-the exact entropy change of every single-unit move of ``kplus`` follows
-from a few prefix sums (:func:`move_gains`).
+The recursion has an integer closed form (:func:`compute_weights`): the
+weights are one cumulative product and the entropy a sum of local integer
+terms (:func:`entropy_fast`), so the exact entropy change of every
+single-unit move of ``kplus`` follows from a few prefix sums
+(:func:`move_gains`).
 
 With ``a[j] = kplus[j] / (prefix[j] * L)`` (0 where ``kplus[j] == 0``) the
 probabilities factorize as ``p(i, j) = residuals[i] * a[j]``, so every
@@ -70,51 +71,20 @@ class WeightSequence:
             arr.flags.writeable = False
 
 
-class WeightRows(NamedTuple):
-    """:func:`weight_rows` of a block: row ``b`` belongs to ``kplus[b]``.
-
-    ``w``, ``residuals`` and ``prefix`` hold one :class:`WeightSequence` per
-    row and ``entropy`` its entropy in nats.  ``singular[b]`` is the 1-based
-    rank at which the recursion breaks down, 0 when it does not; such a
-    row's entropy is NaN, its arrays are meaningless, and :meth:`error` says
-    why.
-    """
-
-    k: np.ndarray
-    kplus: np.ndarray
-    w: np.ndarray
-    residuals: np.ndarray
-    prefix: np.ndarray
-    entropy: np.ndarray
-    singular: np.ndarray
-
-    def error(self, b):
-        """The :class:`SingularWeights` of row ``b``, or None if it has weights."""
-        rank = int(self.singular[b])
-        if rank == 0:
-            return None
-        m, kp = rank - 1, self.kplus[b]
-        last = int(np.count_nonzero(self.k)) - 1
-        if m == last and kp[m] != self.k[m]:
-            return SingularWeights(rank, "last linked rank not saturated")
-        gap = int(self.k[:m].sum()) - 2 * int(kp[:m].sum()) - int(kp[m])
-        if m < last and gap <= 0:
-            # the recursion's denominator prefix[m] - kplus[m] * w[m-1]
-            return SingularWeights(rank, f"denominator {self.w[b, m - 1] * gap:.6g}")
-        return SingularWeights(rank, "weight overflow")
-
-
 def _validated(k, kplus):
-    """``(k, kplus as a 2-D block, L)`` after checking the sequences."""
+    """``(k, kplus, L)`` after checking the sequences."""
     k = np.ascontiguousarray(k, dtype=np.int64)
-    kp = np.atleast_2d(_kplus_values(kplus))
+    kp = _kplus_values(kplus)
     if k.size < 2:
         raise ValueError("need at least two ranked nodes")
-    if kp.shape[1] != k.size:
-        raise ValueError("degree and kplus sequences differ in length")
+    if kp.shape != (k.size,):
+        raise ValueError(
+            "degree and kplus sequences differ in length or shape: need one "
+            f"kplus sequence of {k.size} entries, got shape {kp.shape}"
+        )
     if np.any(np.diff(k) > 0):
         raise ValueError("degrees must be nonincreasing along ranks")
-    if np.any(kp[:, 0] != 0) or np.any(kp < 0) or np.any(kp > k):
+    if kp[0] != 0 or np.any(kp < 0) or np.any(kp > k):
         raise ValueError("kplus must satisfy 0 <= kplus <= k and kplus[0] == 0")
     total = int(k.sum())
     if total % 2 != 0:
@@ -122,7 +92,7 @@ def _validated(k, kplus):
     links = total // 2
     if links < 1:
         raise ValueError("ensemble undefined for an empty network")
-    if np.any(kp.sum(axis=1) != links):
+    if kp.sum() != links:
         raise ValueError("kplus must sum to the link count L")
     return k, kp, links
 
@@ -141,56 +111,53 @@ def _phi_step(x, d):
 
 
 def _rank_terms(k, kp):
-    """The integers ``(c, g, dp)`` of each row: ``c = k - kplus``,
-    ``dp[m] = D[m-1]`` (0 at rank 0) with ``D[m] = sum_{r<=m} (k[r] -
-    2 * kplus[r])``, and ``g = dp - kplus``."""
+    """The integers ``(c, g, dp)``: ``c = k - kplus``, ``dp[m] = D[m-1]``
+    (0 at rank 0) with ``D[m] = sum_{r<=m} (k[r] - 2 * kplus[r])``, and
+    ``g = dp - kplus``."""
     dp = np.zeros_like(kp)
-    np.cumsum(k[:-1] - 2 * kp[:, :-1], axis=1, out=dp[:, 1:])
+    np.cumsum(k[:-1] - 2 * kp[:-1], out=dp[1:])
     return k - kp, dp - kp, dp
 
 
-def weight_rows(k, kplus):
-    """The weight recursion and the entropy of every row of ``kplus`` at once.
+def _weights_and_entropy(k, kplus):
+    """The :class:`WeightSequence` of ``(k, kplus)`` and its entropy in nats
+    (:func:`compute_weights`, :func:`entropy_fast`).
 
-    ``kplus`` is a ``(B, N)`` block of rich-club sequences for the degrees
-    ``k`` (one sequence is a block of one).  From ``w[0] = 1`` the recursion
-    divides by ``prefix[m] - kplus[m] * w[m-1]``; with the integers of
-    :func:`_rank_terms` it has the closed form ``prefix[m + 1] = D[m] *
-    w[m]``, ``w[m] = w[m-1] * D[m-1] / g[m]``: the denominator is positive
-    exactly when ``g[m] > 0``, and the weights are one cumulative product.
-    In ``S = -2 * sum_{i<j} p log p`` the weights then cancel, leaving local
-    terms (``phi(x) = x log x``):
-
-        S = 2 log L - (2 / L) * sum_m [phi(c[m]) + phi(kplus[m]) + phi(g[m]) - phi(D[m-1])]
-
-    Each row is computed alone, so its results are bit-identical in any
-    block.  A row is singular at the first rank with a nonpositive ``g`` or
-    an overflowing weight or prefix sum, or at the last linked rank when not
-    all its links point upward (unsaturated, it would underfill every
-    degree constraint).
+    Raises :class:`SingularWeights` at the first rank where the last linked
+    rank is not saturated (not all its links point upward, which would
+    underfill every degree constraint), ``g`` is nonpositive, or a weight or
+    prefix sum overflows; at one rank the checks count in that order.
     """
     k, kp, links = _validated(k, kplus)
     last = int(np.count_nonzero(k)) - 1  # the ranks past it are inert
-    rows, n = kp.shape
     c, g, dp = _rank_terms(k, kp)
-    w = np.full((rows, n - 1), np.inf)
-    w[:, 0] = 1.0
-    residuals = np.zeros((rows, n - 1))
-    prefix = np.zeros((rows, n))
+    w = np.full(k.size - 1, np.inf)
+    w[0] = 1.0
+    residuals = np.zeros(k.size - 1)
+    prefix = np.zeros(k.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.cumprod(dp[:, 1:last] / g[:, 1:last], axis=1, out=w[:, 1:last])
-        np.multiply(dp[:, 1 : last + 1], w[:, :last], out=prefix[:, 1 : last + 1])
-        prefix[:, last + 1 :] = prefix[:, last : last + 1]
-        np.multiply(w[:, :last], c[:, :last], out=residuals[:, :last])
+        np.cumprod(dp[1:last] / g[1:last], out=w[1:last])
+        np.multiply(dp[1 : last + 1], w[:last], out=prefix[1 : last + 1])
+        prefix[last + 1 :] = prefix[last]
+        np.multiply(w[:last], c[:last], out=residuals[:last])
         terms = _phi(c) + _phi(kp) - _phi_step(g, kp)
-    entropy = 2.0 * np.log(links) - 2.0 / links * terms.sum(axis=1)
-    # column c flags the 0-based rank c + 1
-    fail = ~np.isfinite(prefix[:, 1 : last + 1])
-    fail[:, :-1] |= (g[:, 1:last] <= 0) | ~np.isfinite(w[:, 1:last])
-    fail[:, -1] |= kp[:, last] != k[last]
-    singular = np.where(fail.any(axis=1), fail.argmax(axis=1) + 2, 0)
-    entropy[singular > 0] = np.nan
-    return WeightRows(k, kp, w, residuals, prefix, entropy, singular)
+    found = []  # (rank, reason) of each check that fires, in order of priority
+    if kp[last] != k[last]:
+        found.append((last, "last linked rank not saturated"))
+    denominator = np.flatnonzero(g[1:last] <= 0)
+    if denominator.size:
+        found.append((int(denominator[0]) + 1, "denominator"))
+    # prefix[m] = w[m-1] * D[m-1] = w[m] * g[m] >= w[m] where g[m] >= 1, so
+    # the prefix sums overflow no later than the weights
+    overflow = ~np.isfinite(prefix[1 : last + 1])
+    if overflow.any():
+        found.append((int(overflow.argmax()) + 1, "weight overflow"))
+    if found:
+        m, reason = min(found, key=lambda f: f[0])  # the first of equal ranks
+        if reason == "denominator":  # w[m - 1] is finite: no earlier rank overflowed
+            reason = f"denominator {w[m - 1] * g[m]:.6g}"
+        raise SingularWeights(m + 1, reason)
+    return WeightSequence(w, residuals, prefix), 2.0 * np.log(links) - 2.0 / links * terms.sum()
 
 
 def move_gains(k, kplus, sources):
@@ -203,12 +170,11 @@ def move_gains(k, kplus, sources):
     by ``-2`` or ``+2`` on the ranks between (:func:`_rank_terms`), so a gain
     is a few endpoint terms plus a difference of prefix sums.  NaN where the
     moved sequence leaves ``0 <= kplus <= k`` or ``kplus[0] == 0``, or fails
-    :func:`weight_rows`' integer test; weight overflow is not detected.  A
-    row is the same in any block of sources.
+    the integer test ``g > 0`` of :func:`compute_weights`; weight overflow is
+    not detected.  A row is the same in any block of sources.
     """
     k, kp, links = _validated(k, kplus)
-    (c,), (g,), (dp,) = _rank_terms(k, kp)
-    kp = kp[0]
+    c, g, dp = _rank_terms(k, kp)
     take = _phi_step(c, -1) + _phi_step(kp, 1)  # at the receiving rank i
     give = _phi_step(c, 1) + _phi_step(kp, -1)  # at the giving rank j
     g_down, g_up = _phi_step(g, -1), _phi_step(g, 1)
@@ -231,23 +197,17 @@ def move_gains(k, kplus, sources):
     return np.where(ok, -2.0 / links * np.where(j > i, later, earlier), np.nan)
 
 
-def _feasible_row(k, kplus):
-    """:func:`weight_rows` of one sequence; raises if it has no weights."""
-    rows = weight_rows(k, kplus)
-    error = rows.error(0)
-    if error is not None:
-        raise error
-    return rows
-
-
 def compute_weights(k, kplus):
-    """Run the weight recursion for ``(k, kplus)`` (see :func:`weight_rows`).
+    """Run the weight recursion for ``(k, kplus)``.
 
-    Raises :class:`SingularWeights` with the offending 1-based rank when no
-    ensemble satisfies the constraints.
+    From ``w[0] = 1`` the recursion divides by ``prefix[m] - kplus[m] *
+    w[m-1]``; with the integers of :func:`_rank_terms` it has the closed form
+    ``prefix[m + 1] = D[m] * w[m]``, ``w[m] = w[m-1] * D[m-1] / g[m]``: the
+    denominator is positive exactly when ``g[m] > 0``, and the weights are
+    one cumulative product.  Raises :class:`SingularWeights` with the
+    offending 1-based rank when no ensemble satisfies the constraints.
     """
-    rows = _feasible_row(k, kplus)
-    return WeightSequence(rows.w[0], rows.residuals[0], rows.prefix[0])
+    return _weights_and_entropy(k, kplus)[0]
 
 
 class LinkProbabilityModel:
@@ -335,7 +295,7 @@ class LinkProbabilityModel:
         upper = np.zeros((self.n, self.n))
         # no j > i in the last row, no i < j in column 0 (den 0 there)
         upper[:-1, 1:] = self._pair(r[:-1, None], r[1:])
-        upper = np.triu(upper, 1)
+        upper[np.tri(self.n, dtype=bool)] = 0.0  # the diagonal and below
         return upper + upper.T
 
     def expected_degree(self, i):
@@ -435,11 +395,14 @@ def total_probability(model):
 def entropy_fast(k, kplus):
     """Pair-distribution entropy in nats in O(N).
 
-    The one-row case of :func:`weight_rows`, so the value is bit-identical
-    to any block's row for the same sequence.  Raises
-    :class:`SingularWeights` when the weights do not exist.
+    In ``S = -2 * sum_{i<j} p log p`` the weights of :func:`compute_weights`
+    cancel, leaving local integer terms (``phi(x) = x log x``):
+
+        S = 2 log L - (2 / L) * sum_m [phi(c[m]) + phi(kplus[m]) + phi(g[m]) - phi(D[m-1])]
+
+    Raises :class:`SingularWeights` when the weights do not exist.
     """
-    return float(_feasible_row(k, kplus).entropy[0])
+    return float(_weights_and_entropy(k, kplus)[1])
 
 
 def expected_multiedge_pairs(model):

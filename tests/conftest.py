@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from richnull.baselines import RR1
-from richnull.ensemble import LinkProbabilityModel, compute_weights, weight_rows
+from richnull.ensemble import LinkProbabilityModel, _phi, _phi_step, compute_weights
 from richnull.errors import EdgeListError, SingularWeights
 from richnull.graph import ME2, ME3, Graph, Multigraph, karate_club, kplus_from_graph, rank_nodes
 from richnull.search import kplus_bounds, random_feasible_kplus
@@ -202,7 +202,7 @@ def enumerate_feasible_kplus(k, mode):
 def weights_by_recursion(k, kplus):
     """``(w, residuals, prefix, entropy)`` by the rank-by-rank recursion.
 
-    The reference for ``richnull.ensemble.weight_rows``: starting from
+    The reference for ``richnull.ensemble.compute_weights``: starting from
     ``w[0] = 1`` each linked rank divides by ``prefix[m] - kplus[m] * w[m-1]``
     and adds its residual to the running prefix sum, and the entropy sum
     ``T`` and ``F[j] = sum_{i<j} f log f`` run along on plain floats.  The
@@ -261,26 +261,64 @@ def random_fill_by_loop(rng, bounds, total):
     return kp
 
 
+def weights_of_rows(k, rows):
+    """``(residuals, prefix, entropy)`` of every row of a ``(B, N)`` block of
+    rich-club sequences for the degrees ``k``, vectorized over the block.
+
+    The closed form of ``compute_weights`` and the local-term entropy of
+    ``entropy_fast``, taken along axis 1 for the move oracles, which evaluate
+    more than 10^5 moved sequences: a row with weights gets the library's
+    values bit for bit, a row without (a nonpositive ``g``, an overflowing
+    weight or prefix sum, or an unsaturated last linked rank) NaN entropy.
+    The rows are not validated.
+    """
+    k = np.asarray(k, dtype=np.int64)
+    kp = np.atleast_2d(np.asarray(rows, dtype=np.int64))
+    links = int(k.sum()) // 2
+    last = int(np.count_nonzero(k)) - 1
+    dp = np.zeros_like(kp)
+    np.cumsum(k[:-1] - 2 * kp[:, :-1], axis=1, out=dp[:, 1:])
+    c, g = k - kp, dp - kp
+    w = np.full((kp.shape[0], k.size - 1), np.inf)
+    w[:, 0] = 1.0
+    residuals = np.zeros((kp.shape[0], k.size - 1))
+    prefix = np.zeros(kp.shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.cumprod(dp[:, 1:last] / g[:, 1:last], axis=1, out=w[:, 1:last])
+        np.multiply(dp[:, 1 : last + 1], w[:, :last], out=prefix[:, 1 : last + 1])
+        prefix[:, last + 1 :] = prefix[:, last : last + 1]
+        np.multiply(w[:, :last], c[:, :last], out=residuals[:, :last])
+        terms = _phi(c) + _phi(kp) - _phi_step(g, kp)
+    entropy = 2.0 * np.log(links) - 2.0 / links * terms.sum(axis=1)
+    singular = (kp[:, last] != k[last]) | np.any(g[:, 1:last] <= 0, axis=1)
+    singular |= ~np.all(np.isfinite(w[:, 1:last]), axis=1)
+    singular |= ~np.all(np.isfinite(prefix[:, 1 : last + 1]), axis=1)
+    entropy[singular] = np.nan
+    return residuals, prefix, entropy
+
+
 def entropies_by_factorization(k, rows):
     """Entropy of every row of a ``(B, N)`` block of rich-club sequences,
     summed over the factorization ``p(i, j) = f[i] * r[j]``.
 
-    The reference for the local-term entropy of ``weight_rows`` and
+    The reference for the local-term entropy of ``entropy_fast`` and
     ``move_gains``: with ``f[i] = residuals[i] / L`` and ``r[j] = kplus[j] /
-    prefix[j]`` from ``weight_rows``' weights, ``S = -2 * sum_j (r[j] * F[j] +
+    prefix[j]`` from :func:`weights_of_rows`, ``S = -2 * sum_j (r[j] * F[j] +
     kplus[j] * log(r[j]) / L)`` where ``F[j] = sum_{i<j} f log f``.  NaN for
     a row without weights.
     """
-    wr = weight_rows(k, rows)
-    links = int(wr.k.sum()) // 2
-    last = int(np.count_nonzero(wr.k)) - 1
+    k = np.asarray(k, dtype=np.int64)
+    kp = np.atleast_2d(np.asarray(rows, dtype=np.int64))
+    residuals, prefix, local = weights_of_rows(k, kp)
+    links = int(k.sum()) // 2
+    last = int(np.count_nonzero(k)) - 1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        f = wr.residuals[:, :last] / links
+        f = residuals[:, :last] / links
         f_log_f = np.cumsum(f * np.log(np.where(f > 0.0, f, 1.0)), axis=1)
-        kp_up = wr.kplus[:, 1 : last + 1]
-        r = kp_up / wr.prefix[:, 1 : last + 1]
+        kp_up = kp[:, 1 : last + 1]
+        r = kp_up / prefix[:, 1 : last + 1]
         terms = r * f_log_f + kp_up * np.log(np.where(kp_up > 0, r, 1.0)) / links
-    return np.where(wr.singular > 0, np.nan, -2.0 * terms.sum(axis=1))
+    return np.where(np.isnan(local), np.nan, -2.0 * terms.sum(axis=1))
 
 
 def brute_force_best_split(m):

@@ -315,6 +315,17 @@ class TestExitCodes:
         assert "the top 3 rank(s) share no link with the ranks below 4" in err
         assert "1 connected component(s), of sizes 5" in err
 
+    def test_weight_overflow_is_infeasible(self, tmp_path, capsys):
+        # a 1,100-node ring: every weight doubles the one before, 2**1024
+        # overflows
+        n = 1100
+        ring = write_edges(tmp_path / "ring.edges", [(i, (i + 1) % n) for i in range(n)])
+        rc = main(["ensemble", "--input", ring, "--model", "me1", "--out", str(tmp_path / "out")])
+        assert rc == EXIT_INFEASIBLE
+        assert capsys.readouterr().err == (
+            "richnull: infeasible: weight recursion singular at rank m=1025 (weight overflow)\n"
+        )
+
     def test_disconnected_input_can_still_fit(self, tmp_path):
         # a star plus a disjoint triangle closes no block of top ranks
         f = write_edges(

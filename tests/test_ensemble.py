@@ -14,6 +14,7 @@ from conftest import (
     row_sums_by_rows,
     total_probability_by_rows,
     verify_soft_constraints_by_rows,
+    weights_of_rows,
 )
 from richnull.ensemble import (
     LinkProbabilityModel,
@@ -27,7 +28,6 @@ from richnull.ensemble import (
     sample_pairs,
     total_probability,
     verify_soft_constraints,
-    weight_rows,
 )
 from richnull.errors import InfeasibleConstraints, SingularWeights
 from richnull.graph import Graph, KPlusSequence
@@ -120,6 +120,18 @@ class TestWeights:
     def test_input_validation(self, k, kp, match):
         with pytest.raises(ValueError, match=match):
             compute_weights(k, kp)
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [compute_weights, entropy_fast, lambda k, kp: move_gains(k, kp, [1])],
+        ids=["compute_weights", "entropy_fast", "move_gains"],
+    )
+    def test_block_of_sequences_rejected(self, evaluate):
+        # the first row has weights and the second none: evaluating the
+        # first alone would hide the second
+        match = r"one kplus sequence of 3 entries, got shape \(2, 3\)"
+        with pytest.raises(ValueError, match=match):
+            evaluate([2, 2, 2], [[0, 1, 2], [0, 2, 1]])
 
 
 class TestProbabilities:
@@ -385,66 +397,52 @@ class TestWeightRows:
                         ).values
                     except InfeasibleConstraints:
                         continue
-                    rows = weight_rows(kt, kp)
                     naive = entropy_naive(LinkProbabilityModel(kt, kp))
-                    assert rows.entropy[0] == pytest.approx(naive, rel=1e-12)
-                    assert rows.entropy[0] == entropy_fast(kt, kp)
-                    assert rows.singular[0] == 0 and rows.error(0) is None
+                    assert entropy_fast(kt, kp) == pytest.approx(naive, rel=1e-12)
                     tested += 1
         assert tested >= 30
 
     def test_rejection_cases(self):
-        rows = weight_rows([2, 2, 2], [[0, 1, 2], [0, 2, 1]])
-        assert rows.singular.tolist() == [0, 2]
-        assert rows.entropy[0] == entropy_fast([2, 2, 2], [0, 1, 2])
-        assert math.isnan(rows.entropy[1])
-        assert str(rows.error(1)) == "weight recursion singular at rank m=2 (denominator 0)"
-        rows = weight_rows([4, 4, 4, 4, 4], [[0, 1, 2, 4, 3]])
-        assert rows.singular.tolist() == [5]
-        assert rows.error(0).detail == "last linked rank not saturated"
+        for evaluate in (compute_weights, entropy_fast):
+            with pytest.raises(SingularWeights) as err:
+                evaluate([2, 2, 2], [0, 2, 1])
+            assert str(err.value) == "weight recursion singular at rank m=2 (denominator 0)"
+            with pytest.raises(SingularWeights) as err:
+                evaluate([4, 4, 4, 4, 4], [0, 1, 2, 4, 3])
+            assert (err.value.m, err.value.detail) == (5, "last linked rank not saturated")
+            # g = -1 at rank 3 comes before the unsaturated last rank 4
+            with pytest.raises(SingularWeights) as err:
+                evaluate([3, 3, 3, 3], [0, 2, 3, 1])
+            assert (err.value.m, err.value.detail) == (3, "denominator -3")
         # a ring ranked in order doubles its weight at every rank: 2**1024
         # overflows, and the error names that rank (the loop's intermediate
         # w * prefix overflows earlier, at 2**(2m+1))
         n = 1100
         ring = [0] + [1] * (n - 2) + [2]
-        rows = weight_rows([2] * n, [ring])
-        assert (rows.error(0).m, rows.error(0).detail) == (1025, "weight overflow")
-        with pytest.raises(SingularWeights, match="overflow") as err:
-            compute_weights([2] * n, ring)
-        assert err.value.m == 1025
+        for evaluate in (compute_weights, entropy_fast):
+            with pytest.raises(SingularWeights) as err:
+                evaluate([2] * n, ring)
+            assert (err.value.m, err.value.detail) == (1025, "weight overflow")
         with pytest.raises(SingularWeights, match="overflow") as err:
             weights_by_recursion([2] * n, ring)
         assert err.value.m == 514
 
-    def test_each_row_equals_its_one_row_evaluation(self, move_blocks):
-        for k, rows in move_blocks:
-            block = weight_rows(k, rows)
-            for b, row in enumerate(rows):
-                one = weight_rows(k, row)
-                assert block.singular[b] == one.singular[0]
-                if one.singular[0]:
-                    continue
-                for got, want in zip(block[2:6], one[2:6]):
-                    assert np.array_equal(got[b], want[0])
-
     def test_rejections_agree_with_compute_weights(self, move_blocks):
-        # rows of a block are rejected exactly when compute_weights raises,
-        # with the same rank and message, and otherwise carry entropy_fast's
-        # value bit for bit
+        # the move oracles' block evaluation rejects a row exactly when
+        # compute_weights raises, and otherwise carries entropy_fast's value
+        # bit for bit
         seen = {"ok": 0, "denominator": 0, "not saturated": 0}
         for k, rows in move_blocks:
-            block = weight_rows(k, rows)
+            block = weights_of_rows(k, rows)[2]
             for b, row in enumerate(rows):
                 try:
                     compute_weights(k, row)
                 except SingularWeights as exc:
-                    got = block.error(b)
-                    assert (got.m, str(got)) == (exc.m, str(exc))
+                    assert np.isnan(block[b])
                     saturated = "saturated" in str(exc)
                     seen["not saturated" if saturated else "denominator"] += 1
                     continue
-                assert block.error(b) is None
-                assert block.entropy[b] == entropy_fast(k, row)
+                assert block[b] == entropy_fast(k, row)
                 seen["ok"] += 1
         assert min(seen.values()) > 0, seen
 
@@ -499,7 +497,7 @@ class TestMoveGains:
         for b, i in enumerate(sources):
             j, rows = moved_rows(kp, i)
             in_bounds = (rows[:, 0] == 0) & (rows >= 0).all(axis=1) & (rows <= k).all(axis=1)
-            # NaN where weight_rows finds the moved row singular, which on
+            # NaN where the moved row has no weights, which on
             # these instances is never by overflow
             want = np.full(j.size, np.nan)
             if in_bounds.any():

@@ -8,8 +8,9 @@ from conftest import (
     observed_instance,
     random_fill_by_loop,
     random_simple_graph,
+    weights_of_rows,
 )
-from richnull.ensemble import entropy_fast, move_gains, weight_rows
+from richnull.ensemble import entropy_fast, move_gains
 from richnull.errors import InfeasibleConstraints, SingularWeights
 from richnull.search import (
     _TOLERANCE,
@@ -26,8 +27,8 @@ from richnull.search import (
 def best_move_by_sweep(k, kp, mode, direction):
     """The largest entropy change in ``direction`` over every single-unit
     move within the ``mode`` bounds whose weights exist, by evaluating each
-    moved sequence in full (``weight_rows`` gives ``entropy_fast``'s value
-    bit for bit); -inf when there is no such move."""
+    moved sequence in full (``weights_of_rows`` gives ``entropy_fast``'s
+    value bit for bit); -inf when there is no such move."""
     k, kp = np.asarray(k), np.asarray(kp)
     sign = 1.0 if direction == MAXIMIZE else -1.0
     bounds = kplus_bounds(k, mode)
@@ -38,7 +39,7 @@ def best_move_by_sweep(k, kp, mode, direction):
         rows = np.repeat(kp[None, :], j.size, axis=0)
         rows[:, i] += 1
         rows[np.arange(j.size), j] -= 1
-        s = weight_rows(k, rows).entropy
+        s = weights_of_rows(k, rows)[2]
         s = s[~np.isnan(s)]
         if s.size:
             best = max(best, float(np.max(sign * (s - s0))))
@@ -294,7 +295,8 @@ class TestGreedySearch:
         moved = start.copy()
         moved[b] += 1
         moved[j] -= 1
-        assert weight_rows(k, moved).error(0).detail == "weight overflow"
+        with pytest.raises(SingularWeights, match="weight overflow"):
+            entropy_fast(k, moved)
         r = greedy_search(k, SearchConfig("me3", direction=MINIMIZE), initial=start)
         assert r.trace[0] == entropy_fast(k, start)
         assert r.trace[1] - r.trace[0] > gains[b, j]
