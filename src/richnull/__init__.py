@@ -26,7 +26,7 @@ _EXPORTS = {
     " RichNullError SingularWeights",
     "graph": "MAXIMIZE MINIMIZE ME1 ME2 ME3 NG RANKED Graph KPlusSequence Multigraph Ranking"
     " cutoff_degree karate_club kplus_from_graph load_edge_list rank_nodes rich_club_coefficient",
-    "search": "SearchConfig SearchResult greedy_search kplus_bounds random_feasible_kplus",
+    "search": "kplus_bounds optimal_kplus",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -33,7 +33,10 @@ from .errors import (
     PowerIterationError,
     SingularWeights,
 )
-from .graph import MAXIMIZE, MINIMIZE, NG, RANKED, cutoff_degree, load_edge_list, rank_nodes
+from .graph import (
+    MAXIMIZE, ME1, MINIMIZE, NG, RANKED, cutoff_degree, kplus_from_graph, load_edge_list,
+    rank_nodes,
+)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -173,7 +176,7 @@ def cmd_ensemble(args):
     from .search import build_ensemble
 
     ranking = rank_nodes(g)
-    model, search = build_ensemble(g, args.model, ranking, args.direction, args.seed)
+    model = build_ensemble(g, args.model, ranking, args.direction)
     residuals = verify_soft_constraints(model)
     _write_csv(
         args,
@@ -205,14 +208,17 @@ def cmd_ensemble(args):
         "cutoff_degree": cutoff_degree(g),
         "multi_link_pairs": len(expected_multiedge_pairs(model)),
     }
-    if search is not None:
+    if args.model != ME1:
+        # the observed sequence lies within the me2 and me3 bounds, so a
+        # maximum is never below it and a minimum never above
+        try:
+            observed = entropy_fast(model.k, kplus_from_graph(g, ranking).values)
+        except SingularWeights:
+            observed = None
         summary["search"] = {
             "direction": args.direction,
-            "proposals_used": search.proposals_used,
-            "accepted_moves": search.accepted_count,
-            "stop_reason": search.stop_reason,
-            "entropy_initial": search.trace[0],
-            "entropy_final": search.entropy,
+            "entropy_initial": observed,
+            "entropy_final": summary["entropy"],
         }
     _write_json(args, out, "summary.json", summary)
     return EXIT_OK
@@ -233,7 +239,7 @@ def cmd_diagnose(args):
 
     g = _load_graph(args)
     out = _out_dir(args)
-    model, _ = build_ensemble(g, args.model, rank_nodes(g), args.direction, args.seed)
+    model = build_ensemble(g, args.model, rank_nodes(g), args.direction)
 
     data_curve = knn_data(g)
     model_curve = knn_ensemble(model)
@@ -266,9 +272,7 @@ def cmd_communities(args):
 
     g = _load_graph(args)
     out = _out_dir(args)
-    matrix = build_modularity_matrix(
-        g, args.model, rank_nodes(g), args.model2, args.direction, args.seed
-    )
+    matrix = build_modularity_matrix(g, args.model, rank_nodes(g), args.model2, args.direction)
     dendrogram, partition = recursive_partition(matrix, strict=args.strict_splits)
 
     columns = (_names(g), _ints(partition.assignment))
@@ -359,7 +363,7 @@ def _checked(convert, ok, rule):
     return parse
 
 
-def _add_common(sp, models, with_model2=False):
+def _add_common(sp, models, with_model2=False, with_seed=True):
     sp.add_argument("--input", required=True, help="edge-list file (u v per line)")
     sp.add_argument(
         "--string-ids",
@@ -374,7 +378,10 @@ def _add_common(sp, models, with_model2=False):
             default=None,
             help="second ensemble; switches to the soft contrast matrix",
         )
-    sp.add_argument("--seed", type=_checked(int, lambda v: v >= 0, "an integer >= 0"))
+    if with_seed:
+        sp.add_argument("--seed", type=_checked(int, lambda v: v >= 0, "an integer >= 0"))
+    else:
+        sp.set_defaults(seed=None)  # still stamped on every output
     sp.add_argument("--direction", choices=(MAXIMIZE, MINIMIZE), default=MAXIMIZE)
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--format", choices=("csv", "json", "both"), default="both")
@@ -394,11 +401,11 @@ def build_parser():
     sp.set_defaults(func=cmd_ensemble)
 
     sp = sub.add_parser("diagnose", help="correlation and homogeneity curves")
-    _add_common(sp, RANKED)
+    _add_common(sp, RANKED, with_seed=False)
     sp.set_defaults(func=cmd_diagnose)
 
     sp = sub.add_parser("communities", help="recursive spectral partition")
-    _add_common(sp, RANKED + (NG,), with_model2=True)
+    _add_common(sp, RANKED + (NG,), with_model2=True, with_seed=False)
     sp.add_argument("--strict-splits", action="store_true")
     sp.add_argument("--dump-matrix", action="store_true")
     sp.set_defaults(func=cmd_communities)

@@ -257,14 +257,13 @@ def soft_modularity_matrix(model1, model2, ranking1=None, ranking2=None):
     return ModularityMatrix(m, SOFT)
 
 
-def build_modularity_matrix(g, null, ranking, null2=None, direction=MAXIMIZE, seed=None):
+def build_modularity_matrix(g, null, ranking, null2=None, direction=MAXIMIZE):
     """The modularity matrix of ``g`` against the null model named ``null``.
 
     ``ng`` is the degree-product null.  A ranked name (me1-me3) builds that
     ensemble on ``ranking``; with ``null2`` also ranked, both ensembles are
     built on it and contrasted by :func:`soft_modularity_matrix`.
-    ``direction`` and ``seed`` drive the me2/me3 searches, and both get the
-    same ``seed``: an int starts each from that seed, a generator is shared.
+    ``direction`` picks the me2/me3 entropy optima.
     """
     if null2 is not None and not {null, null2} <= set(RANKED):
         raise ValueError("soft contrast needs ranked ensembles on both sides")
@@ -274,10 +273,10 @@ def build_modularity_matrix(g, null, ranking, null2=None, direction=MAXIMIZE, se
         return standard_modularity_matrix(g, newman_girvan(g))
     from .search import build_ensemble  # the degree-product null needs no search
 
-    model, _ = build_ensemble(g, null, ranking, direction, seed)
+    model = build_ensemble(g, null, ranking, direction)
     if null2 is None:
         return standard_modularity_matrix(g, model, ranking=ranking)
-    model2, _ = build_ensemble(g, null2, ranking, direction, seed)
+    model2 = build_ensemble(g, null2, ranking, direction)
     return soft_modularity_matrix(model, model2, ranking, ranking)
 
 

@@ -70,9 +70,8 @@ class RunSet:
 
 def run_pipeline(g, recipe, seed=None):
     """One full run: random tie-broken ranking through to a partition."""
-    rng = np.random.default_rng(seed)
-    ranking = rank_nodes(g, policy="random", seed=rng)
-    matrix = build_modularity_matrix(g, recipe.null, ranking, recipe.null2, recipe.direction, rng)
+    ranking = rank_nodes(g, policy="random", seed=seed)
+    matrix = build_modularity_matrix(g, recipe.null, ranking, recipe.null2, recipe.direction)
     _, partition = recursive_partition(matrix, strict=recipe.strict_splits)
     return partition
 

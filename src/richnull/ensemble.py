@@ -15,9 +15,7 @@ pair is ``e = L * p`` with variance ``s = L * p * (1 - p)``.
 
 The recursion has an integer closed form (:func:`compute_weights`): the
 weights are one cumulative product and the entropy a sum of local integer
-terms (:func:`entropy_fast`), so the exact entropy change of every
-single-unit move of ``kplus`` follows from a few prefix sums
-(:func:`move_gains`).
+terms (:func:`entropy_fast`).
 
 With ``a[j] = kplus[j] / (prefix[j] * L)`` (0 where ``kplus[j] == 0``) the
 probabilities factorize as ``p(i, j) = residuals[i] * a[j]``, so every
@@ -158,43 +156,6 @@ def _weights_and_entropy(k, kplus):
             reason = f"denominator {w[m - 1] * g[m]:.6g}"
         raise SingularWeights(m + 1, reason)
     return WeightSequence(w, residuals, prefix), 2.0 * np.log(links) - 2.0 / links * terms.sum()
-
-
-def move_gains(k, kplus, sources):
-    """Exact entropy change of every single-unit move from one sequence.
-
-    Entry ``[b, j]`` is ``S(moved) - S(kplus)`` for the move of one upward
-    link from rank ``j`` to rank ``i = sources[b]``; ``kplus`` must have
-    weights.  The move changes ``c`` and ``kplus`` at its ends, ``g`` by
-    ``-1`` (``i < j``) or ``+1`` (``j < i``) there, and ``D[m-1]`` and ``g``
-    by ``-2`` or ``+2`` on the ranks between (:func:`_rank_terms`), so a gain
-    is a few endpoint terms plus a difference of prefix sums.  NaN where the
-    moved sequence leaves ``0 <= kplus <= k`` or ``kplus[0] == 0``, or fails
-    the integer test ``g > 0`` of :func:`compute_weights`; weight overflow is
-    not detected.  A row is the same in any block of sources.
-    """
-    k, kp, links = _validated(k, kplus)
-    c, g, dp = _rank_terms(k, kp)
-    take = _phi_step(c, -1) + _phi_step(kp, 1)  # at the receiving rank i
-    give = _phi_step(c, 1) + _phi_step(kp, -1)  # at the giving rank j
-    g_down, g_up = _phi_step(g, -1), _phi_step(g, 1)
-    dp_down, dp_up = _phi_step(dp, -2), _phi_step(dp, 2)
-    # sums over the ranks before m; a rank with g < 3 (NaN at g = 1, set to
-    # 0) is never read, as between the ends it leaves the move singular
-    down = np.append(0.0, np.cumsum(np.nan_to_num(_phi_step(g, -2) - dp_down)))
-    up = np.append(0.0, np.cumsum(_phi_step(g, 2) - dp_up))
-    i = np.asarray(sources, dtype=np.int64)[:, None]
-    j = np.arange(k.size)
-    with np.errstate(invalid="ignore"):
-        later = (take + g_down - down[1:])[i] + (give + g_down - dp_down + down[:-1])
-        earlier = (take + g_up - dp_up + up[:-1])[i] + (give + g_up - up[1:])
-    # j > i keeps weights up to the first rank after i with g <= 2, and there
-    # only if that g is 2; j < i raises every g it touches
-    low = np.append(np.flatnonzero(g <= 2), k.size)
-    reach = low[np.searchsorted(low, i, side="right")]
-    ok = np.where(j > i, (g[i] >= 2) & (j <= reach) & (g >= 2), j < i)
-    ok &= (c[i] > 0) & (kp >= 1)
-    return np.where(ok, -2.0 / links * np.where(j > i, later, earlier), np.nan)
 
 
 def compute_weights(k, kplus):

@@ -1,31 +1,28 @@
 """Exact entropy optimization of the rich-club sequence.
 
-Where the rich-club sequence is free, it is optimized by single-unit moves
-of one upward link between ranks, within the mode bounds: ``me2`` caps each
-rank at ``min(k[r], r)`` so that on average at most one link joins any
-pair, ``me3`` caps at ``k[r]`` and permits expected multi-links (never
-self-loops).  :func:`~richnull.ensemble.move_gains` gives the exact gain of
-every move, so the search stops only where no move gains more than the
-tolerance: the result is certified locally optimal.
+Where the rich-club sequence is free, it is chosen within the mode bounds:
+``me2`` caps each rank at ``min(k[r], r)`` so that on average at most one
+link joins any pair, ``me3`` caps at ``k[r]`` and permits expected
+multi-links (never self-loops).
+
+With ``c = k - kplus``, ``D[m] = sum_{r<=m} (k[r] - 2 * kplus[r])`` and
+``g[m] = D[m-1] - kplus[m]``, the entropy of :func:`~richnull.ensemble.entropy_fast`
+is a sum of local terms ``phi(c[m]) + phi(kplus[m]) + phi(g[m]) -
+phi(D[m-1])``, and every weight check but overflow is local too.  So the
+optimum in either direction is a shortest path over the states
+``(m, D[m-1])`` (Bellman, *Dynamic Programming*, 1957), which
+:func:`optimal_kplus` finds exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .ensemble import LinkProbabilityModel, compute_weights, entropy_fast, move_gains
+from .ensemble import LinkProbabilityModel, _phi, compute_weights
 from .errors import InfeasibleConstraints, SingularWeights
 from .graph import (
     MAXIMIZE, ME1, ME2, ME3, MINIMIZE, KPlusSequence, component_labels, kplus_from_graph,
 )
-
-CERTIFIED = "certified"
-
-_SOURCES = 64  # receiving ranks whose moves are evaluated together
-_TOLERANCE = 1e-10  # smallest gain taken, relative to max(1, |S|)
-_MAX_RESAMPLES = 200  # random fills tried before the greedy realization
 
 
 def kplus_bounds(k, mode):
@@ -40,109 +37,43 @@ def kplus_bounds(k, mode):
     raise ValueError(f"unknown search mode {mode!r}")
 
 
-@dataclass
-class SearchConfig:
-    """One search: mode bounds, direction and the seed of the random start."""
-
-    mode: str
-    direction: str = MAXIMIZE
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.mode not in (ME2, ME3):
-            raise ValueError(f"search mode must be me2 or me3, got {self.mode!r}")
-        if self.direction not in (MAXIMIZE, MINIMIZE):
-            raise ValueError(f"unknown direction {self.direction!r}")
-
-
-@dataclass
-class SearchResult:
-    """Outcome of a search.
-
-    ``trace`` holds the starting entropy and the entropy after each accepted
-    move, strictly monotone in the configured direction.  ``proposals_used``
-    counts the feasible moves whose gain was computed.  ``stop_reason`` is
-    ``"certified"``: the last pass found no move with weights that gains
-    more than the tolerance.
-    """
-
-    kplus: KPlusSequence
-    entropy: float
-    trace: list = field(repr=False)
-    proposals_used: int = 0
-    accepted_count: int = 0
-    stop_reason: str = CERTIFIED
-
-
 def _validate_degrees(k):
     k = np.ascontiguousarray(k, dtype=np.int64)
     if k.size < 2 or np.any(np.diff(k) > 0) or np.any(k < 0):
         raise ValueError("need a nonincreasing, nonnegative degree sequence")
     if int(k.sum()) % 2 != 0:
         raise ValueError("degree sum must be even")
+    if k[0] == 0:
+        raise ValueError("ensemble undefined for an empty network")
     return k
 
 
-def _random_fill(rng, bounds, total):
-    """Spread ``total`` units uniformly one at a time over open ranks.
+def optimal_kplus(k, mode, direction=MAXIMIZE):
+    """The rich-club sequence of extreme entropy within the ``mode`` bounds.
 
-    Open ranks stay listed in rank order until they reach their bound.
+    A dynamic program runs rank by rank over a cost row indexed by
+    ``D[m-1]``: the best sum of local terms of the ranks before ``m``
+    (negated to minimize the entropy).  ``D[m-1]`` has the parity of
+    ``sum(k[:m])`` and lies in ``[0, min(sum(k[:m]), sum(k[m:]))]``, so a
+    row holds every other integer of that range.  Each choice of
+    ``kplus[m]`` moves the row by a fixed shift and is one slice update,
+    with ``phi`` read from a table of the integers up to L.  The checks are
+    the mode bounds, ``kplus[0] = 0``, ``g > 0`` strictly between rank 0 and
+    the last linked rank, a saturated last linked rank, and ``D = 0`` after
+    it (the sequence sums to L).  Ties: among bit-equal running costs at a
+    state, the smallest ``kplus[m]`` is kept.  One row of choices per rank,
+    in the smallest unsigned type that holds the largest bound, leads back
+    from the end.
+
+    Weight overflow is the one check that is not local; the result goes
+    through :func:`compute_weights`, which raises :class:`SingularWeights`
+    where it overflows.  Raises :class:`InfeasibleConstraints` when no
+    sequence within the bounds has weights.
     """
-    kp = np.zeros(bounds.size, dtype=np.int64)
-    open_ranks = np.flatnonzero(bounds > 0).tolist()
-    for _ in range(total):
-        slot = int(rng.integers(len(open_ranks)))
-        r = open_ranks[slot]
-        kp[r] += 1
-        if kp[r] == bounds[r]:
-            del open_ranks[slot]
-    return kp
-
-
-def _simple_realization_kplus(k):
-    """Observed rich-club sequence of a greedy simple realization of ``k``.
-
-    Repeatedly satisfies the largest remaining degree by connecting it to
-    the next-largest ones.  Returns None when ``k`` has no simple
-    realization.
-    """
-    remaining = k.astype(np.int64).copy()
-    kp = np.zeros(k.size, dtype=np.int64)
-    while remaining.max() > 0:
-        a = int(np.argmax(remaining))
-        need, remaining[a] = int(remaining[a]), -1  # exclude self while picking
-        partners = np.argsort(-remaining, kind="stable")[:need]
-        if partners.size < need or remaining[partners[-1]] <= 0:
-            return None
-        remaining[a] = 0
-        remaining[partners] -= 1
-        np.add.at(kp, np.maximum(a, partners), 1)
-    return kp
-
-
-def _multigraph_realization_kplus(k):
-    """Observed sequence of a greedy loopless multigraph realization."""
-    remaining = k.astype(np.int64).copy()
-    kp = np.zeros(k.size, dtype=np.int64)
-    while True:
-        order = np.argsort(-remaining, kind="stable")
-        a, b = int(order[0]), int(order[1])
-        if remaining[a] == 0:
-            return kp
-        if remaining[b] == 0:
-            return None  # leftover stubs would force a self-loop
-        remaining[a] -= 1
-        remaining[b] -= 1
-        kp[max(a, b)] += 1
-
-
-def random_feasible_kplus(k, mode, seed=None):
-    """Random rich-club sequence within the mode bounds and weight-feasible.
-
-    Draws are resampled while the weight recursion rejects them; if
-    :data:`_MAX_RESAMPLES` draws fail, falls back to the observed sequence
-    of a greedy degree-sequence realization, feasible whenever one exists.
-    """
+    if mode not in (ME2, ME3):
+        raise ValueError(f"search mode must be me2 or me3, got {mode!r}")
+    if direction not in (MAXIMIZE, MINIMIZE):
+        raise ValueError(f"unknown direction {direction!r}")
     k = _validate_degrees(k)
     bounds = kplus_bounds(k, mode)
     links = int(k.sum()) // 2
@@ -150,105 +81,65 @@ def random_feasible_kplus(k, mode, seed=None):
         raise InfeasibleConstraints(
             f"bounds admit at most {int(bounds.sum())} upward links, need {links}"
         )
-    rng = np.random.default_rng(seed)
-    if int(bounds.sum()) == links:
-        try:
-            compute_weights(k, bounds)
-        except SingularWeights as exc:
-            raise InfeasibleConstraints(
-                f"the only sequence within bounds is not weight-feasible: {exc}"
-            ) from exc
-        return KPlusSequence(bounds, mode)  # unique feasible point
-    for _ in range(_MAX_RESAMPLES):
-        kp = _random_fill(rng, bounds, links)
-        try:
-            compute_weights(k, kp)
-        except SingularWeights:
-            continue
-        return KPlusSequence(kp, mode)
-    repaired = (
-        _simple_realization_kplus(k)
-        if mode == ME2
-        else _multigraph_realization_kplus(k)
-    )
-    if repaired is None:
-        raise InfeasibleConstraints(
-            "no random draw was weight-feasible and the degree sequence has "
-            "no greedy realization"
-        )
-    compute_weights(k, repaired)  # propagate SingularWeights if even this fails
-    return KPlusSequence(repaired, mode)
+    last = int(np.count_nonzero(k)) - 1
+    before = np.concatenate(([0], np.cumsum(k)))  # before[m] = sum(k[:m])
+    parity = before & 1
+    size = (np.minimum(before, 2 * links - before) - parity) // 2 + 1  # row entries
+    # the entropy falls as the sum of terms rises: minimize the signed sum
+    sign = 1.0 if direction == MAXIMIZE else -1.0
+    phi = sign * _phi(np.arange(links + 1, dtype=np.float64))
+    cost = np.full(size[1], np.inf)
+    cost[(k[0] - parity[1]) // 2] = 0.0  # D[0] = k[0]
+    choices = []  # per rank, the kplus[m] taken into each state of D[m]
+    dtype = np.min_scalar_type(int(bounds.max()))
+    for m in range(1, last):
+        p, km = int(parity[m]), int(k[m])
+        shift = (p + km - int(parity[m + 1])) // 2  # index of D[m] is i + shift - kplus
+        adj = cost - phi[p : p + 2 * cost.size : 2]  # cost - phi(D[m-1])
+        new = np.full(size[m + 1], np.inf)
+        choice = np.zeros(new.size, dtype=dtype)
+        cand = np.empty(cost.size)
+        better = np.empty(cost.size, dtype=bool)
+        for x in range(int(bounds[m]) + 1):
+            lo = (x + 2 - p) // 2  # g = D[m-1] - x > 0, so D[m] = g + c > 0
+            hi = min(cost.size, new.size - shift + x)
+            if lo >= hi:
+                continue
+            n = hi - lo
+            at = p - x + 2 * lo  # g at index lo
+            total, wins = cand[:n], better[:n]
+            np.add(adj[lo:hi], phi[at : at + 2 * n : 2], out=total)
+            total += phi[km - x] + phi[x]
+            dst = slice(lo + shift - x, hi + shift - x)
+            np.less(total, new[dst], out=wins)  # strict: ties keep the smaller x
+            np.copyto(new[dst], total, where=wins)
+            np.copyto(choice[dst], x, where=wins)
+        cost = new
+        choices.append(choice)
+    d = int(k[last])  # the last linked rank takes D[last-1] = k[last] upward
+    if d > bounds[last] or not np.isfinite(cost[(d - parity[last]) // 2]):
+        raise InfeasibleConstraints(f"no rich-club sequence within the {mode} bounds has weights")
+    kp = np.zeros(k.size, dtype=np.int64)
+    kp[last] = d
+    for m in range(last - 1, 0, -1):  # d is D[m]
+        kp[m] = choices[m - 1][(d - parity[m + 1]) // 2]
+        d += 2 * int(kp[m]) - int(k[m])
+    compute_weights(k, kp)  # raises SingularWeights where the weights overflow
+    return KPlusSequence(kp, mode).validate_against(k)
 
 
-def greedy_search(k, config, initial=None):
-    """Optimize the rich-club sequence by exact single-unit moves.
+def build_ensemble(g, tag, ranking, direction=MAXIMIZE):
+    """The ``tag`` ensemble on ``ranking``.
 
-    Starts from ``initial`` or from :func:`random_feasible_kplus` seeded by
-    ``config.seed``.  Receiving ranks go in blocks of :data:`_SOURCES`, and
-    in each the best move in ``config.direction`` is taken while it gains
-    more than ``_TOLERANCE * max(1, |S|)``.  :func:`entropy_fast` confirms a
-    taken move; one whose weights overflow or whose entropy does not improve
-    is set aside for the rest of the block.  The search stops after a full
-    pass that takes no move.
-    """
-    k = _validate_degrees(k)
-    bounds = kplus_bounds(k, config.mode)
-    if initial is not None:
-        kp = np.array(getattr(initial, "values", initial), dtype=np.int64)
-        if np.any(kp > bounds):
-            raise InfeasibleConstraints("initial kplus violates the mode bounds")
-    else:
-        kp = random_feasible_kplus(k, config.mode, config.seed).values
-    entropy = entropy_fast(k, kp)
-    trace = [entropy]
-    sign = 1.0 if config.direction == MAXIMIZE else -1.0
-    proposals = 0
-    moved = True
-    while moved:
-        moved = False
-        for start in range(0, k.size, _SOURCES):
-            sources = np.arange(start, min(start + _SOURCES, k.size))
-            rejected = np.zeros((sources.size, k.size), dtype=bool)
-            gains = None
-            while True:
-                if gains is None:
-                    gains = sign * move_gains(k, kp, sources)
-                    gains[kp[sources] >= bounds[sources]] = np.nan
-                    proposals += int(np.count_nonzero(~np.isnan(gains)))
-                    gains[np.isnan(gains) | rejected] = -np.inf
-                b, j = divmod(int(np.argmax(gains)), k.size)
-                if not gains[b, j] > _TOLERANCE * max(1.0, abs(entropy)):
-                    break
-                row = kp.copy()
-                row[[sources[b], j]] += [1, -1]
-                try:
-                    candidate = entropy_fast(k, row)
-                except SingularWeights:
-                    candidate = entropy  # overflow, which move_gains cannot see
-                if sign * (candidate - entropy) > 0.0:
-                    kp, entropy, gains, moved = row, candidate, None, True
-                    trace.append(entropy)
-                else:
-                    gains[b, j] = -np.inf
-                    rejected[b, j] = True
-
-    result = KPlusSequence(kp, config.mode).validate_against(k)
-    return SearchResult(result, entropy, trace, proposals, len(trace) - 1)
-
-
-def build_ensemble(g, tag, ranking, direction=MAXIMIZE, seed=None):
-    """The ``tag`` ensemble on ``ranking`` and its search result (me1: None).
-
-    ``direction`` and ``seed`` drive the me2/me3 search; ``seed`` is an int,
-    or a generator to share.  An me1 recursion that breaks on a zero
-    denominator names the input's connected components in its message.
+    ``direction`` picks the me2/me3 entropy optimum.  An me1 recursion that
+    breaks on a zero denominator names the input's connected components in
+    its message.
     """
     k = g.degrees[ranking.order]
     if tag != ME1:
-        search = greedy_search(k, SearchConfig(tag, direction, seed))
-        return LinkProbabilityModel(k, search.kplus.values, tag=tag), search
+        return LinkProbabilityModel(k, optimal_kplus(k, tag, direction), tag=tag)
     try:
-        return LinkProbabilityModel(k, kplus_from_graph(g, ranking).values, tag=tag), None
+        return LinkProbabilityModel(k, kplus_from_graph(g, ranking).values, tag=tag)
     except SingularWeights as exc:
         if not exc.detail.startswith("denominator"):
             raise

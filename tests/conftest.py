@@ -5,9 +5,11 @@ import pytest
 
 from richnull.baselines import RR1
 from richnull.ensemble import LinkProbabilityModel, _phi, _phi_step, compute_weights
-from richnull.errors import EdgeListError, SingularWeights
-from richnull.graph import ME2, ME3, Graph, Multigraph, karate_club, kplus_from_graph, rank_nodes
-from richnull.search import kplus_bounds, random_feasible_kplus
+from richnull.errors import EdgeListError, InfeasibleConstraints, SingularWeights
+from richnull.graph import (
+    ME2, ME3, Graph, KPlusSequence, Multigraph, karate_club, kplus_from_graph, rank_nodes,
+)
+from richnull.search import _validate_degrees, kplus_bounds
 
 
 @pytest.fixture
@@ -84,6 +86,109 @@ def observed_instance(g):
     k = g.degrees[ranking.order]
     kp = kplus_from_graph(g, ranking)
     return k, kp.values, ranking
+
+
+# Random rich-club sequences within the mode bounds that have weights, for
+# test data: ``instance_graphs`` draws one for every third instance.
+
+_MAX_RESAMPLES = 200  # random fills tried before the greedy realization
+
+
+def _random_fill(rng, bounds, total):
+    """Spread ``total`` units uniformly one at a time over open ranks.
+
+    Open ranks stay listed in rank order until they reach their bound.
+    """
+    kp = np.zeros(bounds.size, dtype=np.int64)
+    open_ranks = np.flatnonzero(bounds > 0).tolist()
+    for _ in range(total):
+        slot = int(rng.integers(len(open_ranks)))
+        r = open_ranks[slot]
+        kp[r] += 1
+        if kp[r] == bounds[r]:
+            del open_ranks[slot]
+    return kp
+
+
+def _simple_realization_kplus(k):
+    """Observed rich-club sequence of a greedy simple realization of ``k``.
+
+    Repeatedly satisfies the largest remaining degree by connecting it to
+    the next-largest ones.  Returns None when ``k`` has no simple
+    realization.
+    """
+    remaining = k.astype(np.int64).copy()
+    kp = np.zeros(k.size, dtype=np.int64)
+    while remaining.max() > 0:
+        a = int(np.argmax(remaining))
+        need, remaining[a] = int(remaining[a]), -1  # exclude self while picking
+        partners = np.argsort(-remaining, kind="stable")[:need]
+        if partners.size < need or remaining[partners[-1]] <= 0:
+            return None
+        remaining[a] = 0
+        remaining[partners] -= 1
+        np.add.at(kp, np.maximum(a, partners), 1)
+    return kp
+
+
+def _multigraph_realization_kplus(k):
+    """Observed sequence of a greedy loopless multigraph realization."""
+    remaining = k.astype(np.int64).copy()
+    kp = np.zeros(k.size, dtype=np.int64)
+    while True:
+        order = np.argsort(-remaining, kind="stable")
+        a, b = int(order[0]), int(order[1])
+        if remaining[a] == 0:
+            return kp
+        if remaining[b] == 0:
+            return None  # leftover stubs would force a self-loop
+        remaining[a] -= 1
+        remaining[b] -= 1
+        kp[max(a, b)] += 1
+
+
+def random_feasible_kplus(k, mode, seed=None):
+    """Random rich-club sequence within the mode bounds and weight-feasible.
+
+    Draws are resampled while the weight recursion rejects them; if
+    :data:`_MAX_RESAMPLES` draws fail, falls back to the observed sequence
+    of a greedy degree-sequence realization, feasible whenever one exists.
+    """
+    k = _validate_degrees(k)
+    bounds = kplus_bounds(k, mode)
+    links = int(k.sum()) // 2
+    if int(bounds.sum()) < links:
+        raise InfeasibleConstraints(
+            f"bounds admit at most {int(bounds.sum())} upward links, need {links}"
+        )
+    rng = np.random.default_rng(seed)
+    if int(bounds.sum()) == links:
+        try:
+            compute_weights(k, bounds)
+        except SingularWeights as exc:
+            raise InfeasibleConstraints(
+                f"the only sequence within bounds is not weight-feasible: {exc}"
+            ) from exc
+        return KPlusSequence(bounds, mode)  # unique feasible point
+    for _ in range(_MAX_RESAMPLES):
+        kp = _random_fill(rng, bounds, links)
+        try:
+            compute_weights(k, kp)
+        except SingularWeights:
+            continue
+        return KPlusSequence(kp, mode)
+    repaired = (
+        _simple_realization_kplus(k)
+        if mode == ME2
+        else _multigraph_realization_kplus(k)
+    )
+    if repaired is None:
+        raise InfeasibleConstraints(
+            "no random draw was weight-feasible and the degree sequence has "
+            "no greedy realization"
+        )
+    compute_weights(k, repaired)  # propagate SingularWeights if even this fails
+    return KPlusSequence(repaired, mode)
 
 
 def load_edge_list_by_lines(source, allow_string_ids=False):
@@ -251,25 +356,16 @@ def weights_by_recursion(k, kplus):
     )
 
 
-def random_fill_by_loop(rng, bounds, total):
-    """Reference for ``richnull.search._random_fill``: each unit goes to a
-    uniformly drawn rank among those still below their bound, found anew."""
-    kp = np.zeros(bounds.size, dtype=np.int64)
-    for _ in range(total):
-        open_ranks = np.flatnonzero(kp < bounds)
-        kp[open_ranks[rng.integers(open_ranks.size)]] += 1
-    return kp
-
-
 def weights_of_rows(k, rows):
     """``(residuals, prefix, entropy)`` of every row of a ``(B, N)`` block of
     rich-club sequences for the degrees ``k``, vectorized over the block.
 
     The closed form of ``compute_weights`` and the local-term entropy of
-    ``entropy_fast``, taken along axis 1 for the move oracles, which evaluate
-    more than 10^5 moved sequences: a row with weights gets the library's
-    values bit for bit, a row without (a nonpositive ``g``, an overflowing
-    weight or prefix sum, or an unsaturated last linked rank) NaN entropy.
+    ``entropy_fast``, taken along axis 1 for the move certificate, which
+    evaluates every single-unit move from one sequence: a row with weights
+    gets the library's values bit for bit, a row without (a nonpositive
+    ``g``, an overflowing weight or prefix sum, or an unsaturated last
+    linked rank) NaN entropy.
     The rows are not validated.
     """
     k = np.asarray(k, dtype=np.int64)
@@ -295,30 +391,6 @@ def weights_of_rows(k, rows):
     singular |= ~np.all(np.isfinite(prefix[:, 1 : last + 1]), axis=1)
     entropy[singular] = np.nan
     return residuals, prefix, entropy
-
-
-def entropies_by_factorization(k, rows):
-    """Entropy of every row of a ``(B, N)`` block of rich-club sequences,
-    summed over the factorization ``p(i, j) = f[i] * r[j]``.
-
-    The reference for the local-term entropy of ``entropy_fast`` and
-    ``move_gains``: with ``f[i] = residuals[i] / L`` and ``r[j] = kplus[j] /
-    prefix[j]`` from :func:`weights_of_rows`, ``S = -2 * sum_j (r[j] * F[j] +
-    kplus[j] * log(r[j]) / L)`` where ``F[j] = sum_{i<j} f log f``.  NaN for
-    a row without weights.
-    """
-    k = np.asarray(k, dtype=np.int64)
-    kp = np.atleast_2d(np.asarray(rows, dtype=np.int64))
-    residuals, prefix, local = weights_of_rows(k, kp)
-    links = int(k.sum()) // 2
-    last = int(np.count_nonzero(k)) - 1
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        f = residuals[:, :last] / links
-        f_log_f = np.cumsum(f * np.log(np.where(f > 0.0, f, 1.0)), axis=1)
-        kp_up = kp[:, 1 : last + 1]
-        r = kp_up / prefix[:, 1 : last + 1]
-        terms = r * f_log_f + kp_up * np.log(np.where(kp_up > 0, r, 1.0)) / links
-    return np.where(np.isnan(local), np.nan, -2.0 * terms.sum(axis=1))
 
 
 def brute_force_best_split(m):

@@ -52,9 +52,9 @@ from richnull.ensemble import (
     total_probability,
     verify_soft_constraints,
 )
-from richnull.errors import InfeasibleNG, SingularWeights
-from richnull.graph import ME1, ME2, ME3, Graph, load_edge_list
-from richnull.search import SearchConfig, greedy_search
+from richnull.errors import InfeasibleConstraints, InfeasibleNG, SingularWeights
+from richnull.graph import MAXIMIZE, ME1, ME2, ME3, MINIMIZE, Graph, load_edge_list
+from richnull.search import optimal_kplus
 
 
 def _criterion(num, description, ok, detail=""):
@@ -64,12 +64,11 @@ def _criterion(num, description, ok, detail=""):
     assert ok, f"criterion {num:02d} {description}{tail}"
 
 
-def _ranked_model(g, mode=ME1, seed=None):
+def _ranked_model(g, mode=ME1):
     k, kp, ranking = observed_instance(g)
     if mode == ME1:
         return LinkProbabilityModel(k, kp, tag=ME1), ranking
-    result = greedy_search(k, SearchConfig(mode=mode, seed=seed))
-    return LinkProbabilityModel(k, result.kplus.values, tag=mode), ranking
+    return LinkProbabilityModel(k, optimal_kplus(k, mode).values, tag=mode), ranking
 
 
 def test_01_soft_constraint_reproduction(karate):
@@ -152,37 +151,29 @@ def test_05_greedy_optimality_at_toy_scale():
         (5, 1, 1, 1, 1, 1),
         (4, 2, 2, 2, 2),
     ]
-    worst_hits = 20
+    worst = 0.0
     worst_name = "-"
-    monotone = True
     instances = 0
-    for idx, degrees in enumerate(catalog):
+    for degrees in catalog:
         k = np.array(degrees, dtype=np.int64)
         for mode in (ME2, ME3):
             feasible = enumerate_feasible_kplus(k, mode)
             if not feasible:
+                with pytest.raises(InfeasibleConstraints):
+                    optimal_kplus(k, mode)
                 continue
             instances += 1
-            best = max(entropy_fast(k, kp) for kp in feasible)
-            hits = 0
-            for s in range(20):
-                result = greedy_search(k, SearchConfig(mode=mode, seed=1000 * idx + s))
-                assert result.entropy <= best + 1e-9
-                if best - result.entropy <= 1e-9:
-                    hits += 1
-                steps = np.diff(result.trace)
-                if steps.size and not np.all(steps > 0):
-                    monotone = False
-            if hits < worst_hits:
-                worst_hits = hits
-                worst_name = f"{degrees}/{mode}"
-    ok = worst_hits >= 18 and monotone
+            entropies = [entropy_fast(k, kp) for kp in feasible]
+            for direction, extreme in ((MAXIMIZE, max), (MINIMIZE, min)):
+                gap = abs(entropy_fast(k, optimal_kplus(k, mode, direction)) - extreme(entropies))
+                if gap >= worst:
+                    worst, worst_name = gap, f"{degrees}/{mode}/{direction}"
+    ok = worst <= 1e-9
     _criterion(
         5,
-        "greedy search reaches the enumerated entropy maximum",
+        "entropy optimization reaches the enumerated maximum and minimum",
         ok,
-        f"{instances} instances, worst {worst_hits}/20 seeds ({worst_name}), "
-        f"traces strictly monotone: {monotone}",
+        f"{instances} instances, both directions, largest gap {worst:.3g} ({worst_name})",
     )
 
 
@@ -233,7 +224,7 @@ def test_07_rewiring_correctness(karate):
 def test_08_decorrelation_ordering(karate):
     baseline = uncorrelated_knn(karate)
     model1, _ = _ranked_model(karate, ME1)
-    model3, _ = _ranked_model(karate, ME3, seed=1)
+    model3, _ = _ranked_model(karate, ME3)
     dev1 = aggregate_knn_deviation(knn_ensemble(model1), baseline)
     dev3 = aggregate_knn_deviation(knn_ensemble(model3), baseline)
     _criterion(
@@ -292,7 +283,7 @@ def test_10_community_oracle(two_triangles):
 
 def test_11_soft_mode_identity(karate):
     model1, ranking = _ranked_model(karate, ME1)
-    model3, _ = _ranked_model(karate, ME3, seed=1)
+    model3, _ = _ranked_model(karate, ME3)
     same = soft_modularity_matrix(model1, model1, ranking, ranking)
     zeros = bool(np.all(same.matrix == 0.0))
     _, partition = recursive_partition(same)
@@ -366,8 +357,7 @@ def test_13_internet_snapshot_cutoffs():
     k, _, _ = observed_instance(g)
     cutoffs = {}
     for mode in (ME2, ME3):
-        result = greedy_search(k, SearchConfig(mode=mode, seed=0))
-        model = LinkProbabilityModel(k, result.kplus.values, tag=mode)
+        model = LinkProbabilityModel(k, optimal_kplus(k, mode).values, tag=mode)
         cutoffs[mode] = detect_cutoff_from_ipr(ipr_curve(model))
     ok = (
         cutoffs[ME2] is not None

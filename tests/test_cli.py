@@ -15,7 +15,7 @@ from richnull import __version__
 from richnull import cli, communities, consensus
 from richnull.cli import EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE, main
 from richnull.communities import recursive_partition
-from richnull.ensemble import LinkProbabilityModel
+from richnull.ensemble import LinkProbabilityModel, entropy_fast
 from richnull.graph import rank_nodes
 from richnull.search import build_ensemble
 
@@ -78,7 +78,7 @@ class TestEnsembleCommand:
         assert summary["residual_rich_club"] < 1e-9
 
     def test_searched_model_reports_search_and_respects_bounds(
-        self, karate_file, tmp_path
+        self, karate_file, karate, tmp_path
     ):
         out = tmp_path / "out"
         rc = main(
@@ -90,11 +90,12 @@ class TestEnsembleCommand:
         assert rc == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
         search = summary["search"]
+        assert sorted(search) == ["direction", "entropy_final", "entropy_initial"]
         assert search["direction"] == "maximize"
-        assert search["entropy_final"] >= search["entropy_initial"]
+        assert search["entropy_final"] > search["entropy_initial"]
         assert summary["entropy"] == search["entropy_final"]
-        assert search["stop_reason"] == "certified"
-        assert 0 < search["accepted_moves"] < search["proposals_used"]
+        k, kp, _ = observed_instance(karate)
+        assert search["entropy_initial"] == entropy_fast(k, kp)
         _, body = csv_body(out / "sequences.csv")
         for row in body:
             rank, degree, kplus = int(row[0]), int(row[2]), int(row[3])
@@ -119,7 +120,7 @@ class TestEnsembleCommand:
         argv = ["ensemble", "--input", karate_file, "--model", "me3", "--seed", "0"]
         assert main(argv + ["--dump-probabilities", "--out", str(out)]) == EXIT_OK
         _, body = csv_body(out / "probabilities.csv")
-        model, _ = build_ensemble(karate, "me3", rank_nodes(karate), "maximize", 0)
+        model = build_ensemble(karate, "me3", rank_nodes(karate), "maximize")
         rows = np.concatenate([model.upper_row(r) for r in range(model.n)])
         assert np.array_equal([float(row[2]) for row in body], rows)
         assert [(int(row[0]), int(row[1])) for row in body] == list(
@@ -270,6 +271,18 @@ class TestExitCodes:
         assert f"error: argument {argv[-2]}: {argv[-1]!r} is not " in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["diagnose", "communities"])
+    def test_seed_only_where_something_is_drawn(self, command, tmp_path, capsys):
+        # nothing in these commands is random; their outputs still stamp seed=None
+        out = tmp_path / "out"
+        argv = [command, "--model", "me1", "--input", str(tmp_path / "absent.edges")]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert cli.build_parser().parse_args([*argv, "--out", str(out)]).seed is None
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["communities", "consensus"])
     def test_soft_contrast_against_ng_is_a_usage_error(self, command, tmp_path, capsys):
         out = tmp_path / "out"
@@ -324,6 +337,19 @@ class TestExitCodes:
         assert rc == EXIT_INFEASIBLE
         assert capsys.readouterr().err == (
             "richnull: infeasible: weight recursion singular at rank m=1025 (weight overflow)\n"
+        )
+
+    def test_overflowing_minimum_is_infeasible(self, tmp_path, capsys):
+        # the 3-regular circulant on 1,200 nodes (i ~ i+1 and i ~ i+600): the
+        # weights of its me2 entropy minimum overflow float64, which is
+        # reported instead of a sequence that is not the minimum
+        n = 1200
+        edges = [(i, (i + 1) % n) for i in range(n)] + [(i, i + n // 2) for i in range(n // 2)]
+        f = write_edges(tmp_path / "circulant.edges", edges)
+        argv = ["ensemble", "--input", f, "--model", "me2", "--direction", "minimize"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_INFEASIBLE
+        assert capsys.readouterr().err == (
+            "richnull: infeasible: weight recursion singular at rank m=1027 (weight overflow)\n"
         )
 
     def test_disconnected_input_can_still_fit(self, tmp_path):

@@ -25,7 +25,7 @@ from richnull.communities import (
 from richnull.ensemble import LinkProbabilityModel
 from richnull.errors import InfeasibleNG, PowerIterationError
 from richnull.graph import Graph, KPlusSequence, rank_nodes
-from richnull.search import SearchConfig, build_ensemble, greedy_search
+from richnull.search import build_ensemble, optimal_kplus
 
 
 def me1_matrix(g):
@@ -127,7 +127,7 @@ class TestSoftMatrix:
     def test_antisymmetric_in_the_models(self, karate):
         k, kp, _ = observed_instance(karate)
         me1 = LinkProbabilityModel(k, kp)
-        me3 = LinkProbabilityModel(k, greedy_search(k, SearchConfig("me3", seed=1)).kplus)
+        me3 = LinkProbabilityModel(k, optimal_kplus(k, "me3"))
         ranking = rank_nodes(karate)
         ab = soft_modularity_matrix(me1, me3, ranking, ranking)
         ba = soft_modularity_matrix(me3, me1, ranking, ranking)
@@ -164,16 +164,18 @@ class TestBuildModularityMatrix:
 
     @pytest.mark.parametrize("seed", [0, "generator"])
     def test_soft_contrast_shares_the_seed(self, karate, seed):
-        # an int seeds each search afresh; a generator is drawn on in turn
+        # one seeded random ranking, an int or a generator alike, serves both
+        # sides of the contrast: the one call matches the two ensembles built
+        # separately on the ranking drawn afresh from the same seed
         def fresh():
             return np.random.default_rng(0) if seed == "generator" else seed
 
-        ranking = rank_nodes(karate)
-        built = build_modularity_matrix(karate, "me2", ranking, null2="me3", seed=fresh())
-        shared = fresh()
-        me2, _ = build_ensemble(karate, "me2", ranking, seed=shared)
-        me3, _ = build_ensemble(karate, "me3", ranking, seed=shared)
-        composed = soft_modularity_matrix(me2, me3, ranking, ranking)
+        ranking = rank_nodes(karate, policy="random", seed=fresh())
+        built = build_modularity_matrix(karate, "me2", ranking, null2="me3")
+        again = rank_nodes(karate, policy="random", seed=fresh())
+        me2 = build_ensemble(karate, "me2", again)
+        me3 = build_ensemble(karate, "me3", again)
+        composed = soft_modularity_matrix(me2, me3, again, again)
         assert built.kind == "soft"
         assert np.array_equal(built.matrix, composed.matrix)
 
@@ -353,9 +355,7 @@ class TestRecursivePartition:
         ranking = rank_nodes(karate)
         k, kp, _ = observed_instance(karate)
         me1 = LinkProbabilityModel(k, kp)
-        me3 = LinkProbabilityModel(
-            k, greedy_search(k, SearchConfig("me3", seed=1)).kplus
-        )
+        me3 = LinkProbabilityModel(k, optimal_kplus(k, "me3"))
         sm = soft_modularity_matrix(me1, me3, ranking, ranking)
         _, part = recursive_partition(sm)
         assert part.n_communities == 17
@@ -380,9 +380,7 @@ class TestLeadingEigenpair:
         ranking = rank_nodes(karate)
         k, kp, _ = observed_instance(karate)
         me1 = LinkProbabilityModel(k, kp)
-        me3 = LinkProbabilityModel(
-            k, greedy_search(k, SearchConfig("me3", seed=1)).kplus
-        )
+        me3 = LinkProbabilityModel(k, optimal_kplus(k, "me3"))
         matrices = (
             me1_matrix(karate),
             degree_product_matrix(karate),

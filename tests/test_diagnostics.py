@@ -26,7 +26,7 @@ from richnull.diagnostics import (
 )
 from richnull.ensemble import LinkProbabilityModel
 from richnull.graph import Graph
-from richnull.search import SearchConfig, greedy_search
+from richnull.search import optimal_kplus
 
 
 def model_of(g):
@@ -116,7 +116,7 @@ class TestKnn:
         # correlation; optimizing the sequence for entropy removes it
         k, kp, _ = observed_instance(karate)
         me1 = LinkProbabilityModel(k, kp)
-        me3 = LinkProbabilityModel(k, greedy_search(k, SearchConfig("me3", seed=1)).kplus)
+        me3 = LinkProbabilityModel(k, optimal_kplus(k, "me3"))
         u = uncorrelated_knn(karate)
         assert u == pytest.approx(7.76923076923077, abs=1e-12)
         dev_me1 = aggregate_knn_deviation(knn_ensemble(me1), u)

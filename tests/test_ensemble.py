@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import (
-    entropies_by_factorization,
     entropy_naive,
     weights_by_recursion,
     multiedge_pairs_by_rows,
     observed_instance,
     probability_matrix_by_rows,
+    random_feasible_kplus,
     random_simple_graph,
     row_sums_by_rows,
     total_probability_by_rows,
@@ -22,7 +22,6 @@ from richnull.ensemble import (
     entropy_fast,
     expected_multiedge_pairs,
     link_stat_matrices,
-    move_gains,
     row_sums,
     sample_network,
     sample_pairs,
@@ -31,7 +30,7 @@ from richnull.ensemble import (
 )
 from richnull.errors import InfeasibleConstraints, SingularWeights
 from richnull.graph import Graph, KPlusSequence
-from richnull.search import SearchConfig, greedy_search, random_feasible_kplus
+from richnull.search import optimal_kplus
 
 
 class TestWeights:
@@ -123,8 +122,8 @@ class TestWeights:
 
     @pytest.mark.parametrize(
         "evaluate",
-        [compute_weights, entropy_fast, lambda k, kp: move_gains(k, kp, [1])],
-        ids=["compute_weights", "entropy_fast", "move_gains"],
+        [compute_weights, entropy_fast],
+        ids=["compute_weights", "entropy_fast"],
     )
     def test_block_of_sequences_rejected(self, evaluate):
         # the first row has weights and the second none: evaluating the
@@ -472,81 +471,6 @@ class TestWeightRows:
             assert np.array_equal(np.rint(ws.prefix[1 : last + 1] / ws.w[:last]), d)
 
 
-def moved_rows(kp, i):
-    """Every sequence one unit moved from a rank ``j != i`` to rank ``i``,
-    as ``(j, rows)``, without regard to bounds."""
-    j = np.flatnonzero(np.arange(kp.size) != i)
-    rows = np.repeat(kp[None, :], j.size, axis=0)
-    rows[:, i] += 1
-    rows[np.arange(j.size), j] -= 1
-    return j, rows
-
-
-class TestMoveGains:
-    def check_moves(self, k, kp, sources=None):
-        """move_gains against the factorization entropy of every moved row
-        from ``sources`` (default all ranks); returns how many had weights."""
-        k, kp = np.asarray(k), np.asarray(kp)
-        sources = np.arange(k.size) if sources is None else np.asarray(sources)
-        s0 = entropy_fast(k, kp)
-        tol = 1e-12 * max(1.0, abs(s0))
-        gains = move_gains(k, kp, sources)
-        assert gains.shape == (sources.size, k.size)
-        assert np.all(np.isnan(gains[np.arange(sources.size), sources]))
-        feasible = 0
-        for b, i in enumerate(sources):
-            j, rows = moved_rows(kp, i)
-            in_bounds = (rows[:, 0] == 0) & (rows >= 0).all(axis=1) & (rows <= k).all(axis=1)
-            # NaN where the moved row has no weights, which on
-            # these instances is never by overflow
-            want = np.full(j.size, np.nan)
-            if in_bounds.any():
-                want[in_bounds] = entropies_by_factorization(k, rows[in_bounds]) - s0
-            got = gains[b, j]
-            assert np.array_equal(np.isnan(got), np.isnan(want)), i
-            ok = ~np.isnan(want)
-            assert np.all(np.abs(got[ok] - want[ok]) <= tol), i
-            feasible += int(ok.sum())
-        return feasible
-
-    def test_instance_pool(self, instance_pool):
-        # every move up to 120 ranks; above, the cubic oracle takes every
-        # move into 16 spread receiving ranks
-        feasible = 0
-        for k, kp, _ in instance_pool:
-            sources = None if k.size <= 120 else np.linspace(1, k.size - 1, 16).astype(int)
-            feasible += self.check_moves(k, kp, sources)
-        assert feasible > 10**5
-
-    def test_every_move_on_karate(self, karate):
-        k, kp, _ = observed_instance(karate)
-        points = [kp] + [random_feasible_kplus(k, m, seed=2).values for m in ("me2", "me3")]
-        for point in points:
-            assert self.check_moves(k, point) > 100
-            # and against the rank-by-rank recursion for the moves of rank 5
-            s0 = weights_by_recursion(k, point)[3]
-            j, rows = moved_rows(point, 5)
-            gains = move_gains(k, point, [5])[0, j]
-            for jj, row, gain in zip(j, rows, gains):
-                if not np.isnan(gain):
-                    want = weights_by_recursion(k, row)[3] - s0
-                    assert gain == pytest.approx(want, abs=1e-12 * abs(s0)), jj
-
-    def test_rows_identical_in_any_block(self, karate):
-        k, kp, _ = observed_instance(karate)
-        whole = move_gains(k, kp, np.arange(k.size))
-        for i in (1, 7, 33):
-            assert np.array_equal(move_gains(k, kp, [i])[0], whole[i], equal_nan=True)
-        assert np.array_equal(move_gains(k, kp, [9, 3])[1], whole[3], equal_nan=True)
-
-    def test_trailing_zero_degree_ranks(self):
-        k = np.array([3, 3, 2, 2, 2, 0, 0])
-        kp = random_feasible_kplus(k, "me3", seed=0).values
-        gains = move_gains(k, kp, np.arange(k.size))
-        assert np.all(np.isnan(gains[:, 5:])) and np.all(np.isnan(gains[5:]))
-        assert self.check_moves(k, kp) > 0
-
-
 class TestMultigraphEnsembles:
     # two tight hubs over two leaves force an expected pair count above 1
     K = [3, 3, 1, 1]
@@ -603,7 +527,7 @@ class TestPairDistributionBounds:
         k, kp, _ = observed_instance(karate)
         self.check(LinkProbabilityModel(k, kp))
         for mode in ("me2", "me3"):
-            self.check(LinkProbabilityModel(k, greedy_search(k, SearchConfig(mode, seed=0)).kplus))
+            self.check(LinkProbabilityModel(k, optimal_kplus(k, mode)))
 
 
 class TestSampling:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,23 +6,17 @@ import pytest
 
 from conftest import (
     enumerate_feasible_kplus,
+    entropy_naive,
     observed_instance,
-    random_fill_by_loop,
     random_simple_graph,
     weights_of_rows,
 )
-from richnull.ensemble import entropy_fast, move_gains
-from richnull.errors import InfeasibleConstraints, SingularWeights
-from richnull.search import (
-    _TOLERANCE,
-    MAXIMIZE,
-    MINIMIZE,
-    SearchConfig,
-    _random_fill,
-    greedy_search,
-    kplus_bounds,
-    random_feasible_kplus,
-)
+from richnull.cli import EXIT_OK, main
+from richnull.ensemble import LinkProbabilityModel, _phi, entropy_fast
+from richnull.errors import InfeasibleConstraints
+from richnull.search import MAXIMIZE, MINIMIZE, kplus_bounds, optimal_kplus
+
+TOLERANCE = 1e-10  # smallest single-move gain counted, relative to max(1, |S|)
 
 
 def best_move_by_sweep(k, kp, mode, direction):
@@ -46,6 +41,46 @@ def best_move_by_sweep(k, kp, mode, direction):
     return best
 
 
+def enumerated_optimum(k, mode, direction):
+    """``(entropy, sequences)``: the extreme entropy over every enumerated
+    sequence and the sequences within 1e-12 of it; None when there are none."""
+    feasible = enumerate_feasible_kplus(k, mode)
+    if not feasible:
+        return None
+    s = np.array([entropy_fast(k, kp) for kp in feasible])
+    best = float(s.max() if direction == MAXIMIZE else s.min())
+    return best, [kp.tolist() for kp, v in zip(feasible, s) if abs(v - best) <= 1e-12]
+
+
+def optimum_by_rule(k, mode, direction):
+    """Reference for the tie rule of ``optimal_kplus``: the same running
+    costs, kept in a dict over the states ``D[m-1]`` rank by rank, where a
+    state keeps the first ``kplus[m]``, counting up, of the strictly
+    smallest cost."""
+    k = [int(x) for x in k]
+    bounds = kplus_bounds(k, mode).tolist()
+    last = sum(1 for x in k if x) - 1
+    sign = 1.0 if direction == MAXIMIZE else -1.0
+    links = sum(k) // 2
+    phi = (sign * _phi(np.arange(links + 1, dtype=np.float64))).tolist()
+    states = {k[0]: (0.0, [0])}
+    for m in range(1, last):
+        reached = {}
+        for x in range(bounds[m] + 1):
+            for d, (cost, path) in states.items():
+                if d - x <= 0:
+                    continue
+                c = cost - phi[d] + phi[d - x] + (phi[k[m] - x] + phi[x])
+                nxt = d + k[m] - 2 * x
+                if nxt > links:  # D[m] above L never comes back to 0
+                    continue
+                if nxt not in reached or c < reached[nxt][0]:
+                    reached[nxt] = (c, path + [x])
+        states = reached
+    assert k[last] in states and k[last] <= bounds[last]
+    return states[k[last]][1] + [k[last]] + [0] * (len(k) - 1 - last)
+
+
 class TestBounds:
     def test_me2_caps_at_rank_and_degree(self):
         b = kplus_bounds([5, 3, 2, 2], "me2")
@@ -61,111 +96,71 @@ class TestBounds:
 
 
 class TestRandomFeasible:
+    """Unique and infeasible points of the program."""
+
     def test_triangle_unique_point(self):
-        kp = random_feasible_kplus(np.array([2, 2, 2]), "me2", seed=0)
-        assert kp.values.tolist() == [0, 1, 2]
-        assert kp.mode == "me2"
+        for direction in (MAXIMIZE, MINIMIZE):
+            kp = optimal_kplus(np.array([2, 2, 2]), "me2", direction)
+            assert kp.values.tolist() == [0, 1, 2]
+            assert kp.mode == "me2"
 
     def test_infeasible_bounds(self):
         # two degree-2 nodes need 2 links but me2 admits at most one
-        with pytest.raises(InfeasibleConstraints):
-            random_feasible_kplus(np.array([2, 2]), "me2", seed=0)
+        with pytest.raises(InfeasibleConstraints, match="bounds admit at most 1 upward links, need 2"):
+            optimal_kplus(np.array([2, 2]), "me2")
 
     def test_forced_self_loop_infeasible(self):
-        with pytest.raises(InfeasibleConstraints):
-            random_feasible_kplus(np.array([5, 1, 1, 1]), "me3", seed=0)
+        # the hub's five links need four partners, and multigraph bounds
+        # admit one upward link per leaf
+        for direction in (MAXIMIZE, MINIMIZE):
+            with pytest.raises(InfeasibleConstraints, match="admit at most 3 upward links, need 4"):
+                optimal_kplus(np.array([5, 1, 1, 1]), "me3", direction)
 
     def test_invariants_on_random_instances(self):
         rng = np.random.default_rng(31)
-        from conftest import random_simple_graph
-
         for _ in range(15):
             g = random_simple_graph(rng, int(rng.integers(4, 25)))
             k = g.degrees[np.argsort(-g.degrees, kind="stable")]
             for mode in ("me2", "me3"):
-                kp = random_feasible_kplus(k, mode, seed=int(rng.integers(1 << 30)))
-                assert kp.total == g.edge_count
-                assert np.all(kp.values <= kplus_bounds(k, mode))
-                entropy_fast(k, kp)  # raises if not weight-feasible
-
-    def test_fill_matches_loop_oracle(self, karate):
-        # same draws, same sequence, same generator state afterwards
-        rng = np.random.default_rng(8)
-        k, _, _ = observed_instance(karate)
-        cases = [(k, "me2"), (k, "me3")]
-        for _ in range(6):
-            g = random_simple_graph(rng, int(rng.integers(4, 60)))
-            cases.append((np.sort(g.degrees)[::-1], "me2" if len(cases) % 2 else "me3"))
-        for kk, mode in cases:
-            bounds = kplus_bounds(kk, mode)
-            total = min(int(kk.sum()) // 2, int(bounds.sum()))
-            for seed in range(3):
-                fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = _random_fill(fast, bounds, total)
-                assert np.array_equal(got, random_fill_by_loop(slow, bounds, total))
-                assert fast.bit_generator.state == slow.bit_generator.state
-        # filling every rank to its bound exercises each removal
-        bounds = kplus_bounds(k, "me3")
-        full = _random_fill(np.random.default_rng(0), bounds, int(bounds.sum()))
-        assert np.array_equal(full, bounds)
-
-    def test_deterministic_for_fixed_seed(self, karate):
-        k, _, _ = observed_instance(karate)
-        a = random_feasible_kplus(k, "me3", seed=5)
-        b = random_feasible_kplus(k, "me3", seed=5)
-        assert np.array_equal(a.values, b.values)
+                for direction in (MAXIMIZE, MINIMIZE):
+                    kp = optimal_kplus(k, mode, direction)
+                    assert kp.total == g.edge_count
+                    assert np.all(kp.values <= kplus_bounds(k, mode))
+                    entropy_fast(k, kp)  # raises if not weight-feasible
 
 
 class TestConfig:
     def test_bad_mode_and_direction(self):
-        assert SearchConfig("me2").direction == MAXIMIZE
         with pytest.raises(ValueError):
-            SearchConfig("me1")
+            optimal_kplus([2, 2, 2], "me1")
         with pytest.raises(ValueError):
-            SearchConfig("me2", direction="upwards")
+            optimal_kplus([2, 2, 2], "me2", direction="upwards")
 
 
 class TestGreedySearch:
+    """The exact program against enumeration and the move certificate."""
+
     def test_triangle_has_nothing_to_move(self):
-        r = greedy_search(np.array([2, 2, 2]), SearchConfig("me2", seed=0))
-        assert r.kplus.values.tolist() == [0, 1, 2]
-        assert r.accepted_count == 0
-        assert r.proposals_used == 0  # every move hits a bound
-        assert r.stop_reason == "certified"
-        assert r.trace == [r.entropy]
-        assert r.entropy == pytest.approx(2 * math.log(3), abs=1e-12)
-
-    def test_trace_monotone_both_directions(self, karate):
-        k, _, _ = observed_instance(karate)
-        up = greedy_search(k, SearchConfig("me2", seed=3))
-        assert all(b > a for a, b in zip(up.trace, up.trace[1:]))
-        down = greedy_search(k, SearchConfig("me2", direction=MINIMIZE, seed=3))
-        assert all(b < a for a, b in zip(down.trace, down.trace[1:]))
-        assert down.entropy < up.entropy
-
-    def test_karate_seeds_agree_to_a_percent(self, karate):
-        k, _, _ = observed_instance(karate)
-        r1 = greedy_search(k, SearchConfig("me2", seed=1))
-        r2 = greedy_search(k, SearchConfig("me2", seed=2))
-        assert abs(r1.entropy - r2.entropy) / r2.entropy < 0.01
+        kp = optimal_kplus(np.array([2, 2, 2]), "me2")
+        assert kp.values.tolist() == [0, 1, 2]
+        assert entropy_fast([2, 2, 2], kp) == pytest.approx(2 * math.log(3), abs=1e-12)
 
     def test_karate_ordering_of_ensembles(self, karate):
         # observed sits between the searched extremes, and dropping the
         # single-link cap can only raise the attainable entropy
         k, kp_obs, _ = observed_instance(karate)
         s_obs = entropy_fast(k, kp_obs)
-        s_max2 = greedy_search(k, SearchConfig("me2", seed=1)).entropy
-        s_max3 = greedy_search(k, SearchConfig("me3", seed=1)).entropy
-        s_min2 = greedy_search(k, SearchConfig("me2", direction=MINIMIZE, seed=1)).entropy
+        s_max2 = entropy_fast(k, optimal_kplus(k, "me2"))
+        s_max3 = entropy_fast(k, optimal_kplus(k, "me3"))
+        s_min2 = entropy_fast(k, optimal_kplus(k, "me2", MINIMIZE))
         assert s_min2 < s_obs < s_max2 <= s_max3
 
     def test_reproducible(self, karate):
         k, _, _ = observed_instance(karate)
-        r1 = greedy_search(k, SearchConfig("me3", seed=11))
-        r2 = greedy_search(k, SearchConfig("me3", seed=11))
-        assert np.array_equal(r1.kplus.values, r2.kplus.values)
-        assert r1.trace == r2.trace
-        assert r1.proposals_used == r2.proposals_used
+        for direction in (MAXIMIZE, MINIMIZE):
+            r1 = optimal_kplus(k, "me3", direction)
+            r2 = optimal_kplus(k, "me3", direction)
+            assert np.array_equal(r1.values, r2.values)
 
     @pytest.mark.parametrize(
         "k, mode",
@@ -179,70 +174,85 @@ class TestGreedySearch:
     )
     def test_reaches_enumerated_optimum(self, k, mode):
         k = np.array(k)
-        feasible = enumerate_feasible_kplus(k, mode)
-        best = max(entropy_fast(k, f) for f in feasible)
-        hits = 0
-        for seed in range(5):
-            r = greedy_search(k, SearchConfig(mode, seed=seed))
-            assert r.entropy <= best + 1e-9
-            hits += r.entropy >= best - 1e-9
-        assert hits >= 4
+        for direction in (MAXIMIZE, MINIMIZE):
+            best, optima = enumerated_optimum(k, mode, direction)
+            kp = optimal_kplus(k, mode, direction)
+            assert abs(entropy_fast(k, kp) - best) <= 1e-9
+            assert kp.values.tolist() in optima
+
+    def test_enumerated_optimum_on_random_sequences(self):
+        # the optimum in both directions, and infeasible exactly where
+        # enumeration finds no sequence
+        rng = np.random.default_rng(19)
+        feasible = infeasible = 0
+        for _ in range(300):
+            k = np.sort(rng.integers(0, 5, size=int(rng.integers(3, 9))))[::-1]
+            k[0] += k.sum() % 2 + (k[0] == 0) * 2
+            for mode in ("me2", "me3"):
+                entropies = [entropy_fast(k, kp) for kp in enumerate_feasible_kplus(k, mode)]
+                for direction, extreme in ((MAXIMIZE, max), (MINIMIZE, min)):
+                    if not entropies:
+                        with pytest.raises(InfeasibleConstraints):
+                            optimal_kplus(k, mode, direction)
+                        infeasible += 1
+                        continue
+                    got = entropy_fast(k, optimal_kplus(k, mode, direction))
+                    assert abs(got - extreme(entropies)) <= 1e-9, (k.tolist(), mode, direction)
+                    feasible += 1
+        assert feasible >= 600 and infeasible >= 200
+
+    @pytest.mark.parametrize("mode", ["me2", "me3"])
+    @pytest.mark.parametrize("direction", [MAXIMIZE, MINIMIZE])
+    @pytest.mark.parametrize(
+        "k", [[2] * 6, [3] * 6, [2] * 5, [2] * 7, [2] * 9, [4] * 5], ids=lambda k: f"{k[0]}x{len(k)}"
+    )
+    def test_ties_take_the_smallest_kplus(self, k, mode, direction):
+        # exchangeable ranks: minimized, [2]*5, [2]*7, [2]*9 and [4]*5 (me3)
+        # have two to four optima of bit-equal entropy
+        kp = optimal_kplus(np.array(k), mode, direction).values.tolist()
+        assert kp in enumerated_optimum(np.array(k), mode, direction)[1]
+        assert kp == optimum_by_rule(k, mode, direction)
+
+    def test_bit_equal_optima_resolved_by_the_rule(self):
+        # where the running costs of the three optima tie bit for bit, the
+        # rule keeps the smallest kplus at the last free rank, then the one
+        # before: (0, 0, 2, 0, 2, 1, 2) over (0, 0, 2, 1, 0, 2, 2) and
+        # (0, 1, 0, 2, 0, 2, 2)
+        k = np.array([2] * 7)
+        _, optima = enumerated_optimum(k, "me2", MINIMIZE)
+        assert len(optima) == 3
+        assert optimal_kplus(k, "me2", MINIMIZE).values.tolist() == [0, 0, 2, 0, 2, 1, 2]
 
     def test_unique_point_instances(self):
-        # one feasible sequence means zero accepted moves whatever the seed
+        # one feasible sequence is the optimum in both directions
         for k, mode in (([3, 3, 3, 3], "me2"), ([3, 3, 2, 1, 1], "me2")):
             k = np.array(k)
             (only,) = enumerate_feasible_kplus(k, mode)
-            r = greedy_search(k, SearchConfig(mode, seed=9))
-            assert r.kplus.values.tolist() == list(only)
-            assert r.accepted_count == 0
-
-    def test_initial_sequence_honored(self, karate):
-        k, _, _ = observed_instance(karate)
-        start = random_feasible_kplus(k, "me3", seed=21)
-        r = greedy_search(k, SearchConfig("me3", seed=4), initial=start)
-        assert r.trace[0] == pytest.approx(entropy_fast(k, start), abs=1e-12)
-        assert r.entropy >= r.trace[0]
-
-    def test_initial_violating_bounds_rejected(self):
-        # two upward links at rank 1 exceed the single-link cap
-        with pytest.raises(InfeasibleConstraints):
-            greedy_search(
-                np.array([2, 2, 2]), SearchConfig("me2", seed=0), initial=[0, 2, 1]
-            )
-
-    def test_singular_initial_propagates(self):
-        with pytest.raises(SingularWeights):
-            greedy_search(
-                np.array([2, 2, 2]), SearchConfig("me3", seed=0), initial=[0, 2, 1]
-            )
+            for direction in (MAXIMIZE, MINIMIZE):
+                assert optimal_kplus(k, mode, direction).values.tolist() == list(only)
 
     def test_result_within_bounds(self, karate):
         k, _, _ = observed_instance(karate)
         for mode in ("me2", "me3"):
-            r = greedy_search(k, SearchConfig(mode, seed=6))
-            assert np.all(r.kplus.values <= kplus_bounds(k, mode))
-            assert r.kplus.total == karate.edge_count
+            kp = optimal_kplus(k, mode)
+            assert np.all(kp.values <= kplus_bounds(k, mode))
+            assert kp.total == karate.edge_count
 
-    def test_stop_reason(self, karate):
-        k, _, _ = observed_instance(karate)
-        for mode in ("me2", "me3"):
-            r = greedy_search(k, SearchConfig(mode, seed=1))
-            assert r.stop_reason == "certified"
-            assert 0 < r.accepted_count < r.proposals_used
-            assert len(r.trace) == r.accepted_count + 1
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("graph", [0, 1, 2])
     @pytest.mark.parametrize("direction", [MAXIMIZE, MINIMIZE])
     @pytest.mark.parametrize("mode", ["me2", "me3"])
-    def test_matches_from_scratch_search(self, karate, mode, direction, seed):
+    def test_matches_from_scratch_search(self, karate, mode, direction, graph):
         # the certificate: a from-scratch sweep of every single-unit move at
-        # the returned sequence finds none better than the tolerance
-        k, _, _ = observed_instance(karate)
-        r = greedy_search(k, SearchConfig(mode, direction=direction, seed=seed))
-        assert r.entropy == entropy_fast(k, r.kplus)
-        tol = _TOLERANCE * max(1.0, abs(r.entropy))
-        assert best_move_by_sweep(k, r.kplus.values, mode, direction) <= tol
+        # the returned sequence finds none better than the tolerance; graph 0
+        # is the karate club, the others random graphs drawn from that seed
+        if graph:
+            g = random_simple_graph(np.random.default_rng(graph), 40)
+        else:
+            g = karate
+        k, _, _ = observed_instance(g)
+        kp = optimal_kplus(k, mode, direction)
+        tol = TOLERANCE * max(1.0, abs(entropy_fast(k, kp)))
+        assert best_move_by_sweep(k, kp.values, mode, direction) <= tol
 
     def test_certified_on_instance_graphs(self, instance_graphs):
         checked = 0
@@ -252,53 +262,27 @@ class TestGreedySearch:
             for mode in ("me2", "me3"):
                 for direction in (MAXIMIZE, MINIMIZE):
                     try:
-                        r = greedy_search(k, SearchConfig(mode, direction=direction, seed=3))
+                        kp = optimal_kplus(k, mode, direction)
                     except InfeasibleConstraints:
                         continue
-                    tol = _TOLERANCE * max(1.0, abs(r.entropy))
-                    assert best_move_by_sweep(k, r.kplus.values, mode, direction) <= tol
+                    tol = TOLERANCE * max(1.0, abs(entropy_fast(k, kp)))
+                    assert best_move_by_sweep(k, kp.values, mode, direction) <= tol
                     checked += 1
         assert checked >= 20
 
-    def test_maximum_does_not_depend_on_the_seed(self, karate):
-        k, _, _ = observed_instance(karate)
-        for mode in ("me2", "me3"):
-            found = {
-                tuple(greedy_search(k, SearchConfig(mode, seed=s)).kplus.values)
-                for s in range(4)
-            }
-            assert len(found) == 1
-
-    def test_shared_generator_only_draws_the_start(self, karate):
-        # consensus hands its run's generator to the search, which must take
-        # no draws beyond those of its random start
-        k, _, _ = observed_instance(karate)
-        for mode, direction in (("me2", MAXIMIZE), ("me3", MINIMIZE)):
-            shared, alone = np.random.default_rng(17), np.random.default_rng(17)
-            r = greedy_search(k, SearchConfig(mode, direction=direction, seed=shared))
-            start = random_feasible_kplus(k, mode, alone)
-            assert r.trace[0] == entropy_fast(k, start)
-            assert shared.bit_generator.state == alone.bit_generator.state
-
-    def test_overflowing_move_not_taken(self):
-        # the 1,100-rank ring doubles its weight at every rank and overflows;
-        # one unit moved off its chain makes it feasible, and the best
-        # minimizing move of the first block puts the chain back, which the
-        # integer feasibility test of move_gains cannot see
+    def test_ring_me3_minimum_has_weights(self, tmp_path):
+        # the 1,100-ring's observed me1 weights overflow at rank 1,025; its
+        # me3 minimum has weights, and the summary reports its entropy
         n = 1100
         k = np.full(n, 2)
-        start = np.array([0] + [1] * (n - 2) + [2])
-        start[1] -= 1
-        start[n - 2] += 1
-        gains = move_gains(k, start, np.arange(64))
-        b, j = np.unravel_index(np.nanargmin(gains), gains.shape)
-        moved = start.copy()
-        moved[b] += 1
-        moved[j] -= 1
-        with pytest.raises(SingularWeights, match="weight overflow"):
-            entropy_fast(k, moved)
-        r = greedy_search(k, SearchConfig("me3", direction=MINIMIZE), initial=start)
-        assert r.trace[0] == entropy_fast(k, start)
-        assert r.trace[1] - r.trace[0] > gains[b, j]
-        assert all(b < a for a, b in zip(r.trace, r.trace[1:]))
-        assert r.entropy == entropy_fast(k, r.kplus)
+        kp = optimal_kplus(k, "me3", MINIMIZE)
+        model = LinkProbabilityModel(k, kp)
+        assert entropy_fast(k, kp) == pytest.approx(entropy_naive(model), rel=1e-12)
+        ring = tmp_path / "ring.edges"
+        ring.write_text("".join(f"{i} {(i + 1) % n}\n" for i in range(n)))
+        out = tmp_path / "out"
+        argv = ["ensemble", "--input", str(ring), "--model", "me3", "--direction", "minimize"]
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["entropy"] == summary["search"]["entropy_final"] == entropy_fast(k, kp)
+        assert summary["search"]["entropy_initial"] is None  # observed: overflow
