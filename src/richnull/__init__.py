@@ -20,8 +20,7 @@ _EXPORTS = {
     " detect_cutoff_from_ipr inverse_participation ipr_curve knn_data knn_ensemble"
     " uncorrelated_knn variation_curve",
     "ensemble": "LinkProbabilityModel WeightSequence compute_weights entropy_fast"
-    " expected_multiedge_pairs link_stat_matrices row_sums sample_network total_probability"
-    " verify_soft_constraints",
+    " expected_multiedge_pairs row_sums sample_network total_probability verify_soft_constraints",
     "errors": "EdgeListError InfeasibleConstraints InfeasibleNG PowerIterationError"
     " RichNullError SingularWeights",
     "graph": "MAXIMIZE MINIMIZE ME1 ME2 ME3 NG RANKED Graph KPlusSequence Multigraph Ranking"

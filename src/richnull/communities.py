@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import LinkProbabilityModel, link_stat_matrices
+from .ensemble import LinkProbabilityModel
 from .errors import PowerIterationError
 from .graph import MAXIMIZE, NG, RANKED
 
@@ -49,22 +49,24 @@ RITZ_EVERY = 8
 
 @dataclass(frozen=True)
 class ModularityMatrix:
-    """Validated dense symmetric matrix with zero diagonal."""
+    """Validated dense matrix, exactly symmetric, with zero diagonal.
+
+    Holds its own read-only copy: the caller's array is left as it was.
+    """
 
     matrix: np.ndarray
     kind: str
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
+        m = np.array(self.matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError("modularity matrix must be square and nonempty")
         if self.kind not in (STANDARD, SOFT):
             raise ValueError(f"unknown matrix kind {self.kind!r}")
         if not np.all(np.isfinite(m)):
             raise ValueError("modularity matrix entries must be finite")
-        if not np.allclose(m, m.T, rtol=1e-9, atol=1e-12):
+        if not np.array_equal(m, m.T):
             raise ValueError("modularity matrix must be symmetric")
-        m = 0.5 * (m + m.T)
         np.fill_diagonal(m, 0.0)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -215,8 +217,9 @@ def standard_modularity_matrix(g, null, ranking=None):
     if isinstance(null, LinkProbabilityModel):
         if ranking is None:
             raise ValueError("a ranked ensemble needs its ranking to address nodes")
-        pos = ranking.positions
-        e = (null.links * null.probability_matrix())[np.ix_(pos, pos)]
+        e = null.probability_matrix()
+        e *= null.links
+        e = e[np.ix_(ranking.positions, ranking.positions)]
     else:
         from .baselines import NGModel  # only the degree-product null needs it
 
@@ -225,35 +228,43 @@ def standard_modularity_matrix(g, null, ranking=None):
         e = null.expected_matrix()
     if e.shape[0] != g.n:
         raise ValueError("null model size does not match the graph")
-    return ModularityMatrix(g.adjacency_matrix() - e, STANDARD)
+    np.subtract(g.adjacency_matrix(), e, out=e)
+    return ModularityMatrix(e, STANDARD)
 
 
-def soft_modularity_matrix(model1, model2, ranking1=None, ranking2=None):
+def _pooled_link_stats(model1, model2):
+    """``(e1 - e2, s1 + s2)`` in rank space, with ``e = L p`` formed in each
+    probability matrix's buffer and ``s = e (1 - p)`` beside it."""
+    e1, e2 = model1.probability_matrix(), model2.probability_matrix()
+    s1, s2 = 1.0 - e1, 1.0 - e2
+    for e, s in ((e1, s1), (e2, s2)):
+        e *= model1.links
+        s *= e
+    e1 -= e2
+    s1 += s2
+    return e1, s1
+
+
+def soft_modularity_matrix(model1, model2, ranking=None):
     """Build the variance-scaled contrast matrix of two ensembles.
 
     Entries are ``(e1 - e2) / sqrt(s1 + s2)`` with ``e = L p`` and
-    ``s = L p (1 - p)``; pairs where both variances vanish get 0.  Each
-    model is mapped to node order by its own ranking (pass none for both to
-    stay in a shared rank space).
+    ``s = e (1 - p)``; pairs where both variances vanish get 0.  As ``p``
+    is a distribution over pairs, no entry exceeds 1 and ``s`` needs no
+    clipping.  Both models share one rank space, which ``ranking`` maps to
+    node order once the contrast is formed (pass none to stay in it).
     """
     if model1.n != model2.n:
         raise ValueError("models span different node counts")
     if model1.links != model2.links:
         raise ValueError("models disagree on the link count")
-    if (ranking1 is None) != (ranking2 is None):
-        raise ValueError("pass rankings for both models or for neither")
-
-    e1, s1 = link_stat_matrices(model1)
-    e2, s2 = link_stat_matrices(model2)
-    if ranking1 is not None:
-        ix1 = np.ix_(ranking1.positions, ranking1.positions)
-        ix2 = np.ix_(ranking2.positions, ranking2.positions)
-        e1, s1 = e1[ix1], s1[ix1]
-        e2, s2 = e2[ix2], s2[ix2]
-    denom = s1 + s2
-    m = np.zeros_like(denom)
-    mask = denom > 0.0
-    m[mask] = (e1[mask] - e2[mask]) / np.sqrt(denom[mask])
+    m, pooled = _pooled_link_stats(model1, model2)
+    mask = pooled > 0.0
+    np.sqrt(pooled, out=pooled)
+    np.divide(m, pooled, out=m, where=mask)
+    m[~mask] = 0.0
+    if ranking is not None:
+        m = m[np.ix_(ranking.positions, ranking.positions)]
     return ModularityMatrix(m, SOFT)
 
 
@@ -277,18 +288,17 @@ def build_modularity_matrix(g, null, ranking, null2=None, direction=MAXIMIZE):
     if null2 is None:
         return standard_modularity_matrix(g, model, ranking=ranking)
     model2 = build_ensemble(g, null2, ranking, direction)
-    return soft_modularity_matrix(model, model2, ranking, ranking)
+    return soft_modularity_matrix(model, model2, ranking)
 
 
 def modularity_value(mm, partition):
     """Q of a partition: sum of M over ordered same-community pairs."""
-    m = getattr(mm, "matrix", mm)
-    if partition.n != m.shape[0]:
+    if partition.n != mm.n:
         raise ValueError("partition size does not match the matrix")
     total = 0.0
     for c in range(partition.n_communities):
         idx = partition.members(c)
-        total += float(m[np.ix_(idx, idx)].sum())
+        total += float(mm.matrix[np.ix_(idx, idx)].sum())
     return total
 
 
@@ -359,7 +369,7 @@ class SplitOutcome:
     residual: float | None = None
 
 
-def spectral_bipartition(mm, members=None, tol=EIGEN_TOL, max_iter=EIGEN_MAX_MATVECS):
+def spectral_bipartition(mm, members=None, max_iter=EIGEN_MAX_MATVECS):
     """Try to split one part by the leading eigenvector's sign pattern.
 
     Uses ``B_ij = M_ij - delta_ij sum_l M_il`` over ``members`` (all nodes
@@ -370,7 +380,7 @@ def spectral_bipartition(mm, members=None, tol=EIGEN_TOL, max_iter=EIGEN_MAX_MAT
     vector's projection onto its eigenspace.  ``max_iter`` is the mat-vec
     budget; the outcome records the mat-vecs spent and the residual.
     """
-    m = getattr(mm, "matrix", mm)
+    m = mm.matrix
     if members is None:
         members = np.arange(m.shape[0])
     else:
@@ -390,9 +400,9 @@ def spectral_bipartition(mm, members=None, tol=EIGEN_TOL, max_iter=EIGEN_MAX_MAT
     if sigma == 0.0:
         return SplitOutcome(False, eigenvalue=0.0, reason="zero restricted matrix")
 
-    eigenvalue, vec, matvecs, residual = _lanczos_leading(sub, r, sigma, tol, max_iter)
+    eigenvalue, vec, matvecs, residual = _lanczos_leading(sub, r, sigma, EIGEN_TOL, max_iter)
     solve = {"eigenvalue": eigenvalue, "matvecs": matvecs, "residual": residual}
-    if eigenvalue <= tol * max(1.0, sigma):
+    if eigenvalue <= EIGEN_TOL * max(1.0, sigma):
         return SplitOutcome(False, reason="no positive eigenvalue", **solve)
     signs = np.where(vec >= 0.0, 1, -1).astype(np.int64)
     if np.all(signs == signs[0]):
@@ -401,7 +411,7 @@ def spectral_bipartition(mm, members=None, tol=EIGEN_TOL, max_iter=EIGEN_MAX_MAT
     return SplitOutcome(True, q_gain=q_gain, signs=signs, **solve)
 
 
-def recursive_partition(mm, strict=False, tol=EIGEN_TOL, max_iter=EIGEN_MAX_MATVECS):
+def recursive_partition(mm, strict=False, max_iter=EIGEN_MAX_MATVECS):
     """Split parts until all are indivisible; return the tree and partition.
 
     By default a part splits whenever its leading eigenvalue is positive,
@@ -409,14 +419,13 @@ def recursive_partition(mm, strict=False, tol=EIGEN_TOL, max_iter=EIGEN_MAX_MATV
     the Q maximum; the trace keeps both the best and the final value).
     With ``strict=True`` only Q-increasing splits are accepted.
     """
-    m = getattr(mm, "matrix", mm)
-    n = m.shape[0]
+    n = mm.n
     root = SplitNode(members=np.arange(n))
-    q_trace = [float(m.sum())]
+    q_trace = [float(mm.matrix.sum())]
     queue = [root]
     while queue:
         node = queue.pop(0)
-        outcome = spectral_bipartition(mm, node.members, tol=tol, max_iter=max_iter)
+        outcome = spectral_bipartition(mm, node.members, max_iter=max_iter)
         node.eigenvalue = outcome.eigenvalue
         node.matvecs, node.residual = outcome.matvecs, outcome.residual
         if not outcome.divisible:

@@ -113,7 +113,7 @@ class CooccurrenceMatrix:
     run_count: int
 
     def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64)
+        c = np.array(self.counts, dtype=np.int64)  # frozen below: the caller's stays writable
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValueError("counts must be square")
         if not np.array_equal(c, c.T):

@@ -17,6 +17,7 @@ import numpy as np
 from .ensemble import row_sums
 
 DATA = "data"
+PLATEAU_REL_TOL = 0.10  # relative band of the IPR plateau (detect_cutoff_from_ipr)
 
 
 def _warn(message, *args):
@@ -185,17 +186,15 @@ def _median(values):
     return float((ordered[half - 1] + ordered[half]) / 2.0)
 
 
-def detect_cutoff_from_ipr(curve, rel_tol=0.10):
+def detect_cutoff_from_ipr(curve):
     """Degree where the participation curve leaves its low-degree plateau.
 
     Scans ascending degrees, keeping a running plateau of values that stay
-    within ``rel_tol`` (relative) of the plateau median.  The first degree
-    whose value deviates, with the following degree deviating as well
-    (sustained, not a one-point outlier), is the cut-off.  Returns None when
-    the curve never sustains a deviation.
+    within ``PLATEAU_REL_TOL`` (relative) of the plateau median.  The first
+    degree whose value deviates, with the following degree deviating as
+    well (sustained, not a one-point outlier), is the cut-off.  Returns None
+    when the curve never sustains a deviation.
     """
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
     values = curve.values
     x = curve.x
     if values.size < 3:
@@ -204,9 +203,9 @@ def detect_cutoff_from_ipr(curve, rel_tol=0.10):
     idx = 1
     while idx < values.size:
         m = _median(plateau)
-        scale = max(abs(m), 1e-300)
-        if abs(values[idx] - m) > rel_tol * scale:
-            if idx + 1 < values.size and abs(values[idx + 1] - m) > rel_tol * scale:
+        band = PLATEAU_REL_TOL * max(abs(m), 1e-300)
+        if abs(values[idx] - m) > band:
+            if idx + 1 < values.size and abs(values[idx + 1] - m) > band:
                 return float(x[idx])
             # single-point outlier: skip it without polluting the plateau
         else:

@@ -388,16 +388,6 @@ def expected_multiedge_pairs(model):
     return flagged
 
 
-def link_stat_matrices(model):
-    """Dense rank-space matrices ``e = L * p`` and ``s = L * p * (1 - p)``.
-
-    ``p`` is a distribution over pairs (nonnegative, summing to 1), so no
-    pair exceeds 1 and ``s`` is nonnegative, multigraph ensembles included.
-    """
-    p = model.probability_matrix()
-    return model.links * p, model.links * p * (1.0 - p)
-
-
 def sample_pairs(model, ndraws, seed=None):
     """Draw ``ndraws`` independent rank pairs from the pair distribution.
 

@@ -303,7 +303,7 @@ class Ranking:
     __slots__ = ("order", "positions", "policy", "seed")
 
     def __init__(self, order, policy, seed=None):
-        order = np.asarray(order, dtype=np.int64)
+        order = np.array(order, dtype=np.int64)  # frozen below: the caller's stays writable
         n = order.size
         if not np.array_equal(np.sort(order), np.arange(n)):
             raise ValueError("order must be a permutation of 0..N-1")

@@ -513,6 +513,39 @@ def knn_data_by_loop(g):
     return group_by_degree_by_loop(deg, node_knn)
 
 
+def link_stat_matrices(model):
+    """Dense rank-space matrices ``e = L * p`` and ``s = L * p * (1 - p)``."""
+    p = model.probability_matrix()
+    return model.links * p, model.links * p * (1.0 - p)
+
+
+def standard_matrix_by_formula(g, null, ranking=None):
+    """``a - e`` with a zero diagonal, ``e = (L * P)[ix]`` for a ranked
+    ensemble (``ix`` the ranking's node-order index) or the degree-product
+    null's expected matrix."""
+    if ranking is None:
+        e = null.expected_matrix()
+    else:
+        e = (null.links * null.probability_matrix())[np.ix_(ranking.positions, ranking.positions)]
+    m = g.adjacency_matrix() - e
+    np.fill_diagonal(m, 0.0)
+    return m
+
+
+def soft_matrix_by_formula(model1, model2, ranking=None):
+    """``(e1 - e2) / sqrt(s1 + s2)`` from :func:`link_stat_matrices`, each
+    matrix reordered to node order first; 0 where both variances vanish."""
+    stats = [*link_stat_matrices(model1), *link_stat_matrices(model2)]
+    if ranking is not None:
+        stats = [x[np.ix_(ranking.positions, ranking.positions)] for x in stats]
+    e1, s1, e2, s2 = stats
+    denom = s1 + s2
+    m = np.zeros_like(denom)
+    mask = denom > 0.0
+    m[mask] = (e1[mask] - e2[mask]) / np.sqrt(denom[mask])
+    return m
+
+
 def probability_matrix_by_rows(model):
     """Dense pair-probability matrix stacked from the rows."""
     return np.vstack([model.row(i) for i in range(model.n)])
@@ -543,7 +576,7 @@ def check_parts_against_eigh(mm, dendrogram, tol):
     above ten times the perturbation bound ``sqrt(n) * bound / gap``.
     Returns the number of parts checked.
     """
-    m = getattr(mm, "matrix", mm)
+    m = mm.matrix
     checked = 0
     stack = [dendrogram.root]
     while stack:

@@ -284,11 +284,11 @@ def test_10_community_oracle(two_triangles):
 def test_11_soft_mode_identity(karate):
     model1, ranking = _ranked_model(karate, ME1)
     model3, _ = _ranked_model(karate, ME3)
-    same = soft_modularity_matrix(model1, model1, ranking, ranking)
+    same = soft_modularity_matrix(model1, model1, ranking)
     zeros = bool(np.all(same.matrix == 0.0))
     _, partition = recursive_partition(same)
-    forward = soft_modularity_matrix(model1, model3, ranking, ranking)
-    backward = soft_modularity_matrix(model3, model1, ranking, ranking)
+    forward = soft_modularity_matrix(model1, model3, ranking)
+    backward = soft_modularity_matrix(model3, model1, ranking)
     negated = bool(np.array_equal(forward.matrix, -backward.matrix))
     ok = zeros and partition.n_communities == 1 and negated
     _criterion(

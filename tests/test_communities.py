@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from conftest import (
     check_parts_against_eigh,
     observed_instance,
     random_simple_graph,
+    soft_matrix_by_formula,
+    standard_matrix_by_formula,
 )
 from richnull.baselines import newman_girvan
 from richnull.communities import (
@@ -35,10 +39,27 @@ def me1_matrix(g):
 
 
 class TestModularityMatrix:
-    def test_diagonal_zeroed_and_symmetrized(self):
+    def test_diagonal_zeroed(self):
         m = ModularityMatrix([[5.0, 1.0], [1.0, 5.0]], "standard")
-        assert np.all(np.diag(m.matrix) == 0.0)
+        assert m.matrix.tolist() == [[0.0, 1.0], [1.0, 0.0]]
         assert m.n == 2
+
+    def test_caller_array_neither_modified_nor_frozen(self):
+        given = np.array([[5.0, 1.0], [1.0, 5.0]])
+        m = ModularityMatrix(given, "standard")
+        assert given.tolist() == [[5.0, 1.0], [1.0, 5.0]]
+        assert given.flags.writeable
+        assert not m.matrix.flags.writeable
+        given[0, 1] = given[1, 0] = 2.0
+        assert m.matrix[0, 1] == 1.0
+
+    def test_nearly_symmetric_rejected(self):
+        # exact symmetry is required: no tolerance, no averaging
+        m = np.array([[0.0, 1.0], [1.0, 0.0]])
+        m[0, 1] += 1e-15
+        assert m[0, 1] != m[1, 0]
+        with pytest.raises(ValueError, match="symmetric"):
+            ModularityMatrix(m, "standard")
 
     def test_validation(self):
         with pytest.raises(ValueError, match="square"):
@@ -120,7 +141,7 @@ class TestSoftMatrix:
         ranking = rank_nodes(karate)
         k, kp, _ = observed_instance(karate)
         m = LinkProbabilityModel(k, kp)
-        sm = soft_modularity_matrix(m, m, ranking, ranking)
+        sm = soft_modularity_matrix(m, m, ranking)
         assert np.allclose(sm.matrix, 0.0, atol=0.0)
         assert sm.kind == "soft"
 
@@ -129,8 +150,8 @@ class TestSoftMatrix:
         me1 = LinkProbabilityModel(k, kp)
         me3 = LinkProbabilityModel(k, optimal_kplus(k, "me3"))
         ranking = rank_nodes(karate)
-        ab = soft_modularity_matrix(me1, me3, ranking, ranking)
-        ba = soft_modularity_matrix(me3, me1, ranking, ranking)
+        ab = soft_modularity_matrix(me1, me3, ranking)
+        ba = soft_modularity_matrix(me3, me1, ranking)
         assert np.array_equal(ab.matrix, -ba.matrix)
 
     def test_degenerate_pair_masked_to_zero(self):
@@ -147,8 +168,6 @@ class TestSoftMatrix:
         mk = LinkProbabilityModel(kk, kkp)
         with pytest.raises(ValueError, match="node counts"):
             soft_modularity_matrix(m3, mk)
-        with pytest.raises(ValueError, match="rankings"):
-            soft_modularity_matrix(m3, m3, rank_nodes(k3), None)
 
 
 class TestBuildModularityMatrix:
@@ -175,7 +194,7 @@ class TestBuildModularityMatrix:
         again = rank_nodes(karate, policy="random", seed=fresh())
         me2 = build_ensemble(karate, "me2", again)
         me3 = build_ensemble(karate, "me3", again)
-        composed = soft_modularity_matrix(me2, me3, again, again)
+        composed = soft_modularity_matrix(me2, me3, again)
         assert built.kind == "soft"
         assert np.array_equal(built.matrix, composed.matrix)
 
@@ -183,6 +202,100 @@ class TestBuildModularityMatrix:
     def test_soft_contrast_needs_ranked_nulls(self, karate, null, null2):
         with pytest.raises(ValueError, match="ranked ensembles on both sides"):
             build_modularity_matrix(karate, null, rank_nodes(karate), null2=null2)
+
+
+@pytest.fixture(scope="module")
+def mid_graph():
+    """A 300-node random graph with its ranking; the degree-product null is
+    feasible on it."""
+    g = random_simple_graph(np.random.default_rng(3), 300, density=0.05)
+    return g, rank_nodes(g)
+
+
+class TestBuildsMatchFormula:
+    # each build equals the plain formula bit for bit, reordering included
+    @staticmethod
+    def check_named(g, ranking, nulls, pairs):
+        for null in nulls:
+            built = build_modularity_matrix(g, null, ranking)
+            if null == "ng":
+                want = standard_matrix_by_formula(g, newman_girvan(g))
+            else:
+                want = standard_matrix_by_formula(g, build_ensemble(g, null, ranking), ranking)
+            assert np.array_equal(built.matrix, want), null
+        for null, null2 in pairs:
+            built = build_modularity_matrix(g, null, ranking, null2=null2)
+            models = [build_ensemble(g, name, ranking) for name in (null, null2)]
+            assert np.array_equal(built.matrix, soft_matrix_by_formula(*models, ranking))
+
+    def test_karate(self, karate):
+        self.check_named(
+            karate, rank_nodes(karate), ("me1", "me2", "me3"), (("me1", "me3"), ("me2", "me3"))
+        )
+
+    def test_random_ranking(self, karate):
+        ranking = rank_nodes(karate, policy="random", seed=4)
+        self.check_named(karate, ranking, ("me1", "me3"), (("me3", "me1"),))
+
+    def test_mid_graph(self, mid_graph):
+        g, ranking = mid_graph
+        nulls = ("ng", "me1", "me2", "me3")
+        self.check_named(g, ranking, nulls, (("me1", "me3"), ("me2", "me3")))
+
+    def test_two_triangles_degree_product(self, two_triangles):
+        self.check_named(two_triangles, rank_nodes(two_triangles), ("ng",), ())
+
+    def test_instance_pool(self, instance_graphs):
+        # the pool's model (observed, or a random me2/me3 sequence) against
+        # the observed one, and the degree-product null where it exists
+        for g, k, kp, model in instance_graphs:
+            ranking = rank_nodes(g)
+            built = standard_modularity_matrix(g, model, ranking)
+            assert np.array_equal(built.matrix, standard_matrix_by_formula(g, model, ranking))
+            observed = LinkProbabilityModel(k, observed_instance(g)[1])
+            for pair in ((model, observed), (observed, model)):
+                built = soft_modularity_matrix(*pair, ranking)
+                assert np.array_equal(built.matrix, soft_matrix_by_formula(*pair, ranking))
+            try:
+                ng = newman_girvan(g)
+            except InfeasibleNG:
+                continue
+            built = standard_modularity_matrix(g, ng)
+            assert np.array_equal(built.matrix, standard_matrix_by_formula(g, ng))
+
+    def test_rank_space_contrast(self, karate):
+        k, kp, _ = observed_instance(karate)
+        me1 = LinkProbabilityModel(k, kp)
+        me3 = LinkProbabilityModel(k, optimal_kplus(k, "me3"))
+        built = soft_modularity_matrix(me1, me3)
+        assert np.array_equal(built.matrix, soft_matrix_by_formula(me1, me3))
+
+
+def traced_peak(build):
+    """Peak bytes traced while ``build()`` runs, above what was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        build()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestBuildPeakMemory:
+    # in units of one dense N x N float64 matrix: the probability matrix
+    # itself takes three at its peak, the soft contrast holds two of them
+    # and their variances; the checked copy fits under both bounds
+    def test_standard_and_soft_peaks(self, mid_graph):
+        g, ranking = mid_graph
+        me1 = build_ensemble(g, "me1", ranking)
+        me3 = build_ensemble(g, "me3", ranking)
+        unit = 8 * g.n**2
+        standard = traced_peak(lambda: standard_modularity_matrix(g, me1, ranking))
+        soft = traced_peak(lambda: soft_modularity_matrix(me1, me3, ranking))
+        assert standard <= 3.5 * unit
+        assert soft <= 4.5 * unit
 
 
 class TestModularityValue:
@@ -356,7 +469,7 @@ class TestRecursivePartition:
         k, kp, _ = observed_instance(karate)
         me1 = LinkProbabilityModel(k, kp)
         me3 = LinkProbabilityModel(k, optimal_kplus(k, "me3"))
-        sm = soft_modularity_matrix(me1, me3, ranking, ranking)
+        sm = soft_modularity_matrix(me1, me3, ranking)
         _, part = recursive_partition(sm)
         assert part.n_communities == 17
 
@@ -364,7 +477,7 @@ class TestRecursivePartition:
         ranking = rank_nodes(karate)
         k, kp, _ = observed_instance(karate)
         m = LinkProbabilityModel(k, kp)
-        _, part = recursive_partition(soft_modularity_matrix(m, m, ranking, ranking))
+        _, part = recursive_partition(soft_modularity_matrix(m, m, ranking))
         assert part.n_communities == 1
 
 
@@ -384,8 +497,8 @@ class TestLeadingEigenpair:
         matrices = (
             me1_matrix(karate),
             degree_product_matrix(karate),
-            soft_modularity_matrix(me1, me3, ranking, ranking),
-            soft_modularity_matrix(me3, me1, ranking, ranking),
+            soft_modularity_matrix(me1, me3, ranking),
+            soft_modularity_matrix(me3, me1, ranking),
         )
         for mm in matrices:
             dend, part = recursive_partition(mm)
@@ -405,7 +518,8 @@ class TestLeadingEigenpair:
         # triangles {0,1,2}, {3,4,5}, {6,7,8} the start vector's projection
         # is zero on the middle one; this labelling keeps it clear of zero.
         g = Graph([(0, 1), (0, 2), (1, 2), (3, 4), (3, 8), (4, 8), (5, 6), (5, 7), (6, 7)])
-        m = standard_modularity_matrix(g, newman_girvan(g)).matrix
+        mm = standard_modularity_matrix(g, newman_girvan(g))
+        m = mm.matrix
         r = m.sum(axis=1)
         vals, vecs = np.linalg.eigh(m - np.diag(r))
         tied = np.abs(vals - vals[-1]) <= 1e-9
@@ -419,7 +533,7 @@ class TestLeadingEigenpair:
         theta, vec, _, _ = _lanczos_leading(m, r, sigma, EIGEN_TOL, EIGEN_MAX_MATVECS)
         assert theta == pytest.approx(2.0, abs=1e-12)
         assert np.max(np.abs(vec - proj)) <= 1e-12
-        out = spectral_bipartition(m)
+        out = spectral_bipartition(mm)
         assert np.array_equal(out.signs, np.where(proj >= 0.0, 1, -1))
 
     def test_budget_exhausted_raises_with_count_and_residual(self, karate):

@@ -78,6 +78,14 @@ class TestCooccurrence:
         with pytest.raises(ValueError, match="diagonal"):
             CooccurrenceMatrix(np.array([[0, 0], [0, 0]]), 1)
 
+    def test_caller_counts_stay_writable(self):
+        counts = np.array([[2, 1], [1, 2]])
+        cm = CooccurrenceMatrix(counts, 2)
+        assert counts.flags.writeable
+        assert not cm.counts.flags.writeable
+        counts[0, 1] = counts[1, 0] = 0
+        assert cm.counts.tolist() == [[2, 1], [1, 2]]
+
 
 class TestRandomizedRuns:
     def test_single_run_matches_pipeline(self, karate):

@@ -228,10 +228,6 @@ class TestCutoffDetection:
     def test_short_curves_never_report(self):
         assert detect_cutoff_from_ipr(self.curve([3.0, 1.0])) is None
 
-    def test_rel_tol_validated(self):
-        with pytest.raises(ValueError):
-            detect_cutoff_from_ipr(self.curve([3.0] * 5), rel_tol=0.0)
-
     @pytest.mark.parametrize("size", [1, 2, 3, 8, 33, 100])
     def test_median_matches_numpy_bit_for_bit(self, size):
         rng = np.random.default_rng(size)

@@ -21,7 +21,6 @@ from richnull.ensemble import (
     compute_weights,
     entropy_fast,
     expected_multiedge_pairs,
-    link_stat_matrices,
     row_sums,
     sample_network,
     sample_pairs,
@@ -481,19 +480,20 @@ class TestMultigraphEnsembles:
         assert m.expected(0, 1) == pytest.approx(2.0, abs=1e-12)
         assert expected_multiedge_pairs(m) == [(0, 1, pytest.approx(2.0))]
 
-    def test_link_stat_matrices(self):
+    def test_expected_and_variance(self):
         m = LinkProbabilityModel(self.K, self.KP)
-        e, s = link_stat_matrices(m)
-        assert e[0, 1] == pytest.approx(2.0)
-        assert np.all(s >= 0.0)
-        assert s[0, 1] == pytest.approx(4 * 0.5 * 0.5)
+        p = m.probability_matrix()
+        assert p.min() >= 0.0 and p.max() <= 1.0
+        for i, j in zip(*np.triu_indices(m.n, 1)):
+            assert m.expected(i, j) == m.links * p[i, j]
+        assert m.variance(0, 1) == pytest.approx(4 * 0.5 * 0.5)
 
     def test_forced_pair_probability_one(self):
         # a 2-node multigraph is a single pair carrying every link
         m = LinkProbabilityModel([3, 3], KPlusSequence([0, 3], "me3"))
         assert m.probability(0, 1) == pytest.approx(1.0, abs=1e-15)
-        _, s = link_stat_matrices(m)
-        assert s[0, 1] == pytest.approx(0.0, abs=1e-15)
+        assert m.probability_matrix().max() <= 1.0
+        assert m.variance(0, 1) == pytest.approx(0.0, abs=1e-15)
 
     def test_low_degree_instances_have_no_multiedge_pairs(self, p3):
         k, kp, _ = observed_instance(p3)
@@ -514,10 +514,12 @@ class TestPairDistributionBounds:
     # variance L * p * (1 - p) is nonnegative without clipping
     @staticmethod
     def check(m):
-        e, s = link_stat_matrices(m)
-        assert m.probability_matrix().max() <= 1.0
-        assert np.all(s >= 0.0)
-        assert np.array_equal(e, m.links * m.probability_matrix())
+        p = m.probability_matrix()
+        assert p.min() >= 0.0 and p.max() <= 1.0
+        top = np.unravel_index(np.argmax(p), p.shape)  # the pair nearest 1
+        for i, j in ((0, 1), top, (0, m.n - 1), (m.n - 2, m.n - 1)):
+            assert m.expected(i, j) == m.links * p[i, j]
+            assert m.variance(i, j) >= 0.0
 
     def test_instance_pool(self, instance_pool):
         for _, _, m in instance_pool:

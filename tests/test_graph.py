@@ -16,6 +16,7 @@ from richnull.graph import (
     Graph,
     KPlusSequence,
     Multigraph,
+    Ranking,
     component_labels,
     cutoff_degree,
     kplus_from_graph,
@@ -419,6 +420,14 @@ class TestRanking:
     def test_unknown_policy(self, k3):
         with pytest.raises(ValueError):
             rank_nodes(k3, policy="sideways")
+
+    def test_caller_order_stays_writable(self):
+        order = np.array([1, 0])
+        r = Ranking(order, "deterministic")
+        assert order.flags.writeable
+        assert not r.order.flags.writeable and not r.positions.flags.writeable
+        order[0] = 0
+        assert r.order.tolist() == [1, 0]
 
 
 class TestKPlus:
