@@ -4,29 +4,26 @@ Given ranked degrees ``k`` (nonincreasing) and a rich-club sequence
 ``kplus`` summing to the link count L, the maximally unbiased ensemble
 assigns each unordered pair of ranks ``i < j`` the link probability
 
-    p(i, j) = residuals[i] / prefix[j] * kplus[j] / L
+    p(i, j) = exp(log_w[i] - log_w[j-1]) * c[i] * kplus[j] / (L * D[j-1])
 
-where ``residuals[m] = w[m] * (k[m] - kplus[m])`` and ``prefix[j]`` is the
-sum of residuals below rank ``j``.  The positive weights ``w`` follow a
-recursion chosen so that the ensemble satisfies the soft constraints: the
-expected degree of every rank equals ``k[r]`` and the expected number of
-links to higher ranks equals ``kplus[r]``.  The expected link count of a
-pair is ``e = L * p`` with variance ``s = L * p * (1 - p)``.
+with ``c = k - kplus``, ``D[m] = sum_{r<=m} (k[r] - 2 * kplus[r])`` and the
+log-weights of :func:`compute_weights`.  The weights follow a recursion
+chosen so that the expected degree of every rank equals ``k[r]`` and the
+expected number of links to higher ranks equals ``kplus[r]``; they can pass
+float64 on valid inputs, but ``log_w`` is nondecreasing, so a probability
+can underflow, never overflow.  A pair's expected link count is ``e = L *
+p`` with variance ``s = L * p * (1 - p)``.  In the entropy the weights
+cancel, leaving local integer terms (:func:`entropy_fast`).
 
-The recursion has an integer closed form (:func:`compute_weights`): the
-weights are one cumulative product and the entropy a sum of local integer
-terms (:func:`entropy_fast`).
-
-With ``a[j] = kplus[j] / (prefix[j] * L)`` (0 where ``kplus[j] == 0``) the
-probabilities factorize as ``p(i, j) = residuals[i] * a[j]``, so every
-per-rank sum over a row is a prefix sum plus a suffix sum over these O(N)
-arrays (:func:`row_sums`).  Constraint checks, expected degrees and the
-diagnostics curves therefore run in O(N); only a dense matrix, a single row
-or a list of pairs asked for explicitly costs more.
+Every per-rank sum over a row is a decayed prefix sum plus a decayed suffix
+sum over O(N) arrays (:func:`row_sums`), so constraint checks, expected
+degrees and the diagnostics curves run in O(N); only a dense matrix, a
+single row or a list of pairs asked for explicitly costs more.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,6 +33,7 @@ from .errors import SingularWeights
 from .graph import ME2, ME3, OBSERVED, KPlusSequence, Multigraph
 
 _TAG_FOR_MODE = {OBSERVED: "me1", ME2: "me2", ME3: "me3"}
+_SPAN = 600.0  # widest spread of exponents summed in one block: exp(600) < 1e261
 
 
 def _kplus_values(kplus):
@@ -46,27 +44,14 @@ def _kplus_values(kplus):
 
 @dataclass(frozen=True, eq=False)
 class WeightSequence:
-    """Recursive pair weights and their running sums.
+    """The recursive pair weights as ``log_w[m] = sum_{r=1..m} log(D[r-1] /
+    g[r])``, one read-only entry per rank: 0 at rank 0, nondecreasing, and
+    constant from the last linked rank on, where no pair reads it."""
 
-    ``w[m]`` is stored for 0-based ranks ``m <= N-2`` only: the pair
-    probabilities never reference the last weight, and it is singular even
-    on perfectly valid inputs (e.g. a complete triangle).  Ranks at and past
-    the last linked one get placeholder entries (``w`` infinite, residual 0)
-    so the arrays keep their documented shapes when isolated nodes trail
-    the ranking.
-
-    ``residuals[m] = w[m] * (k[m] - kplus[m])`` is the weighted count of
-    stubs rank ``m`` has left for lower-ranked partners, and
-    ``prefix[j] = sum(residuals[:j])`` (so ``prefix[0] = 0``).
-    """
-
-    w: np.ndarray
-    residuals: np.ndarray
-    prefix: np.ndarray
+    log_w: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.w, self.residuals, self.prefix):
-            arr.flags.writeable = False
+        self.log_w.flags.writeable = False
 
 
 def _validated(k, kplus):
@@ -117,56 +102,52 @@ def _rank_terms(k, kp):
     return k - kp, dp - kp, dp
 
 
+def _compensated_cumsum(x):
+    """``np.cumsum(x)`` plus the running sum of its rounding errors, each exact
+    by TwoSum (Ogita, Rump & Oishi, *SIAM J. Sci. Comput.* 26, 1955, 2005)."""
+    s = np.cumsum(x)
+    before = np.concatenate(([0.0], s[:-1]))
+    step = s - before
+    return s + np.cumsum((before - (s - step)) + (x - step))
+
+
 def _weights_and_entropy(k, kplus):
     """The :class:`WeightSequence` of ``(k, kplus)`` and its entropy in nats
     (:func:`compute_weights`, :func:`entropy_fast`).
 
-    Raises :class:`SingularWeights` at the first rank where the last linked
-    rank is not saturated (not all its links point upward, which would
-    underfill every degree constraint), ``g`` is nonpositive, or a weight or
-    prefix sum overflows; at one rank the checks count in that order.
+    Raises :class:`SingularWeights` at the first rank between rank 0 and the
+    last linked rank where ``g`` is nonpositive, else at the last linked rank
+    when not all its links point upward (which would underfill every degree
+    constraint).
     """
     k, kp, links = _validated(k, kplus)
     last = int(np.count_nonzero(k)) - 1  # the ranks past it are inert
     c, g, dp = _rank_terms(k, kp)
-    w = np.full(k.size - 1, np.inf)
-    w[0] = 1.0
-    residuals = np.zeros(k.size - 1)
-    prefix = np.zeros(k.size)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.cumprod(dp[1:last] / g[1:last], out=w[1:last])
-        np.multiply(dp[1 : last + 1], w[:last], out=prefix[1 : last + 1])
-        prefix[last + 1 :] = prefix[last]
-        np.multiply(w[:last], c[:last], out=residuals[:last])
-        terms = _phi(c) + _phi(kp) - _phi_step(g, kp)
-    found = []  # (rank, reason) of each check that fires, in order of priority
+    bad = np.flatnonzero(g[1:last] <= 0)
+    if bad.size:
+        m = int(bad[0]) + 1
+        w = math.prod((dp[1:m] / g[1:m]).tolist())  # w[m-1], as the recursion forms it
+        raise SingularWeights(m + 1, f"denominator {w * g[m] if g[m] else 0:.6g}")
     if kp[last] != k[last]:
-        found.append((last, "last linked rank not saturated"))
-    denominator = np.flatnonzero(g[1:last] <= 0)
-    if denominator.size:
-        found.append((int(denominator[0]) + 1, "denominator"))
-    # prefix[m] = w[m-1] * D[m-1] = w[m] * g[m] >= w[m] where g[m] >= 1, so
-    # the prefix sums overflow no later than the weights
-    overflow = ~np.isfinite(prefix[1 : last + 1])
-    if overflow.any():
-        found.append((int(overflow.argmax()) + 1, "weight overflow"))
-    if found:
-        m, reason = min(found, key=lambda f: f[0])  # the first of equal ranks
-        if reason == "denominator":  # w[m - 1] is finite: no earlier rank overflowed
-            reason = f"denominator {w[m - 1] * g[m]:.6g}"
-        raise SingularWeights(m + 1, reason)
-    return WeightSequence(w, residuals, prefix), 2.0 * np.log(links) - 2.0 / links * terms.sum()
+        raise SingularWeights(last + 1, "last linked rank not saturated")
+    log_w = np.zeros(k.size)
+    # log(D / g) = -log1p(-kplus / D), exact to rounding where kplus << D
+    log_w[1:last] = _compensated_cumsum(-np.log1p(-kp[1:last] / dp[1:last]))
+    log_w[last:] = log_w[last - 1]
+    terms = _phi(c) + _phi(kp) - _phi_step(g, kp)
+    return WeightSequence(log_w), 2.0 * np.log(links) - 2.0 / links * terms.sum()
 
 
 def compute_weights(k, kplus):
-    """Run the weight recursion for ``(k, kplus)``.
+    """Run the weight recursion for ``(k, kplus)``; returns its
+    :class:`WeightSequence`.
 
     From ``w[0] = 1`` the recursion divides by ``prefix[m] - kplus[m] *
     w[m-1]``; with the integers of :func:`_rank_terms` it has the closed form
     ``prefix[m + 1] = D[m] * w[m]``, ``w[m] = w[m-1] * D[m-1] / g[m]``: the
-    denominator is positive exactly when ``g[m] > 0``, and the weights are
-    one cumulative product.  Raises :class:`SingularWeights` with the
-    offending 1-based rank when no ensemble satisfies the constraints.
+    denominator is positive exactly when ``g[m] > 0``, and ``log w`` is one
+    cumulative sum.  Raises :class:`SingularWeights` with the offending
+    1-based rank when no ensemble satisfies the constraints.
     """
     return _weights_and_entropy(k, kplus)[0]
 
@@ -177,13 +158,12 @@ class LinkProbabilityModel:
     Immutable once built; evaluation methods are pure and safe to call
     concurrently.  All ``i``/``j`` arguments are 0-based ranks.
 
-    Construction stores three read-only arrays of N entries: the residuals
-    with a 0 for the last rank (``_res``), ``_den = prefix * L`` and the
-    column factors ``_a = kplus / _den`` (0 where ``kplus == 0``).  Every
-    pair probability comes from :meth:`_pair`.
+    Construction stores read-only arrays of N entries: ``_c = k - kplus``,
+    ``_den = L * max(D[j-1], 1)``, the column factors ``_t = kplus / _den``
+    and ``_log_w``.  Every pair probability comes from :meth:`_pair`.
     """
 
-    __slots__ = ("k", "kplus", "weights", "links", "tag", "_res", "_den", "_a")
+    __slots__ = ("k", "kplus", "weights", "links", "tag", "_c", "_den", "_t", "_log_w")
 
     def __init__(self, k, kplus, tag=None):
         self.k = np.array(k, dtype=np.int64)
@@ -195,11 +175,12 @@ class LinkProbabilityModel:
         self.links = int(self.k.sum()) // 2
         self.tag = tag if tag is not None else _TAG_FOR_MODE[kplus.mode]
         kp = kplus.values
-        self._res = np.append(self.weights.residuals, 0.0)  # the last rank stores none
-        self._den = self.weights.prefix * self.links
-        self._a = np.zeros(self.n)
-        np.divide(kp, self._den, out=self._a, where=kp > 0)
-        for arr in (self._res, self._den, self._a):
+        c, _, dp = _rank_terms(self.k, kp)
+        self._c = c.astype(np.float64)
+        self._den = np.maximum(dp, 1) * float(self.links)
+        self._t = kp / self._den
+        self._log_w = self.weights.log_w
+        for arr in (self._c, self._den, self._t):
             arr.flags.writeable = False
 
     @property
@@ -207,9 +188,10 @@ class LinkProbabilityModel:
         return self.k.size
 
     def _pair(self, i, j):
-        """``p(i, j) = res[i] * kplus[j] / den[j]`` for ranks ``i < j``
-        (scalars or broadcasting index arrays)."""
-        return self._res[i] * self.kplus.values[j] / self._den[j]
+        """The module's ``p(i, j)`` for ranks ``i < j`` (scalars or broadcasting
+        index arrays); dividing last rounds a pair of exponent 0 once."""
+        kp = self.kplus.values
+        return np.exp(self._log_w[i] - self._log_w[j - 1]) * self._c[i] * kp[j] / self._den[j]
 
     def probability(self, i, j):
         """Link probability of the rank pair ``(i, j)``; zero never pairs."""
@@ -220,15 +202,6 @@ class LinkProbabilityModel:
         if not (0 <= i < j < self.n):
             raise IndexError("rank out of range")
         return self._pair(i, j)
-
-    def expected(self, i, j):
-        """Expected link count e = L * p of the pair."""
-        return self.links * self.probability(i, j)
-
-    def variance(self, i, j):
-        """Variance s = L * p * (1 - p) of the pair's link count."""
-        p = self.probability(i, j)
-        return self.links * p * (1.0 - p)
 
     def row(self, i):
         """Vector of p(i, j) over all j, with the diagonal entry 0."""
@@ -249,19 +222,21 @@ class LinkProbabilityModel:
     def probability_matrix(self):
         """Dense symmetric N x N matrix of pair probabilities (O(N^2)).
 
-        The upper triangle mirrored, so it equals the stacked rows bit for
-        bit.
+        One buffer: the exponents ``log_w[i] - log_w[j-1]`` clipped at 0 (only
+        those on and below the diagonal are positive), then :meth:`_pair`'s
+        operations in its order, the diagonal and below zeroed and the upper
+        triangle mirrored.  It equals the stacked rows bit for bit.
         """
-        r = np.arange(self.n)
-        upper = np.zeros((self.n, self.n))
-        # no j > i in the last row, no i < j in column 0 (den 0 there)
-        upper[:-1, 1:] = self._pair(r[:-1, None], r[1:])
-        upper[np.tri(self.n, dtype=bool)] = 0.0  # the diagonal and below
-        return upper + upper.T
-
-    def expected_degree(self, i):
-        """Expected degree ``L * sum_j p(i, j)`` of rank ``i`` (O(N))."""
-        return float(self.links * row_sums(self).total[i])
+        lw = self._log_w
+        p = np.subtract.outer(lw, np.concatenate((lw[:1], lw[:-1])))  # column 0: kplus 0
+        np.minimum(p, 0.0, out=p)
+        np.exp(p, out=p)
+        p *= self._c[:, None]
+        p *= self.kplus.values
+        p /= self._den
+        p[np.tri(self.n, dtype=bool)] = 0.0
+        p += p.T
+        return p
 
     def __repr__(self):
         return (
@@ -296,35 +271,54 @@ class RowSums(NamedTuple):
     weighted: np.ndarray | None
 
 
-def _before(v):
-    """``out[i] = sum(v[:i])``."""
-    return np.concatenate(([0.0], np.cumsum(v[:-1])))
+def _decayed_cumsum(v, s):
+    """``out[i] = sum_{r<=i} v[r] * exp(s[r] - s[i])`` for nondecreasing ``s``:
+    one ``cumsum`` per block over which ``s`` rises less than :data:`_SPAN`,
+    scaled to the block's first rank, the sum so far carried in times
+    ``exp(s[a-1] - s[a]) <= 1``.  Terms can underflow, nothing overflows."""
+    out = np.empty(s.size)
+    a = 0
+    while a < s.size:
+        b = int(np.searchsorted(s, s[a] + _SPAN))
+        scale = np.exp(s[a:b] - s[a])
+        terms = v[a:b] * scale
+        if a:
+            terms[0] += out[a - 1] * np.exp(s[a - 1] - s[a])
+        np.divide(np.cumsum(terms), scale, out=out[a:b])
+        a = b
+    return out
 
 
-def _after(v):
-    """``out[i] = sum(v[i+1:])``."""
-    return np.concatenate((np.cumsum(v[:0:-1])[::-1], [0.0]))
+def _below(a, b, s):
+    """``out[i] = b[i] * sum_{r<i} a[r] * exp(s[r] - s[i-1])``."""
+    return b * np.concatenate(([0.0], _decayed_cumsum(a, s)[:-1]))
+
+
+def _above(a, b, s):
+    """``out[i] = a[i] * sum_{j>i} b[j] * exp(s[i] - s[j-1])``, the same
+    cumulative sum run from the last rank down."""
+    return a * np.concatenate((_decayed_cumsum(b[:0:-1], -s[-2::-1])[::-1], [0.0]))
 
 
 def row_sums(model, x=None):
     """Per-rank row sums of ``p``, ``p**2`` and optionally ``p * x``, in O(N).
 
-    As ``p(i, j) = residuals[i] * a[j]`` for ``i < j``, a row sum is
-    ``residuals[i]`` times a suffix sum of ``a`` plus ``a[i]`` times a prefix
-    sum of the residuals, and likewise for ``p**2`` and ``p * x``.  The
-    prefix sums are accumulated here, not read from ``weights.prefix``, so
-    :func:`verify_soft_constraints` tests that the two agree.
+    As ``p(i, j) = c[i] * t[j] * exp(log_w[i] - log_w[j-1])`` for ``i < j``,
+    a row sum is ``c[i]`` times a decayed suffix sum of ``t`` plus ``t[i]``
+    times a decayed prefix sum of ``c``; ``p**2`` squares ``c``, ``t`` and
+    the decay, ``p * x`` weighs ``c`` and ``t`` by ``x``.
     """
-    res, a = model._res, model._a
-    lower = a * _before(res)
+    c, t, lw = model._c, model._t, model._log_w
+    lower = _below(c, t, lw)
     weighted = None
     if x is not None:
         x = np.asarray(x, dtype=np.float64)
-        weighted = res * _after(a * x) + a * _before(res * x)
+        weighted = _above(c, t * x, lw) + _below(c * x, t, lw)
+    c2, t2, lw2 = c * c, t * t, 2.0 * lw
     return RowSums(
-        res * _after(a) + lower,
+        _above(c, t, lw) + lower,
         lower,
-        res * res * _after(a * a) + a * a * _before(res * res),
+        _above(c2, t2, lw2) + _below(c2, t2, lw2),
         weighted,
     )
 
@@ -372,13 +366,17 @@ def expected_multiedge_pairs(model):
     Such pairs are legitimate for multigraph ensembles; the list lets
     callers flag where single-link reporting would be misleading.
 
-    A suffix maximum of ``a[j]`` screens the rows first; its products are
-    rounded differently from :meth:`LinkProbabilityModel.upper_row`, so it
-    keeps rows within 1e-9 of the threshold, and ``upper_row`` evaluates the
-    rows kept.  The list equals a scan of every row.
+    A suffix maximum screens the rows first: ``log(L * c[i]) + log_w[i] +
+    max_{j>i} (log t[j] - log_w[j-1])``.  Rounded differently from
+    :meth:`LinkProbabilityModel.upper_row`, it keeps rows within 1e-9 of the
+    threshold; ``upper_row`` evaluates them.  The list equals a scan of
+    every row.
     """
-    reach = np.maximum.accumulate(model._a[:0:-1])[::-1]  # max_{j>i} a[j], i < N-1
-    screen = model._res[:-1] * model.links * reach > 1.0 - 1e-9
+    lw = model._log_w
+    with np.errstate(divide="ignore"):  # log 0 = -inf: no stubs, no upward links
+        column = np.log(model._t[1:]) - lw[:-1]
+        reach = np.maximum.accumulate(column[::-1])[::-1]  # max over j > i, i < N-1
+        screen = np.log(model.links * model._c[:-1]) + lw[:-1] + reach > -1e-9
     flagged = []
     for i in np.nonzero(screen)[0].tolist():
         e = model.links * model.upper_row(i)
@@ -391,22 +389,25 @@ def expected_multiedge_pairs(model):
 def sample_pairs(model, ndraws, seed=None):
     """Draw ``ndraws`` independent rank pairs from the pair distribution.
 
-    Inverse CDF on the factorized form of p, O(L log N): the higher-rank
-    endpoint ``j`` (marginal ``kplus[j] / L``) is the binary search of a
-    uniform integer below L in the cumulative ``kplus``, and ``i < j``
-    (probability proportional to ``residuals[i]``) the binary search of a
-    uniform share of the residual mass below ``j`` in the cumulative
-    residuals.  Returns arrays ``(i, j)`` in draw order.
+    Inverse CDF, O(L log N): the higher-rank endpoint ``j`` (marginal
+    ``kplus[j] / L``) is the binary search of a uniform integer below L in
+    the cumulative ``kplus``.  Given ``j``, ``P(i <= r) = D[r] *
+    exp(log_w[r] - log_w[j-1]) / D[j-1]``, so ``i`` is the binary search of
+    ``log(u) + key[j-1]`` in ``key = log D + log_w`` over the ranks with
+    stubs, where that CDF steps.  Returns arrays ``(i, j)`` in draw order.
     """
     rng = np.random.default_rng(seed)
-    j = np.searchsorted(
-        np.cumsum(model.kplus.values), rng.integers(model.links, size=ndraws), side="right"
-    )
-    mass = np.cumsum(model.weights.residuals)
-    # "left" maps a share of exactly 0 or of the whole mass below j to a rank
-    # with a positive residual below j
-    i = np.searchsorted(mass, rng.random(ndraws) * mass[j - 1], side="left")
-    return i, j
+    kp = model.kplus.values
+    j = np.searchsorted(np.cumsum(kp), rng.integers(model.links, size=ndraws), side="right")
+    stubs = np.flatnonzero(model._c)  # rank 0 among them: k[0] > kplus[0] = 0
+    d = np.cumsum(model.k - 2 * kp)[stubs]  # positive before the last linked rank
+    # nondecreasing exactly; the running maximum keeps it so under rounding
+    key = np.maximum.accumulate(np.log(d) + model._log_w[stubs])
+    top = np.searchsorted(stubs, j) - 1  # the last rank with stubs below j
+    with np.errstate(divide="ignore"):  # u = 0 draws rank 0
+        target = np.log(rng.random(ndraws)) + key[top]
+    # "left": u < 1 puts the target at or below key[top], so i < j
+    return stubs[np.searchsorted(key, target)], j
 
 
 def sample_network(model, seed=None):

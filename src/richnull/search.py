@@ -8,17 +8,18 @@ multi-links (never self-loops).
 With ``c = k - kplus``, ``D[m] = sum_{r<=m} (k[r] - 2 * kplus[r])`` and
 ``g[m] = D[m-1] - kplus[m]``, the entropy of :func:`~richnull.ensemble.entropy_fast`
 is a sum of local terms ``phi(c[m]) + phi(kplus[m]) + phi(g[m]) -
-phi(D[m-1])``, and every weight check but overflow is local too.  So the
-optimum in either direction is a shortest path over the states
-``(m, D[m-1])`` (Bellman, *Dynamic Programming*, 1957), which
-:func:`optimal_kplus` finds exactly.
+phi(D[m-1])``, and every weight check is local too: the weights are kept
+as logarithms (:func:`~richnull.ensemble.compute_weights`), which never
+overflow.  So the optimum in either direction is a shortest path over the
+states ``(m, D[m-1])`` (Bellman, *Dynamic Programming*, 1957), which
+:func:`optimal_kplus` finds exactly, its checks complete.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ensemble import LinkProbabilityModel, _phi, compute_weights
+from .ensemble import LinkProbabilityModel, _phi
 from .errors import InfeasibleConstraints, SingularWeights
 from .graph import (
     MAXIMIZE, ME1, ME2, ME3, MINIMIZE, KPlusSequence, component_labels, kplus_from_graph,
@@ -63,12 +64,8 @@ def optimal_kplus(k, mode, direction=MAXIMIZE):
     it (the sequence sums to L).  Ties: among bit-equal running costs at a
     state, the smallest ``kplus[m]`` is kept.  One row of choices per rank,
     in the smallest unsigned type that holds the largest bound, leads back
-    from the end.
-
-    Weight overflow is the one check that is not local; the result goes
-    through :func:`compute_weights`, which raises :class:`SingularWeights`
-    where it overflows.  Raises :class:`InfeasibleConstraints` when no
-    sequence within the bounds has weights.
+    from the end.  Raises :class:`InfeasibleConstraints` when no sequence
+    within the bounds has weights.
     """
     if mode not in (ME2, ME3):
         raise ValueError(f"search mode must be me2 or me3, got {mode!r}")
@@ -124,7 +121,6 @@ def optimal_kplus(k, mode, direction=MAXIMIZE):
     for m in range(last - 1, 0, -1):  # d is D[m]
         kp[m] = choices[m - 1][(d - parity[m + 1]) // 2]
         d += 2 * int(kp[m]) - int(k[m])
-    compute_weights(k, kp)  # raises SingularWeights where the weights overflow
     return KPlusSequence(kp, mode).validate_against(k)
 
 

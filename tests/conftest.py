@@ -311,9 +311,13 @@ def weights_by_recursion(k, kplus):
     ``w[0] = 1`` each linked rank divides by ``prefix[m] - kplus[m] * w[m-1]``
     and adds its residual to the running prefix sum, and the entropy sum
     ``T`` and ``F[j] = sum_{i<j} f log f`` run along on plain floats.  The
-    arrays are padded past the last linked rank as ``WeightSequence`` is.
-    Raises ``SingularWeights`` where ``compute_weights`` does, except that the
-    denominator is tested in floating point, not as an exact integer.
+    arrays are padded past the last linked rank (``w`` with inf, residuals
+    with 0, prefix sums with their last value).  Raises ``SingularWeights``
+    where ``compute_weights`` does, except that the denominator is tested in
+    floating point, not as an exact integer; it also raises where a float
+    weight or prefix sum overflows, which ``compute_weights``' log-weights
+    never do, so it serves small inputs only (a ring ranked in order
+    overflows at rank 514).
     """
     k = [int(x) for x in k]
     kp = [int(x) for x in kplus]
@@ -356,17 +360,15 @@ def weights_by_recursion(k, kplus):
     )
 
 
-def weights_of_rows(k, rows):
-    """``(residuals, prefix, entropy)`` of every row of a ``(B, N)`` block of
-    rich-club sequences for the degrees ``k``, vectorized over the block.
+def entropy_of_rows(k, rows):
+    """``entropy_fast`` of every row of a ``(B, N)`` block of rich-club
+    sequences for the degrees ``k``, vectorized over the block.
 
-    The closed form of ``compute_weights`` and the local-term entropy of
-    ``entropy_fast``, taken along axis 1 for the move certificate, which
-    evaluates every single-unit move from one sequence: a row with weights
-    gets the library's values bit for bit, a row without (a nonpositive
-    ``g``, an overflowing weight or prefix sum, or an unsaturated last
-    linked rank) NaN entropy.
-    The rows are not validated.
+    The local-term entropy taken along axis 1 for the move certificate,
+    which evaluates every single-unit move from one sequence: a row with
+    weights gets the library's value bit for bit, a row without (a
+    nonpositive ``g`` between rank 0 and the last linked rank, or an
+    unsaturated last linked rank) NaN.  The rows are not validated.
     """
     k = np.asarray(k, dtype=np.int64)
     kp = np.atleast_2d(np.asarray(rows, dtype=np.int64))
@@ -375,22 +377,10 @@ def weights_of_rows(k, rows):
     dp = np.zeros_like(kp)
     np.cumsum(k[:-1] - 2 * kp[:, :-1], axis=1, out=dp[:, 1:])
     c, g = k - kp, dp - kp
-    w = np.full((kp.shape[0], k.size - 1), np.inf)
-    w[:, 0] = 1.0
-    residuals = np.zeros((kp.shape[0], k.size - 1))
-    prefix = np.zeros(kp.shape)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.cumprod(dp[:, 1:last] / g[:, 1:last], axis=1, out=w[:, 1:last])
-        np.multiply(dp[:, 1 : last + 1], w[:, :last], out=prefix[:, 1 : last + 1])
-        prefix[:, last + 1 :] = prefix[:, last : last + 1]
-        np.multiply(w[:, :last], c[:, :last], out=residuals[:, :last])
-        terms = _phi(c) + _phi(kp) - _phi_step(g, kp)
+    terms = _phi(c) + _phi(kp) - _phi_step(g, kp)
     entropy = 2.0 * np.log(links) - 2.0 / links * terms.sum(axis=1)
-    singular = (kp[:, last] != k[last]) | np.any(g[:, 1:last] <= 0, axis=1)
-    singular |= ~np.all(np.isfinite(w[:, 1:last]), axis=1)
-    singular |= ~np.all(np.isfinite(prefix[:, 1 : last + 1]), axis=1)
-    entropy[singular] = np.nan
-    return residuals, prefix, entropy
+    entropy[(kp[:, last] != k[last]) | np.any(g[:, 1:last] <= 0, axis=1)] = np.nan
+    return entropy
 
 
 def brute_force_best_split(m):

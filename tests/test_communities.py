@@ -122,7 +122,7 @@ class TestStandardMatrix:
         a = karate.adjacency_matrix()
         pos = ranking.positions
         for u, v in ((0, 33), (5, 16), (2, 8)):
-            expect = a[u, v] - model.expected(pos[u], pos[v])
+            expect = a[u, v] - model.links * model.probability(pos[u], pos[v])
             assert mm.matrix[u, v] == pytest.approx(expect, abs=1e-12)
 
     def test_rows_sum_to_zero_for_exact_null(self, karate):

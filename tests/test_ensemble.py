@@ -1,12 +1,17 @@
 import math
+import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import (
     entropy_naive,
-    weights_by_recursion,
+    entropy_of_rows,
+    group_by_degree_by_loop,
     multiedge_pairs_by_rows,
+    node_curves_by_rows,
     observed_instance,
     probability_matrix_by_rows,
     random_feasible_kplus,
@@ -14,8 +19,10 @@ from conftest import (
     row_sums_by_rows,
     total_probability_by_rows,
     verify_soft_constraints_by_rows,
-    weights_of_rows,
+    weights_by_recursion,
 )
+from richnull import ensemble
+from richnull.diagnostics import ipr_curve, knn_ensemble, variation_curve
 from richnull.ensemble import (
     LinkProbabilityModel,
     compute_weights,
@@ -28,28 +35,73 @@ from richnull.ensemble import (
     verify_soft_constraints,
 )
 from richnull.errors import InfeasibleConstraints, SingularWeights
-from richnull.graph import Graph, KPlusSequence
+from richnull.graph import Graph, KPlusSequence, load_edge_list
 from richnull.search import optimal_kplus
+
+RING = 1100  # a ring ranked in label order: its me1 weights 2**m pass float64 at rank 1,025
+
+
+def ring_instance(n=RING):
+    """``(k, kplus)`` of the me1 fit of an ``n``-node ring in label order."""
+    return np.full(n, 2), np.array([0] + [1] * (n - 2) + [2])
+
+
+def exact_rows(k, kplus, ranks):
+    """Rows ``p(i, .)`` of the given ranks from the weight recursion in
+    exact rational arithmetic, ``p(i, j) = res[i] * kplus[j] / (prefix[j] *
+    L)`` for ``i < j``, rounded once to float."""
+    k, kp = [int(x) for x in k], [int(x) for x in kplus]
+    links = sum(k) // 2
+    last = sum(1 for x in k if x) - 1
+    w, res, prefix = Fraction(1), [Fraction(k[0])], [Fraction(0), Fraction(k[0])]
+    for m in range(1, len(k)):
+        if m < last:
+            w = w * prefix[m] / (prefix[m] - kp[m] * w)
+            res.append(w * (k[m] - kp[m]))
+        else:
+            res.append(Fraction(0))
+        prefix.append(prefix[m] + res[m])
+
+    def pair(i, j):
+        return res[i] * kp[j] / (prefix[j] * links) if kp[j] else Fraction(0)
+
+    rows = np.zeros((len(ranks), len(k)))
+    for r, i in enumerate(ranks):
+        rows[r] = [float(pair(min(i, j), max(i, j))) if j != i else 0.0 for j in range(len(k))]
+    return rows
+
+
+def partition_graph():
+    """Largest component of a seeded Chung-Lu draw (n=500, gamma 2.3, mean
+    degree 6), the shape of the benchmark's partition graphs."""
+    return load_edge_list((Path(__file__).parent / "data" / "cl500_s16.edges").read_text())
+
+
+def ranked_models(g):
+    """The me1, me2 and me3 (maximum) ensembles of ``g``."""
+    k, kp, _ = observed_instance(g)
+    models = [LinkProbabilityModel(k, kp)]
+    return models + [LinkProbabilityModel(k, optimal_kplus(k, mode)) for mode in ("me2", "me3")]
 
 
 class TestWeights:
     def test_triangle(self):
+        # weights 1, 2: log_w is constant from the last linked rank on
         ws = compute_weights([2, 2, 2], [0, 1, 2])
-        assert ws.w.tolist() == [1.0, 2.0]
-        assert ws.residuals.tolist() == [2.0, 2.0]
-        assert ws.prefix.tolist() == [0.0, 2.0, 4.0]
+        assert ws.log_w.tolist() == pytest.approx([0.0, math.log(2), math.log(2)], abs=1e-15)
 
     def test_star(self):
+        # weights 1, 3/2, 3
         ws = compute_weights([3, 1, 1, 1], [0, 1, 1, 1])
-        assert ws.w.tolist() == [1.0, 1.5, 3.0]
-        assert ws.residuals.tolist() == [3.0, 0.0, 0.0]
-        assert ws.prefix.tolist() == [0.0, 3.0, 3.0, 3.0]
+        expected = [0.0, math.log(1.5), math.log(3.0), math.log(3.0)]
+        assert ws.log_w.tolist() == pytest.approx(expected, abs=1e-15)
 
     def test_last_weight_not_stored(self):
         # the triangle's would-be last weight divides by zero; the pair
-        # probabilities never touch it
+        # probabilities never touch it, and its entry repeats the one before
         ws = compute_weights([2, 2, 2], [0, 1, 2])
-        assert ws.w.size == 2
+        assert ws.log_w.size == 3
+        assert ws.log_w[2] == ws.log_w[1]
 
     def test_singular_sequence(self):
         with pytest.raises(SingularWeights) as err:
@@ -65,9 +117,7 @@ class TestWeights:
 
     def test_trailing_isolated_ranks_are_inert(self):
         ws = compute_weights([2, 2, 2, 0, 0], [0, 1, 2, 0, 0])
-        assert ws.w[:2].tolist() == [1.0, 2.0]
-        assert ws.residuals.tolist() == [2.0, 2.0, 0.0, 0.0]
-        assert ws.prefix.tolist() == [0.0, 2.0, 4.0, 4.0, 4.0]
+        assert ws.log_w.tolist() == pytest.approx([0.0] + [math.log(2)] * 4, abs=1e-15)
         m = LinkProbabilityModel([2, 2, 2, 0, 0], [0, 1, 2, 0, 0])
         assert m.probability(0, 2) == pytest.approx(1 / 3)
         assert m.row(3).tolist() == [0.0] * 5
@@ -101,7 +151,7 @@ class TestWeights:
     def test_arrays_frozen(self):
         ws = compute_weights([2, 2, 2], [0, 1, 2])
         with pytest.raises(ValueError):
-            ws.w[0] = 9.0
+            ws.log_w[0] = 9.0
 
     @pytest.mark.parametrize(
         "k, kp, match",
@@ -136,22 +186,23 @@ class TestProbabilities:
     def test_triangle_uniform(self):
         m = LinkProbabilityModel([2, 2, 2], [0, 1, 2])
         for i, j in ((0, 1), (0, 2), (1, 2)):
-            assert m.probability(i, j) == pytest.approx(1 / 3, abs=1e-15)
-            assert m.expected(i, j) == pytest.approx(1.0, abs=1e-14)
-            assert m.variance(i, j) == pytest.approx(2 / 3, abs=1e-14)
+            p = m.probability(i, j)
+            assert p == pytest.approx(1 / 3, abs=1e-15)
+            assert m.links * p == pytest.approx(1.0, abs=1e-14)
+            assert m.links * p * (1 - p) == pytest.approx(2 / 3, abs=1e-14)
 
     def test_star_exact_reconstruction(self):
         m = LinkProbabilityModel([3, 1, 1, 1], [0, 1, 1, 1])
         for j in (1, 2, 3):
-            assert m.expected(0, j) == pytest.approx(1.0, abs=1e-14)
+            assert m.links * m.probability(0, j) == pytest.approx(1.0, abs=1e-14)
         for i, j in ((1, 2), (1, 3), (2, 3)):
             assert m.probability(i, j) == 0.0
 
     def test_path_exact_reconstruction(self):
         # path 0-1-2 ranked as degrees (2, 1, 1)
         m = LinkProbabilityModel([2, 1, 1], [0, 1, 1])
-        assert m.expected(0, 1) == pytest.approx(1.0, abs=1e-14)
-        assert m.expected(0, 2) == pytest.approx(1.0, abs=1e-14)
+        assert m.links * m.probability(0, 1) == pytest.approx(1.0, abs=1e-14)
+        assert m.links * m.probability(0, 2) == pytest.approx(1.0, abs=1e-14)
         assert m.probability(1, 2) == 0.0
 
     def test_complete_graph_exact_reconstruction(self):
@@ -161,7 +212,7 @@ class TestProbabilities:
         m = LinkProbabilityModel(k, kp)
         for i in range(n):
             for j in range(i + 1, n):
-                assert m.expected(i, j) == pytest.approx(1.0, abs=1e-12)
+                assert m.links * m.probability(i, j) == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetry_exact(self, karate):
         k, kp, _ = observed_instance(karate)
@@ -198,22 +249,29 @@ class TestProbabilities:
     def test_stored_arrays_read_only(self, karate):
         k, kp, _ = observed_instance(karate)
         m = LinkProbabilityModel(k, kp)
-        for arr in (m._res, m._den, m._a):
+        for arr in (m._c, m._den, m._t, m._log_w):
             assert arr.shape == (m.n,)
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
     def test_pair_matches_weight_formula(self, karate):
-        # every pair quantity reads _pair, in the multiply-then-divide order
-        # of res[i] * kplus[j] / (prefix[j] * L)
+        # every pair quantity reads _pair, in the order of
+        # exp(log_w[i] - log_w[j-1]) * c[i] * kplus[j] / (L * D[j-1]); it is
+        # the weight formula res[i] * kplus[j] / (prefix[j] * L) of the
+        # recursion, whose karate weights are finite
         k, kp, _ = observed_instance(karate)
         m = LinkProbabilityModel(k, kp)
-        ws = m.weights
+        lw = m.weights.log_w
         i, j = np.triu_indices(m.n, 1)
-        res = np.append(ws.residuals, 0.0)
-        expected = res[i] * kp[j] / (ws.prefix[j] * m.links)
+        d = np.concatenate(([0], np.cumsum(k - 2 * kp)[:-1]))  # D[j-1]
+        expected = np.exp(lw[i] - lw[j - 1]) * (k - kp)[i] * kp[j] / (m.links * d[j])
         assert np.array_equal(m._pair(i, j), expected)
         assert np.array_equal(np.concatenate([m.upper_row(r) for r in range(m.n)]), expected)
+        _, residuals, prefix, _ = weights_by_recursion(k, kp)
+        res = np.append(residuals, 0.0)
+        np.testing.assert_allclose(
+            expected, res[i] * kp[j] / (prefix[j] * m.links), rtol=1e-13, atol=0.0
+        )
 
     def test_tag_follows_mode(self):
         assert LinkProbabilityModel([2, 2, 2], [0, 1, 2]).tag == "me1"
@@ -223,8 +281,35 @@ class TestProbabilities:
     def test_expected_degree(self, karate):
         k, kp, _ = observed_instance(karate)
         m = LinkProbabilityModel(k, kp)
+        total = row_sums(m).total
         for i in range(m.n):
-            assert m.expected_degree(i) == pytest.approx(k[i], abs=1e-9)
+            assert m.links * m.row(i).sum() == pytest.approx(k[i], abs=1e-9)
+            assert m.links * total[i] == pytest.approx(k[i], abs=1e-9)
+
+    def test_ring_rows_match_exact_fractions(self):
+        # the weights pass float64 at rank 1,025; rows on both sides of it,
+        # and their sums, against the recursion in rational arithmetic
+        k, kp = ring_instance()
+        m = LinkProbabilityModel(k, kp)
+        ranks = [0, 512, 1023, 1024, 1025, 1026, RING - 1]
+        total = row_sums(m).total
+        for i, exact in zip(ranks, exact_rows(k, kp, ranks)):
+            # below 1e-300 the exact values are subnormal or round to 0
+            np.testing.assert_allclose(m.row(i), exact, rtol=1e-12, atol=1e-300)
+            assert total[i] == pytest.approx(exact.sum(), rel=1e-12)
+
+    def test_probability_matrix_peak_memory(self):
+        # one N x N buffer, plus the copy numpy takes to mirror it in place
+        g = random_simple_graph(np.random.default_rng(8), 300, density=0.03)
+        k = np.sort(g.degrees)[::-1]
+        m = LinkProbabilityModel(k, optimal_kplus(k, "me3"))
+        tracemalloc.start()
+        try:
+            m.probability_matrix()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * m.n**2
 
 
 class TestNormalizationAndConstraints:
@@ -283,6 +368,26 @@ class TestRowSums:
         models = [m for _, _, m in instance_pool] + [LinkProbabilityModel(k, kp)]
         for m in models:
             assert expected_multiedge_pairs(m) == multiedge_pairs_by_rows(m)
+
+    def test_small_block_span_matches_oracles(self, instance_pool, karate, monkeypatch):
+        # a span of 2 cuts every decayed sum into many blocks; the row sums
+        # still match the rows, the dense matrix and the node curves
+        monkeypatch.setattr(ensemble, "_SPAN", 2.0)
+        models = [m for _, _, m in instance_pool] + ranked_models(karate)
+        blocked = 0
+        for m in models:
+            x = m.k.astype(np.float64)
+            fast = row_sums(m, x)
+            for got, want in zip(fast, row_sums_by_rows(m, x)):
+                self.assert_close(got, want)
+            self.assert_close(fast.total, m.probability_matrix().sum(axis=1))
+            curves = (knn_ensemble(m), ipr_curve(m), variation_curve(m))
+            for curve, node_values in zip(curves, node_curves_by_rows(m)):
+                _, values, counts = group_by_degree_by_loop(m.k, node_values)
+                assert np.array_equal(curve.counts, counts)
+                np.testing.assert_allclose(curve.values, values, rtol=1e-12, atol=0.0)
+            blocked += m.weights.log_w[-1] > 2 * ensemble._SPAN  # three blocks or more
+        assert blocked >= 0.9 * len(models)
 
     def test_probability_matrix_equals_stacked_rows(self, karate):
         k, kp, _ = observed_instance(karate)
@@ -412,15 +517,17 @@ class TestWeightRows:
             with pytest.raises(SingularWeights) as err:
                 evaluate([3, 3, 3, 3], [0, 2, 3, 1])
             assert (err.value.m, err.value.detail) == (3, "denominator -3")
-        # a ring ranked in order doubles its weight at every rank: 2**1024
-        # overflows, and the error names that rank (the loop's intermediate
-        # w * prefix overflows earlier, at 2**(2m+1))
+        # a ring ranked in order doubles its weight at every rank, past
+        # float64 from rank 1,025 on: the log-weights hold m * log 2 and the
+        # ensemble exists; the float recursion of the conftest oracle
+        # overflows (its intermediate w * prefix at 2**(2m+1)), so that
+        # oracle serves small inputs only
         n = 1100
         ring = [0] + [1] * (n - 2) + [2]
-        for evaluate in (compute_weights, entropy_fast):
-            with pytest.raises(SingularWeights) as err:
-                evaluate([2] * n, ring)
-            assert (err.value.m, err.value.detail) == (1025, "weight overflow")
+        log_w = compute_weights([2] * n, ring).log_w
+        expected = np.minimum(np.arange(n), n - 2) * math.log(2)
+        np.testing.assert_allclose(log_w, expected, rtol=1e-13, atol=0.0)
+        assert math.isfinite(entropy_fast([2] * n, ring))
         with pytest.raises(SingularWeights, match="overflow") as err:
             weights_by_recursion([2] * n, ring)
         assert err.value.m == 514
@@ -431,7 +538,7 @@ class TestWeightRows:
         # bit for bit
         seen = {"ok": 0, "denominator": 0, "not saturated": 0}
         for k, rows in move_blocks:
-            block = weights_of_rows(k, rows)[2]
+            block = entropy_of_rows(k, rows)
             for b, row in enumerate(rows):
                 try:
                     compute_weights(k, row)
@@ -445,15 +552,17 @@ class TestWeightRows:
         assert min(seen.values()) > 0, seen
 
     def test_compute_weights_matches_recursion_oracle(self, instance_pool):
+        # the oracle's weights, residuals and prefix sums from the log-weights
         trailing_zero = 0
         for k, kp, _ in instance_pool:
-            ws = compute_weights(k, kp)
+            w_fast = np.exp(compute_weights(k, kp).log_w)
             w, residuals, prefix, entropy = weights_by_recursion(k, kp)
-            linked = np.isfinite(w)
-            assert np.array_equal(linked, np.isfinite(ws.w))
-            np.testing.assert_allclose(ws.w[linked], w[linked], rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(ws.residuals, residuals, rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(ws.prefix, prefix, rtol=1e-12, atol=0.0)
+            linked = np.isfinite(w)  # the oracle pads with inf past the last linked rank
+            np.testing.assert_allclose(w_fast[:-1][linked], w[linked], rtol=1e-12, atol=0.0)
+            res_fast = w_fast[:-1] * (k - kp)[:-1]
+            np.testing.assert_allclose(res_fast, residuals, rtol=1e-12, atol=0.0)
+            prefix_fast = np.concatenate(([0.0], np.cumsum(res_fast)))
+            np.testing.assert_allclose(prefix_fast, prefix, rtol=1e-12, atol=0.0)
             assert entropy_fast(k, kp) == pytest.approx(entropy, rel=1e-12)
             trailing_zero += int(k[-1] == 0)
         assert trailing_zero > 0
@@ -466,8 +575,11 @@ class TestWeightRows:
             d = np.cumsum(k - 2 * kp)[:last]
             w, _, prefix, _ = weights_by_recursion(k, kp)
             np.testing.assert_allclose(prefix[1 : last + 1] / w[:last], d, rtol=1e-12, atol=0.0)
-            ws = compute_weights(k, kp)
-            assert np.array_equal(np.rint(ws.prefix[1 : last + 1] / ws.w[:last]), d)
+            # log(prefix[m + 1]) - log w[m] = log D[m], on the log-weights
+            log_w = compute_weights(k, kp).log_w
+            np.testing.assert_allclose(
+                np.log(prefix[1 : last + 1]) - log_w[:last], np.log(d), rtol=0.0, atol=1e-12
+            )
 
 
 class TestMultigraphEnsembles:
@@ -477,7 +589,7 @@ class TestMultigraphEnsembles:
 
     def test_expected_pair_above_one(self):
         m = LinkProbabilityModel(self.K, self.KP)
-        assert m.expected(0, 1) == pytest.approx(2.0, abs=1e-12)
+        assert m.links * m.probability(0, 1) == pytest.approx(2.0, abs=1e-12)
         assert expected_multiedge_pairs(m) == [(0, 1, pytest.approx(2.0))]
 
     def test_expected_and_variance(self):
@@ -485,15 +597,16 @@ class TestMultigraphEnsembles:
         p = m.probability_matrix()
         assert p.min() >= 0.0 and p.max() <= 1.0
         for i, j in zip(*np.triu_indices(m.n, 1)):
-            assert m.expected(i, j) == m.links * p[i, j]
-        assert m.variance(0, 1) == pytest.approx(4 * 0.5 * 0.5)
+            assert m.probability(i, j) == p[i, j]
+        assert m.links * p[0, 1] * (1 - p[0, 1]) == pytest.approx(4 * 0.5 * 0.5)
 
     def test_forced_pair_probability_one(self):
         # a 2-node multigraph is a single pair carrying every link
         m = LinkProbabilityModel([3, 3], KPlusSequence([0, 3], "me3"))
         assert m.probability(0, 1) == pytest.approx(1.0, abs=1e-15)
         assert m.probability_matrix().max() <= 1.0
-        assert m.variance(0, 1) == pytest.approx(0.0, abs=1e-15)
+        p = m.probability(0, 1)
+        assert m.links * p * (1 - p) == pytest.approx(0.0, abs=1e-15)
 
     def test_low_degree_instances_have_no_multiedge_pairs(self, p3):
         k, kp, _ = observed_instance(p3)
@@ -518,8 +631,8 @@ class TestPairDistributionBounds:
         assert p.min() >= 0.0 and p.max() <= 1.0
         top = np.unravel_index(np.argmax(p), p.shape)  # the pair nearest 1
         for i, j in ((0, 1), top, (0, m.n - 1), (m.n - 2, m.n - 1)):
-            assert m.expected(i, j) == m.links * p[i, j]
-            assert m.variance(i, j) >= 0.0
+            assert m.probability(i, j) == p[i, j]
+            assert m.links * p[i, j] * (1 - p[i, j]) >= 0.0
 
     def test_instance_pool(self, instance_pool):
         for _, _, m in instance_pool:
@@ -567,3 +680,34 @@ class TestSampling:
         i, j = sample_pairs(m, 40_000, seed=13)
         freq = np.mean((i == 0) & (j == 1))
         assert freq == pytest.approx(m.probability(0, 1), abs=0.01)
+
+    @staticmethod
+    def sample_z(m, samples):
+        """Largest z-score over ranks of the mean degree and mean k+ of
+        ``samples`` seeded networks against ``L * row_sums``: each is a sum
+        of L draws, binomial with the row sum as its success rate.  Ranks
+        with a zero row sum are never drawn."""
+        degree, kplus = np.zeros(m.n), np.zeros(m.n)
+        for seed in range(samples):
+            edges = sample_network(m, seed=seed).edges  # rows (i, j), i < j
+            degree += np.bincount(edges.ravel(), minlength=m.n)
+            kplus += np.bincount(edges[:, 1], minlength=m.n)
+        sums = row_sums(m)
+        worst = 0.0
+        for count, q in ((degree, sums.total), (kplus, sums.lower)):
+            assert np.all(count[q == 0.0] == 0)
+            q, mean = q[q > 0.0], count[q > 0.0] / samples
+            z = np.abs(mean - m.links * q) / np.sqrt(m.links * q * (1.0 - q) / samples)
+            worst = max(worst, float(z.max()))
+        return worst
+
+    def test_sample_degrees_track_row_sums(self, karate, instance_pool):
+        # the sampler and the row sums are separate readings of one formula
+        models = ranked_models(karate) + ranked_models(partition_graph())
+        models += [m for _, _, m in instance_pool[::4]]
+        for m in models:
+            assert self.sample_z(m, 40) < 6.0, m
+
+    def test_ring_samples_track_row_sums(self):
+        # the ring's weights pass float64; its samples still track the sums
+        assert self.sample_z(LinkProbabilityModel(*ring_instance()), 200) < 6.0

@@ -7,11 +7,12 @@ import pytest
 from conftest import (
     enumerate_feasible_kplus,
     entropy_naive,
+    entropy_of_rows,
     observed_instance,
     random_simple_graph,
-    weights_of_rows,
 )
 from richnull.cli import EXIT_OK, main
+from richnull.diagnostics import ipr_curve, knn_ensemble, variation_curve
 from richnull.ensemble import LinkProbabilityModel, _phi, entropy_fast
 from richnull.errors import InfeasibleConstraints
 from richnull.search import MAXIMIZE, MINIMIZE, kplus_bounds, optimal_kplus
@@ -22,7 +23,7 @@ TOLERANCE = 1e-10  # smallest single-move gain counted, relative to max(1, |S|)
 def best_move_by_sweep(k, kp, mode, direction):
     """The largest entropy change in ``direction`` over every single-unit
     move within the ``mode`` bounds whose weights exist, by evaluating each
-    moved sequence in full (``weights_of_rows`` gives ``entropy_fast``'s
+    moved sequence in full (``entropy_of_rows`` gives ``entropy_fast``'s
     value bit for bit); -inf when there is no such move."""
     k, kp = np.asarray(k), np.asarray(kp)
     sign = 1.0 if direction == MAXIMIZE else -1.0
@@ -34,7 +35,7 @@ def best_move_by_sweep(k, kp, mode, direction):
         rows = np.repeat(kp[None, :], j.size, axis=0)
         rows[:, i] += 1
         rows[np.arange(j.size), j] -= 1
-        s = weights_of_rows(k, rows)[2]
+        s = entropy_of_rows(k, rows)
         s = s[~np.isnan(s)]
         if s.size:
             best = max(best, float(np.max(sign * (s - s0))))
@@ -271,8 +272,10 @@ class TestGreedySearch:
         assert checked >= 20
 
     def test_ring_me3_minimum_has_weights(self, tmp_path):
-        # the 1,100-ring's observed me1 weights overflow at rank 1,025; its
-        # me3 minimum has weights, and the summary reports its entropy
+        # the 1,100-ring's observed me1 weights pass float64 at rank 1,025 and
+        # its me3 minimum's at 1,023 (their squares earlier still); both fit,
+        # the summary reports both entropies and the diagnostics average
+        # every node
         n = 1100
         k = np.full(n, 2)
         kp = optimal_kplus(k, "me3", MINIMIZE)
@@ -281,8 +284,13 @@ class TestGreedySearch:
         ring = tmp_path / "ring.edges"
         ring.write_text("".join(f"{i} {(i + 1) % n}\n" for i in range(n)))
         out = tmp_path / "out"
-        argv = ["ensemble", "--input", str(ring), "--model", "me3", "--direction", "minimize"]
-        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        argv = ["--input", str(ring), "--model", "me3", "--direction", "minimize"]
+        assert main(["ensemble", *argv, "--out", str(out)]) == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
         assert summary["entropy"] == summary["search"]["entropy_final"] == entropy_fast(k, kp)
-        assert summary["search"]["entropy_initial"] is None  # observed: overflow
+        observed = [0] + [1] * (n - 2) + [2]  # the ring ranked in label order
+        assert summary["search"]["entropy_initial"] == entropy_fast(k, observed)
+        assert main(["diagnose", *argv, "--out", str(tmp_path / "diag")]) == EXIT_OK
+        for curve in (knn_ensemble(model), ipr_curve(model), variation_curve(model)):
+            assert curve.counts.tolist() == [n]  # the one degree class, every node in it
+            assert np.all(np.isfinite(curve.values))
