@@ -19,11 +19,11 @@ _EXPORTS = {
     "diagnostics": "DiagnosticsCurve aggregate_knn_deviation coefficient_of_variation"
     " detect_cutoff_from_ipr inverse_participation ipr_curve knn_data knn_ensemble"
     " uncorrelated_knn variation_curve",
-    "ensemble": "LinkProbabilityModel WeightSequence compute_weights entropy_fast"
+    "ensemble": "LinkProbabilityModel compute_weights entropy_fast"
     " expected_multiedge_pairs row_sums sample_network total_probability verify_soft_constraints",
     "errors": "EdgeListError InfeasibleConstraints InfeasibleNG PowerIterationError"
     " RichNullError SingularWeights",
-    "graph": "MAXIMIZE MINIMIZE ME1 ME2 ME3 NG RANKED Graph KPlusSequence Multigraph Ranking"
+    "graph": "MAXIMIZE MINIMIZE ME1 ME2 ME3 NG RANKED Graph Multigraph Ranking"
     " cutoff_degree karate_club kplus_from_graph load_edge_list rank_nodes rich_club_coefficient",
     "search": "kplus_bounds optimal_kplus",
 }

@@ -114,7 +114,13 @@ def _write_json(args, out_dir, name, payload):
 
 
 def _load_graph(args):
-    text = Path(args.input).read_text()
+    data = Path(args.input).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # numbered as load_edge_list numbers lines: by str.splitlines
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise EdgeListError(f"not UTF-8 text: byte {data[exc.start]:#04x}", line) from None
     return load_edge_list(text, allow_string_ids=args.string_ids)
 
 
@@ -187,7 +193,7 @@ def cmd_ensemble(args):
             _ints(np.arange(g.n)),
             _names(g)[ranking.order],
             _ints(model.k),
-            _ints(model.kplus.values),
+            _ints(model.kplus),
             _floats(model.links * row_sums(model).total),
         ),
     )
@@ -201,7 +207,7 @@ def cmd_ensemble(args):
         "model": args.model,
         "nodes": g.n,
         "links": model.links,
-        "entropy": entropy_fast(model.k, model.kplus.values),
+        "entropy": model.entropy,
         "total_probability": total_probability(model),
         "residual_degree": residuals.degree,
         "residual_rich_club": residuals.rich_club,
@@ -212,7 +218,7 @@ def cmd_ensemble(args):
         # the observed sequence lies within the me2 and me3 bounds, so a
         # maximum is never below it and a minimum never above
         try:
-            observed = entropy_fast(model.k, kplus_from_graph(g, ranking).values)
+            observed = entropy_fast(model.k, kplus_from_graph(g, ranking))
         except SingularWeights:
             observed = None
         summary["search"] = {

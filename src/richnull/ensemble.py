@@ -30,51 +30,38 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SingularWeights
-from .graph import ME2, ME3, OBSERVED, KPlusSequence, Multigraph
+from .graph import Multigraph
 
-_TAG_FOR_MODE = {OBSERVED: "me1", ME2: "me2", ME3: "me3"}
 _SPAN = 600.0  # widest spread of exponents summed in one block: exp(600) < 1e261
+_TILE = 32  # rows mirrored per step in LinkProbabilityModel.probability_matrix
 
 
-def _kplus_values(kplus):
-    """Accept a KPlusSequence or a plain integer sequence."""
-    values = getattr(kplus, "values", kplus)
-    return np.ascontiguousarray(values, dtype=np.int64)
-
-
-@dataclass(frozen=True, eq=False)
-class WeightSequence:
-    """The recursive pair weights as ``log_w[m] = sum_{r=1..m} log(D[r-1] /
-    g[r])``, one read-only entry per rank: 0 at rank 0, nondecreasing, and
-    constant from the last linked rank on, where no pair reads it."""
-
-    log_w: np.ndarray
-
-    def __post_init__(self):
-        self.log_w.flags.writeable = False
+def _validated_degrees(k):
+    """``(k, L)`` after checking the ranked degrees."""
+    k = np.ascontiguousarray(k, dtype=np.int64)
+    if k.size < 2:
+        raise ValueError("need at least two ranked nodes")
+    if np.any(np.diff(k) > 0) or k[-1] < 0:
+        raise ValueError("degrees must be nonincreasing and nonnegative along ranks")
+    total = int(k.sum())
+    if total % 2 != 0:
+        raise ValueError("degree sum must be even")
+    if total < 2:
+        raise ValueError("ensemble undefined for an empty network")
+    return k, total // 2
 
 
 def _validated(k, kplus):
     """``(k, kplus, L)`` after checking the sequences."""
-    k = np.ascontiguousarray(k, dtype=np.int64)
-    kp = _kplus_values(kplus)
-    if k.size < 2:
-        raise ValueError("need at least two ranked nodes")
+    k, links = _validated_degrees(k)
+    kp = np.ascontiguousarray(kplus, dtype=np.int64)
     if kp.shape != (k.size,):
         raise ValueError(
             "degree and kplus sequences differ in length or shape: need one "
             f"kplus sequence of {k.size} entries, got shape {kp.shape}"
         )
-    if np.any(np.diff(k) > 0):
-        raise ValueError("degrees must be nonincreasing along ranks")
     if kp[0] != 0 or np.any(kp < 0) or np.any(kp > k):
         raise ValueError("kplus must satisfy 0 <= kplus <= k and kplus[0] == 0")
-    total = int(k.sum())
-    if total % 2 != 0:
-        raise ValueError("degree sum must be even")
-    links = total // 2
-    if links < 1:
-        raise ValueError("ensemble undefined for an empty network")
     if kp.sum() != links:
         raise ValueError("kplus must sum to the link count L")
     return k, kp, links
@@ -111,16 +98,16 @@ def _compensated_cumsum(x):
     return s + np.cumsum((before - (s - step)) + (x - step))
 
 
-def _weights_and_entropy(k, kplus):
-    """The :class:`WeightSequence` of ``(k, kplus)`` and its entropy in nats
-    (:func:`compute_weights`, :func:`entropy_fast`).
+def _weights_and_entropy(k, kp, links):
+    """For checked ``(k, kplus, L)``: ``c`` and ``dp`` of :func:`_rank_terms`,
+    the log-weights of :func:`compute_weights` and the entropy in nats of
+    :func:`entropy_fast`.
 
     Raises :class:`SingularWeights` at the first rank between rank 0 and the
     last linked rank where ``g`` is nonpositive, else at the last linked rank
     when not all its links point upward (which would underfill every degree
     constraint).
     """
-    k, kp, links = _validated(k, kplus)
     last = int(np.count_nonzero(k)) - 1  # the ranks past it are inert
     c, g, dp = _rank_terms(k, kp)
     bad = np.flatnonzero(g[1:last] <= 0)
@@ -134,13 +121,16 @@ def _weights_and_entropy(k, kplus):
     # log(D / g) = -log1p(-kplus / D), exact to rounding where kplus << D
     log_w[1:last] = _compensated_cumsum(-np.log1p(-kp[1:last] / dp[1:last]))
     log_w[last:] = log_w[last - 1]
+    log_w.flags.writeable = False
     terms = _phi(c) + _phi(kp) - _phi_step(g, kp)
-    return WeightSequence(log_w), 2.0 * np.log(links) - 2.0 / links * terms.sum()
+    return c, dp, log_w, 2.0 * np.log(links) - 2.0 / links * terms.sum()
 
 
 def compute_weights(k, kplus):
-    """Run the weight recursion for ``(k, kplus)``; returns its
-    :class:`WeightSequence`.
+    """Run the weight recursion for ``(k, kplus)``; returns the read-only
+    log-weights ``log_w[m] = sum_{r=1..m} log(D[r-1] / g[r])``, one per rank:
+    0 at rank 0, nondecreasing, and constant from the last linked rank on,
+    where no pair reads them.
 
     From ``w[0] = 1`` the recursion divides by ``prefix[m] - kplus[m] *
     w[m-1]``; with the integers of :func:`_rank_terms` it has the closed form
@@ -149,7 +139,7 @@ def compute_weights(k, kplus):
     cumulative sum.  Raises :class:`SingularWeights` with the offending
     1-based rank when no ensemble satisfies the constraints.
     """
-    return _weights_and_entropy(k, kplus)[0]
+    return _weights_and_entropy(*_validated(k, kplus))[2]
 
 
 class LinkProbabilityModel:
@@ -158,29 +148,24 @@ class LinkProbabilityModel:
     Immutable once built; evaluation methods are pure and safe to call
     concurrently.  All ``i``/``j`` arguments are 0-based ranks.
 
-    Construction stores read-only arrays of N entries: ``_c = k - kplus``,
-    ``_den = L * max(D[j-1], 1)``, the column factors ``_t = kplus / _den``
-    and ``_log_w``.  Every pair probability comes from :meth:`_pair`.
+    Construction checks ``(k, kplus)`` once and stores read-only copies of
+    them, the ``entropy`` in nats, and read-only arrays of N entries: ``_c =
+    k - kplus``, ``_den = L * max(D[j-1], 1)``, the column factors ``_t =
+    kplus / _den`` and ``_log_w``.  Every pair probability comes from
+    :meth:`_pair`.
     """
 
-    __slots__ = ("k", "kplus", "weights", "links", "tag", "_c", "_den", "_t", "_log_w")
+    __slots__ = ("k", "kplus", "links", "tag", "entropy", "_c", "_den", "_t", "_log_w")
 
-    def __init__(self, k, kplus, tag=None):
-        self.k = np.array(k, dtype=np.int64)
-        self.k.flags.writeable = False
-        if not isinstance(kplus, KPlusSequence):
-            kplus = KPlusSequence(_kplus_values(kplus), OBSERVED)
-        self.kplus = kplus
-        self.weights = compute_weights(self.k, kplus)
-        self.links = int(self.k.sum()) // 2
-        self.tag = tag if tag is not None else _TAG_FOR_MODE[kplus.mode]
-        kp = kplus.values
-        c, _, dp = _rank_terms(self.k, kp)
+    def __init__(self, k, kplus, tag="me1"):
+        k, kp, self.links = _validated(k, kplus)
+        self.k, self.kplus, self.tag = k.copy(), kp.copy(), tag  # the caller's stay writable
+        c, dp, self._log_w, entropy = _weights_and_entropy(self.k, self.kplus, self.links)
+        self.entropy = float(entropy)
         self._c = c.astype(np.float64)
         self._den = np.maximum(dp, 1) * float(self.links)
-        self._t = kp / self._den
-        self._log_w = self.weights.log_w
-        for arr in (self._c, self._den, self._t):
+        self._t = self.kplus / self._den
+        for arr in (self.k, self.kplus, self._c, self._den, self._t):
             arr.flags.writeable = False
 
     @property
@@ -190,8 +175,8 @@ class LinkProbabilityModel:
     def _pair(self, i, j):
         """The module's ``p(i, j)`` for ranks ``i < j`` (scalars or broadcasting
         index arrays); dividing last rounds a pair of exponent 0 once."""
-        kp = self.kplus.values
-        return np.exp(self._log_w[i] - self._log_w[j - 1]) * self._c[i] * kp[j] / self._den[j]
+        lw = self._log_w
+        return np.exp(lw[i] - lw[j - 1]) * self._c[i] * self.kplus[j] / self._den[j]
 
     def probability(self, i, j):
         """Link probability of the rank pair ``(i, j)``; zero never pairs."""
@@ -225,17 +210,20 @@ class LinkProbabilityModel:
         One buffer: the exponents ``log_w[i] - log_w[j-1]`` clipped at 0 (only
         those on and below the diagonal are positive), then :meth:`_pair`'s
         operations in its order, the diagonal and below zeroed and the upper
-        triangle mirrored.  It equals the stacked rows bit for bit.
+        triangle mirrored in row tiles of :data:`_TILE`, so only a tile's
+        operand is copied, not the whole transpose.  It equals the stacked
+        rows bit for bit.
         """
         lw = self._log_w
         p = np.subtract.outer(lw, np.concatenate((lw[:1], lw[:-1])))  # column 0: kplus 0
         np.minimum(p, 0.0, out=p)
         np.exp(p, out=p)
         p *= self._c[:, None]
-        p *= self.kplus.values
+        p *= self.kplus
         p /= self._den
         p[np.tri(self.n, dtype=bool)] = 0.0
-        p += p.T
+        for a in range(0, self.n, _TILE):
+            p[a : a + _TILE] += p[:, a : a + _TILE].T
         return p
 
     def __repr__(self):
@@ -334,7 +322,7 @@ def verify_soft_constraints(model):
     links = model.links
     return ConstraintResiduals(
         float(np.max(np.abs(links * sums.total - model.k))),
-        float(np.max(np.abs(links * sums.lower - model.kplus.values))),
+        float(np.max(np.abs(links * sums.lower - model.kplus))),
     )
 
 
@@ -357,7 +345,7 @@ def entropy_fast(k, kplus):
 
     Raises :class:`SingularWeights` when the weights do not exist.
     """
-    return float(_weights_and_entropy(k, kplus)[1])
+    return float(_weights_and_entropy(*_validated(k, kplus))[3])
 
 
 def expected_multiedge_pairs(model):
@@ -397,7 +385,7 @@ def sample_pairs(model, ndraws, seed=None):
     stubs, where that CDF steps.  Returns arrays ``(i, j)`` in draw order.
     """
     rng = np.random.default_rng(seed)
-    kp = model.kplus.values
+    kp = model.kplus
     j = np.searchsorted(np.cumsum(kp), rng.integers(model.links, size=ndraws), side="right")
     stubs = np.flatnonzero(model._c)  # rank 0 among them: k[0] > kplus[0] = 0
     d = np.cumsum(model.k - 2 * kp)[stubs]  # positive before the last linked rank

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import EdgeListError
 
-OBSERVED = "observed"
 ME1 = "me1"
 ME2 = "me2"
 ME3 = "me3"
@@ -29,7 +28,6 @@ NG = "ng"
 RANKED = (ME1, ME2, ME3)  # the nulls built on a degree ranking
 MAXIMIZE = "maximize"  # directions of the me2/me3 entropy search
 MINIMIZE = "minimize"
-_KPLUS_MODES = (OBSERVED, ME2, ME3)
 
 
 class Graph:
@@ -346,64 +344,15 @@ def rank_nodes(g, policy="deterministic", seed=None):
     return ranking
 
 
-@dataclass(frozen=True, eq=False)
-class KPlusSequence:
-    """Per-rank counts of links to strictly higher-ranked nodes.
-
-    ``values[r]`` is the number of links the rank-``r`` node has to nodes of
-    rank ``< r``; the first entry is always 0 and the values sum to L.  The
-    ``mode`` records how the sequence was obtained: measured from a graph
-    (``"observed"``), or optimized under single-link (``"me2"``) or
-    multigraph (``"me3"``) bounds.
-    """
-
-    values: np.ndarray
-    mode: str = OBSERVED
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=np.int64)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("kplus values must be a nonempty 1-d sequence")
-        if self.mode not in _KPLUS_MODES:
-            raise ValueError(f"unknown kplus mode {self.mode!r}")
-        if values[0] != 0:
-            raise ValueError("kplus[0] must be 0: rank 0 has no higher rank")
-        if np.any(values < 0):
-            raise ValueError("kplus values must be nonnegative")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    @property
-    def total(self):
-        return int(self.values.sum())
-
-    def validate_against(self, degrees):
-        """Check the mode-specific bounds against ranked degrees ``degrees``.
-
-        Raises ValueError on violation; returns self for chaining.
-        """
-        k = np.asarray(degrees)
-        v = self.values
-        if k.shape != v.shape:
-            raise ValueError("degree and kplus shapes differ")
-        if np.any(v > k):
-            raise ValueError("kplus exceeds degree at some rank")
-        if self.mode == ME2 and np.any(v > np.arange(v.size)):
-            raise ValueError("me2 kplus exceeds rank bound r-1 at some rank")
-        if 2 * self.total != int(k.sum()):
-            raise ValueError("kplus does not sum to the link count L")
-        return self
-
-
 def kplus_from_graph(g, ranking):
-    """Measure the observed rich-club sequence of ``g`` under ``ranking``."""
+    """The observed rich-club sequence of ``g`` under ``ranking``: a read-only
+    integer array, one entry per rank, summing to L."""
     if len(ranking) != g.n:
         raise ValueError("ranking size does not match graph")
     pos = ranking.positions
     # each link counts at its lower-ranked end
-    values = np.bincount(np.maximum(pos[g.edges[:, 0]], pos[g.edges[:, 1]]), minlength=g.n)
-    kp = KPlusSequence(values, OBSERVED)
-    assert kp.total == g.edge_count
+    kp = np.bincount(np.maximum(pos[g.edges[:, 0]], pos[g.edges[:, 1]]), minlength=g.n)
+    kp.flags.writeable = False
     return kp
 
 
@@ -430,9 +379,10 @@ def rich_club_coefficient(kp, r):
     """
     if r < 2:
         raise ValueError("rich-club coefficient needs at least 2 nodes")
-    if r > kp.values.size:
-        raise ValueError(f"r={r} exceeds sequence length {kp.values.size}")
-    return 2.0 * float(kp.values[:r].sum()) / (r * (r - 1))
+    kp = np.asarray(kp)
+    if r > kp.size:
+        raise ValueError(f"r={r} exceeds sequence length {kp.size}")
+    return 2.0 * float(kp[:r].sum()) / (r * (r - 1))
 
 
 def cutoff_degree(g):

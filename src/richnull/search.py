@@ -1,9 +1,10 @@
 """Exact entropy optimization of the rich-club sequence.
 
 Where the rich-club sequence is free, it is chosen within the mode bounds:
-``me2`` caps each rank at ``min(k[r], r)`` so that on average at most one
-link joins any pair, ``me3`` caps at ``k[r]`` and permits expected
-multi-links (never self-loops).
+``me2`` caps each rank at ``min(k[r], r)``: no more upward links than there
+are ranks above it, which bounds their mean over those pairs at one but
+not each pair (a single pair may expect more than one link).  ``me3`` caps
+at ``k[r]`` and permits expected multi-links (never self-loops).
 
 With ``c = k - kplus``, ``D[m] = sum_{r<=m} (k[r] - 2 * kplus[r])`` and
 ``g[m] = D[m-1] - kplus[m]``, the entropy of :func:`~richnull.ensemble.entropy_fast`
@@ -19,11 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ensemble import LinkProbabilityModel, _phi
+from .ensemble import LinkProbabilityModel, _phi, _validated_degrees
 from .errors import InfeasibleConstraints, SingularWeights
-from .graph import (
-    MAXIMIZE, ME1, ME2, ME3, MINIMIZE, KPlusSequence, component_labels, kplus_from_graph,
-)
+from .graph import MAXIMIZE, ME1, ME2, ME3, MINIMIZE, component_labels, kplus_from_graph
 
 
 def kplus_bounds(k, mode):
@@ -36,17 +35,6 @@ def kplus_bounds(k, mode):
         b[0] = 0  # rank 0 has nobody above it, multigraph or not
         return b
     raise ValueError(f"unknown search mode {mode!r}")
-
-
-def _validate_degrees(k):
-    k = np.ascontiguousarray(k, dtype=np.int64)
-    if k.size < 2 or np.any(np.diff(k) > 0) or np.any(k < 0):
-        raise ValueError("need a nonincreasing, nonnegative degree sequence")
-    if int(k.sum()) % 2 != 0:
-        raise ValueError("degree sum must be even")
-    if k[0] == 0:
-        raise ValueError("ensemble undefined for an empty network")
-    return k
 
 
 def optimal_kplus(k, mode, direction=MAXIMIZE):
@@ -64,16 +52,16 @@ def optimal_kplus(k, mode, direction=MAXIMIZE):
     it (the sequence sums to L).  Ties: among bit-equal running costs at a
     state, the smallest ``kplus[m]`` is kept.  One row of choices per rank,
     in the smallest unsigned type that holds the largest bound, leads back
-    from the end.  Raises :class:`InfeasibleConstraints` when no sequence
-    within the bounds has weights.
+    from the end, into a read-only int64 array.  Raises
+    :class:`InfeasibleConstraints` when no sequence within the bounds has
+    weights.
     """
     if mode not in (ME2, ME3):
         raise ValueError(f"search mode must be me2 or me3, got {mode!r}")
     if direction not in (MAXIMIZE, MINIMIZE):
         raise ValueError(f"unknown direction {direction!r}")
-    k = _validate_degrees(k)
+    k, links = _validated_degrees(k)
     bounds = kplus_bounds(k, mode)
-    links = int(k.sum()) // 2
     if int(bounds.sum()) < links:
         raise InfeasibleConstraints(
             f"bounds admit at most {int(bounds.sum())} upward links, need {links}"
@@ -121,7 +109,8 @@ def optimal_kplus(k, mode, direction=MAXIMIZE):
     for m in range(last - 1, 0, -1):  # d is D[m]
         kp[m] = choices[m - 1][(d - parity[m + 1]) // 2]
         d += 2 * int(kp[m]) - int(k[m])
-    return KPlusSequence(kp, mode).validate_against(k)
+    kp.flags.writeable = False
+    return kp
 
 
 def build_ensemble(g, tag, ranking, direction=MAXIMIZE):
@@ -135,7 +124,7 @@ def build_ensemble(g, tag, ranking, direction=MAXIMIZE):
     if tag != ME1:
         return LinkProbabilityModel(k, optimal_kplus(k, tag, direction), tag=tag)
     try:
-        return LinkProbabilityModel(k, kplus_from_graph(g, ranking).values, tag=tag)
+        return LinkProbabilityModel(k, kplus_from_graph(g, ranking), tag=tag)
     except SingularWeights as exc:
         if not exc.detail.startswith("denominator"):
             raise

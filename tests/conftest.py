@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from richnull.baselines import RR1
-from richnull.ensemble import LinkProbabilityModel, _phi, _phi_step, compute_weights
-from richnull.errors import EdgeListError, InfeasibleConstraints, SingularWeights
-from richnull.graph import (
-    ME2, ME3, Graph, KPlusSequence, Multigraph, karate_club, kplus_from_graph, rank_nodes,
+from richnull.ensemble import (
+    LinkProbabilityModel, _phi, _phi_step, _validated_degrees, compute_weights,
 )
-from richnull.search import _validate_degrees, kplus_bounds
+from richnull.errors import EdgeListError, InfeasibleConstraints, SingularWeights
+from richnull.graph import ME2, ME3, Graph, Multigraph, karate_club, kplus_from_graph, rank_nodes
+from richnull.search import kplus_bounds
 
 
 @pytest.fixture
@@ -55,7 +55,7 @@ def instance_graphs():
             k, kp, _ = observed_instance(g)
             if len(pool) % 3 == 2:
                 mode = ME2 if len(pool) % 2 else ME3
-                kp = random_feasible_kplus(k, mode, seed=rng).values
+                kp = random_feasible_kplus(k, mode, seed=rng)
             model = LinkProbabilityModel(k, kp)
         except SingularWeights:
             continue
@@ -84,8 +84,7 @@ def observed_instance(g):
     """Ranked degree sequence and observed rich-club sequence of ``g``."""
     ranking = rank_nodes(g)
     k = g.degrees[ranking.order]
-    kp = kplus_from_graph(g, ranking)
-    return k, kp.values, ranking
+    return k, kplus_from_graph(g, ranking), ranking
 
 
 # Random rich-club sequences within the mode bounds that have weights, for
@@ -154,9 +153,8 @@ def random_feasible_kplus(k, mode, seed=None):
     :data:`_MAX_RESAMPLES` draws fail, falls back to the observed sequence
     of a greedy degree-sequence realization, feasible whenever one exists.
     """
-    k = _validate_degrees(k)
+    k, links = _validated_degrees(k)
     bounds = kplus_bounds(k, mode)
-    links = int(k.sum()) // 2
     if int(bounds.sum()) < links:
         raise InfeasibleConstraints(
             f"bounds admit at most {int(bounds.sum())} upward links, need {links}"
@@ -169,14 +167,14 @@ def random_feasible_kplus(k, mode, seed=None):
             raise InfeasibleConstraints(
                 f"the only sequence within bounds is not weight-feasible: {exc}"
             ) from exc
-        return KPlusSequence(bounds, mode)  # unique feasible point
+        return bounds  # unique feasible point
     for _ in range(_MAX_RESAMPLES):
         kp = _random_fill(rng, bounds, links)
         try:
             compute_weights(k, kp)
         except SingularWeights:
             continue
-        return KPlusSequence(kp, mode)
+        return kp
     repaired = (
         _simple_realization_kplus(k)
         if mode == ME2
@@ -188,7 +186,7 @@ def random_feasible_kplus(k, mode, seed=None):
             "no greedy realization"
         )
     compute_weights(k, repaired)  # propagate SingularWeights if even this fails
-    return KPlusSequence(repaired, mode)
+    return repaired
 
 
 def load_edge_list_by_lines(source, allow_string_ids=False):
@@ -442,7 +440,7 @@ def verify_soft_constraints_by_rows(model):
         row = model.row(i)
         deg_res = max(deg_res, abs(links * row.sum() - model.k[i]))
         kplus_res = max(
-            kplus_res, abs(links * row[:i].sum() - model.kplus.values[i])
+            kplus_res, abs(links * row[:i].sum() - model.kplus[i])
         )
     return deg_res, kplus_res
 

@@ -68,7 +68,7 @@ def _ranked_model(g, mode=ME1):
     k, kp, ranking = observed_instance(g)
     if mode == ME1:
         return LinkProbabilityModel(k, kp, tag=ME1), ranking
-    return LinkProbabilityModel(k, optimal_kplus(k, mode).values, tag=mode), ranking
+    return LinkProbabilityModel(k, optimal_kplus(k, mode), tag=mode), ranking
 
 
 def test_01_soft_constraint_reproduction(karate):
@@ -357,7 +357,7 @@ def test_13_internet_snapshot_cutoffs():
     k, _, _ = observed_instance(g)
     cutoffs = {}
     for mode in (ME2, ME3):
-        model = LinkProbabilityModel(k, optimal_kplus(k, mode).values, tag=mode)
+        model = LinkProbabilityModel(k, optimal_kplus(k, mode), tag=mode)
         cutoffs[mode] = detect_cutoff_from_ipr(ipr_curve(model))
     ok = (
         cutoffs[ME2] is not None

@@ -250,6 +250,23 @@ class TestExitCodes:
         assert "line 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "data, where",
+        [
+            (b"0 1\n1 \xff2\n", "line 2: not UTF-8 text: byte 0xff"),
+            (b"0 1\r\n1 2\r3 \xe9\n", "line 3: not UTF-8 text: byte 0xe9"),
+            (b"\xc3", "line 1: not UTF-8 text: byte 0xc3"),
+        ],
+    )
+    def test_non_utf8_input_is_a_parse_error(self, data, where, tmp_path, capsys):
+        f = tmp_path / "bytes.edges"
+        f.write_bytes(data)
+        rc = main(
+            ["ensemble", "--input", str(f), "--model", "me1", "--out", str(tmp_path / "out")]
+        )
+        assert rc == EXIT_PARSE
+        assert capsys.readouterr().err == f"richnull: parse error: {where}\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["consensus", "--model", "me1", "--runs", "0"],

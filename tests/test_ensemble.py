@@ -35,7 +35,7 @@ from richnull.ensemble import (
     verify_soft_constraints,
 )
 from richnull.errors import InfeasibleConstraints, SingularWeights
-from richnull.graph import Graph, KPlusSequence, load_edge_list
+from richnull.graph import Graph, load_edge_list
 from richnull.search import optimal_kplus
 
 RING = 1100  # a ring ranked in label order: its me1 weights 2**m pass float64 at rank 1,025
@@ -87,21 +87,21 @@ def ranked_models(g):
 class TestWeights:
     def test_triangle(self):
         # weights 1, 2: log_w is constant from the last linked rank on
-        ws = compute_weights([2, 2, 2], [0, 1, 2])
-        assert ws.log_w.tolist() == pytest.approx([0.0, math.log(2), math.log(2)], abs=1e-15)
+        log_w = compute_weights([2, 2, 2], [0, 1, 2])
+        assert log_w.tolist() == pytest.approx([0.0, math.log(2), math.log(2)], abs=1e-15)
 
     def test_star(self):
         # weights 1, 3/2, 3
-        ws = compute_weights([3, 1, 1, 1], [0, 1, 1, 1])
+        log_w = compute_weights([3, 1, 1, 1], [0, 1, 1, 1])
         expected = [0.0, math.log(1.5), math.log(3.0), math.log(3.0)]
-        assert ws.log_w.tolist() == pytest.approx(expected, abs=1e-15)
+        assert log_w.tolist() == pytest.approx(expected, abs=1e-15)
 
     def test_last_weight_not_stored(self):
         # the triangle's would-be last weight divides by zero; the pair
         # probabilities never touch it, and its entry repeats the one before
-        ws = compute_weights([2, 2, 2], [0, 1, 2])
-        assert ws.log_w.size == 3
-        assert ws.log_w[2] == ws.log_w[1]
+        log_w = compute_weights([2, 2, 2], [0, 1, 2])
+        assert log_w.size == 3
+        assert log_w[2] == log_w[1]
 
     def test_singular_sequence(self):
         with pytest.raises(SingularWeights) as err:
@@ -116,8 +116,8 @@ class TestWeights:
             compute_weights(k, kp)
 
     def test_trailing_isolated_ranks_are_inert(self):
-        ws = compute_weights([2, 2, 2, 0, 0], [0, 1, 2, 0, 0])
-        assert ws.log_w.tolist() == pytest.approx([0.0] + [math.log(2)] * 4, abs=1e-15)
+        log_w = compute_weights([2, 2, 2, 0, 0], [0, 1, 2, 0, 0])
+        assert log_w.tolist() == pytest.approx([0.0] + [math.log(2)] * 4, abs=1e-15)
         m = LinkProbabilityModel([2, 2, 2, 0, 0], [0, 1, 2, 0, 0])
         assert m.probability(0, 2) == pytest.approx(1 / 3)
         assert m.row(3).tolist() == [0.0] * 5
@@ -149,9 +149,9 @@ class TestWeights:
             compute_weights([4, 4, 4, 4, 4], [0, 1, 2, 4, 3])
 
     def test_arrays_frozen(self):
-        ws = compute_weights([2, 2, 2], [0, 1, 2])
+        log_w = compute_weights([2, 2, 2], [0, 1, 2])
         with pytest.raises(ValueError):
-            ws.log_w[0] = 9.0
+            log_w[0] = 9.0
 
     @pytest.mark.parametrize(
         "k, kp, match",
@@ -163,6 +163,7 @@ class TestWeights:
             ([2, 2, 2], [0, 3, 0], "kplus"),
             ([3, 2, 2], [0, 1, 2], "even"),
             ([2, 2, 2], [0, 1, 1], "sum to the link count"),
+            ([2, 2, 2, 2, 2], [0, 2, 2, 2, -1], "kplus"),
         ],
     )
     def test_input_validation(self, k, kp, match):
@@ -248,11 +249,13 @@ class TestProbabilities:
 
     def test_stored_arrays_read_only(self, karate):
         k, kp, _ = observed_instance(karate)
+        k, kp = k.copy(), kp.copy()
         m = LinkProbabilityModel(k, kp)
-        for arr in (m._c, m._den, m._t, m._log_w):
+        for arr in (m.k, m.kplus, m._c, m._den, m._t, m._log_w):
             assert arr.shape == (m.n,)
             with pytest.raises(ValueError):
-                arr[0] = 1.0
+                arr[0] = 1
+        assert k.flags.writeable and kp.flags.writeable  # the caller's stay writable
 
     def test_pair_matches_weight_formula(self, karate):
         # every pair quantity reads _pair, in the order of
@@ -261,7 +264,7 @@ class TestProbabilities:
         # recursion, whose karate weights are finite
         k, kp, _ = observed_instance(karate)
         m = LinkProbabilityModel(k, kp)
-        lw = m.weights.log_w
+        lw = m._log_w
         i, j = np.triu_indices(m.n, 1)
         d = np.concatenate(([0], np.cumsum(k - 2 * kp)[:-1]))  # D[j-1]
         expected = np.exp(lw[i] - lw[j - 1]) * (k - kp)[i] * kp[j] / (m.links * d[j])
@@ -275,8 +278,7 @@ class TestProbabilities:
 
     def test_tag_follows_mode(self):
         assert LinkProbabilityModel([2, 2, 2], [0, 1, 2]).tag == "me1"
-        kp = KPlusSequence([0, 1, 2], "me2")
-        assert LinkProbabilityModel([2, 2, 2], kp).tag == "me2"
+        assert LinkProbabilityModel([2, 2, 2], [0, 1, 2], tag="me2").tag == "me2"
 
     def test_expected_degree(self, karate):
         k, kp, _ = observed_instance(karate)
@@ -299,7 +301,8 @@ class TestProbabilities:
             assert total[i] == pytest.approx(exact.sum(), rel=1e-12)
 
     def test_probability_matrix_peak_memory(self):
-        # one N x N buffer, plus the copy numpy takes to mirror it in place
+        # one N x N buffer, the N x N boolean mask of the lower triangle, and
+        # the copy numpy takes of one row tile's operand while mirroring
         g = random_simple_graph(np.random.default_rng(8), 300, density=0.03)
         k = np.sort(g.degrees)[::-1]
         m = LinkProbabilityModel(k, optimal_kplus(k, "me3"))
@@ -309,7 +312,7 @@ class TestProbabilities:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * 8 * m.n**2
+        assert peak <= 1.5 * 8 * m.n**2
 
 
 class TestNormalizationAndConstraints:
@@ -386,20 +389,20 @@ class TestRowSums:
                 _, values, counts = group_by_degree_by_loop(m.k, node_values)
                 assert np.array_equal(curve.counts, counts)
                 np.testing.assert_allclose(curve.values, values, rtol=1e-12, atol=0.0)
-            blocked += m.weights.log_w[-1] > 2 * ensemble._SPAN  # three blocks or more
+            blocked += m._log_w[-1] > 2 * ensemble._SPAN  # three blocks or more
         assert blocked >= 0.9 * len(models)
 
     def test_probability_matrix_equals_stacked_rows(self, karate):
         k, kp, _ = observed_instance(karate)
         tail = np.zeros(3, dtype=np.int64)
-        searched = random_feasible_kplus(k, "me3", seed=3).values
+        searched = random_feasible_kplus(k, "me3", seed=3)
         cases = [
             (k, kp),
             (k, searched),
             (np.concatenate((k, tail)), np.concatenate((kp, tail))),
             (np.concatenate((k, tail)), np.concatenate((searched, tail))),
             ([2, 2, 2, 0, 0], [0, 1, 2, 0, 0]),
-            ([3, 3, 1, 1], KPlusSequence([0, 2, 1, 1], "me3")),
+            ([3, 3, 1, 1], [0, 2, 1, 1]),
         ]
         for kk, kpp in cases:
             m = LinkProbabilityModel(kk, kpp)
@@ -495,13 +498,12 @@ class TestWeightRows:
                 kt = np.concatenate((k, np.zeros(tail, dtype=np.int64)))
                 for mode in ("me2", "me3"):
                     try:
-                        kp = random_feasible_kplus(
-                            kt, mode, seed=int(rng.integers(1 << 30))
-                        ).values
+                        kp = random_feasible_kplus(kt, mode, seed=int(rng.integers(1 << 30)))
                     except InfeasibleConstraints:
                         continue
-                    naive = entropy_naive(LinkProbabilityModel(kt, kp))
-                    assert entropy_fast(kt, kp) == pytest.approx(naive, rel=1e-12)
+                    m = LinkProbabilityModel(kt, kp)
+                    assert m.entropy == entropy_fast(kt, kp)  # the CLI reads m.entropy
+                    assert m.entropy == pytest.approx(entropy_naive(m), rel=1e-12)
                     tested += 1
         assert tested >= 30
 
@@ -524,7 +526,7 @@ class TestWeightRows:
         # oracle serves small inputs only
         n = 1100
         ring = [0] + [1] * (n - 2) + [2]
-        log_w = compute_weights([2] * n, ring).log_w
+        log_w = compute_weights([2] * n, ring)
         expected = np.minimum(np.arange(n), n - 2) * math.log(2)
         np.testing.assert_allclose(log_w, expected, rtol=1e-13, atol=0.0)
         assert math.isfinite(entropy_fast([2] * n, ring))
@@ -555,7 +557,7 @@ class TestWeightRows:
         # the oracle's weights, residuals and prefix sums from the log-weights
         trailing_zero = 0
         for k, kp, _ in instance_pool:
-            w_fast = np.exp(compute_weights(k, kp).log_w)
+            w_fast = np.exp(compute_weights(k, kp))
             w, residuals, prefix, entropy = weights_by_recursion(k, kp)
             linked = np.isfinite(w)  # the oracle pads with inf past the last linked rank
             np.testing.assert_allclose(w_fast[:-1][linked], w[linked], rtol=1e-12, atol=0.0)
@@ -576,7 +578,7 @@ class TestWeightRows:
             w, _, prefix, _ = weights_by_recursion(k, kp)
             np.testing.assert_allclose(prefix[1 : last + 1] / w[:last], d, rtol=1e-12, atol=0.0)
             # log(prefix[m + 1]) - log w[m] = log D[m], on the log-weights
-            log_w = compute_weights(k, kp).log_w
+            log_w = compute_weights(k, kp)
             np.testing.assert_allclose(
                 np.log(prefix[1 : last + 1]) - log_w[:last], np.log(d), rtol=0.0, atol=1e-12
             )
@@ -585,7 +587,7 @@ class TestWeightRows:
 class TestMultigraphEnsembles:
     # two tight hubs over two leaves force an expected pair count above 1
     K = [3, 3, 1, 1]
-    KP = KPlusSequence([0, 2, 1, 1], "me3")
+    KP = [0, 2, 1, 1]
 
     def test_expected_pair_above_one(self):
         m = LinkProbabilityModel(self.K, self.KP)
@@ -602,7 +604,7 @@ class TestMultigraphEnsembles:
 
     def test_forced_pair_probability_one(self):
         # a 2-node multigraph is a single pair carrying every link
-        m = LinkProbabilityModel([3, 3], KPlusSequence([0, 3], "me3"))
+        m = LinkProbabilityModel([3, 3], [0, 3])
         assert m.probability(0, 1) == pytest.approx(1.0, abs=1e-15)
         assert m.probability_matrix().max() <= 1.0
         p = m.probability(0, 1)
@@ -665,7 +667,7 @@ class TestSampling:
         # every pair of the searched karate ensemble, so the draw of i given
         # j is exercised too; zero-probability pairs are never drawn
         k, _, _ = observed_instance(karate)
-        m = LinkProbabilityModel(k, random_feasible_kplus(k, "me3", seed=2).values)
+        m = LinkProbabilityModel(k, random_feasible_kplus(k, "me3", seed=2))
         ndraws = 200_000
         i, j = sample_pairs(m, ndraws, seed=21)
         counts = np.zeros((m.n, m.n))
@@ -676,28 +678,40 @@ class TestSampling:
         assert z[p > 0.0].max() < 6.0
 
     def test_empirical_frequency_tracks_probability(self):
-        m = LinkProbabilityModel([3, 3, 1, 1], KPlusSequence([0, 2, 1, 1], "me3"))
+        m = LinkProbabilityModel([3, 3, 1, 1], [0, 2, 1, 1])
         i, j = sample_pairs(m, 40_000, seed=13)
         freq = np.mean((i == 0) & (j == 1))
         assert freq == pytest.approx(m.probability(0, 1), abs=0.01)
 
     @staticmethod
     def sample_z(m, samples):
-        """Largest z-score over ranks of the mean degree and mean k+ of
-        ``samples`` seeded networks against ``L * row_sums``: each is a sum
-        of L draws, binomial with the row sum as its success rate.  Ranks
+        """Largest z-score over ranks of the mean degree, mean k+ and mean
+        summed neighbour degree of ``samples`` seeded networks against ``L *
+        row_sums``.  Each is a sum of L independent draws adding ``x[j]`` to
+        rank ``i`` when the pair ``(i, j)`` is drawn: ``x = 1`` (over ``j < i``
+        for k+) or ``x = k``.  A draw's mean is the row sum of ``p * x``, its
+        variance the row sum of ``p * x**2`` less that mean squared.  Ranks
         with a zero row sum are never drawn."""
-        degree, kplus = np.zeros(m.n), np.zeros(m.n)
+        degree, kplus, knn = np.zeros(m.n), np.zeros(m.n), np.zeros(m.n)
+        k = m.k.astype(np.float64)
         for seed in range(samples):
             edges = sample_network(m, seed=seed).edges  # rows (i, j), i < j
             degree += np.bincount(edges.ravel(), minlength=m.n)
             kplus += np.bincount(edges[:, 1], minlength=m.n)
+            # each end gains the other end's degree
+            knn += np.bincount(edges.ravel(), weights=k[edges[:, ::-1]].ravel(), minlength=m.n)
         sums = row_sums(m)
+        moments = (
+            (degree, sums.total, sums.total),
+            (kplus, sums.lower, sums.lower),
+            (knn, row_sums(m, k).weighted, row_sums(m, k * k).weighted),
+        )
         worst = 0.0
-        for count, q in ((degree, sums.total), (kplus, sums.lower)):
+        for count, q, q2 in moments:
             assert np.all(count[q == 0.0] == 0)
-            q, mean = q[q > 0.0], count[q > 0.0] / samples
-            z = np.abs(mean - m.links * q) / np.sqrt(m.links * q * (1.0 - q) / samples)
+            drawn = q > 0.0
+            q, q2, mean = q[drawn], q2[drawn], count[drawn] / samples
+            z = np.abs(mean - m.links * q) / np.sqrt(m.links * (q2 - q * q) / samples)
             worst = max(worst, float(z.max()))
         return worst
 

@@ -14,7 +14,6 @@ from richnull import graph
 from richnull.errors import EdgeListError
 from richnull.graph import (
     Graph,
-    KPlusSequence,
     Multigraph,
     Ranking,
     component_labels,
@@ -434,12 +433,13 @@ class TestKPlus:
     def test_k3_observed(self, k3):
         r = rank_nodes(k3)
         kp = kplus_from_graph(k3, r)
-        assert list(kp.values) == [0, 1, 2]
-        assert kp.total == k3.edge_count
+        assert list(kp) == [0, 1, 2]
+        assert kp.sum() == k3.edge_count
+        assert not kp.flags.writeable
 
     def test_s3_observed(self, s3):
         kp = kplus_from_graph(s3, rank_nodes(s3))
-        assert list(kp.values) == [0, 1, 1, 1]
+        assert list(kp) == [0, 1, 1, 1]
 
     def test_sums_to_link_count_random(self):
         from conftest import random_simple_graph
@@ -448,31 +448,13 @@ class TestKPlus:
         for _ in range(25):
             g = random_simple_graph(rng, int(rng.integers(3, 30)))
             kp = kplus_from_graph(g, rank_nodes(g))
-            assert kp.total == g.edge_count
+            assert kp.sum() == g.edge_count
 
     def test_matches_adjacency_oracle(self, instance_graphs, karate):
         for g in [karate] + [entry[0] for entry in instance_graphs]:
             for ranking in (rank_nodes(g), rank_nodes(g, policy="random", seed=g.n)):
                 kp = kplus_from_graph(g, ranking)
-                assert kp.values.tolist() == kplus_by_adjacency(g, ranking)
-
-    def test_first_rank_must_be_zero(self):
-        with pytest.raises(ValueError, match="rank 0"):
-            KPlusSequence([1, 0], "observed")
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            KPlusSequence([0, -1], "observed")
-
-    def test_me2_rank_bound_checked(self):
-        kp = KPlusSequence([0, 2], "me2")
-        with pytest.raises(ValueError, match="rank bound"):
-            kp.validate_against(np.array([2, 2]))
-
-    def test_validate_against_degree_cap(self):
-        kp = KPlusSequence([0, 3], "observed")
-        with pytest.raises(ValueError, match="exceeds degree"):
-            kp.validate_against(np.array([3, 2]))
+                assert kp.tolist() == kplus_by_adjacency(g, ranking)
 
 
 def test_component_labels_match_search():
