@@ -14,8 +14,7 @@ _EXPORTS = {
     "baselines": "NGModel RR1 RR2 RRConfig expected_self_loops newman_girvan rr_randomize",
     "communities": "Dendrogram ModularityMatrix Partition build_modularity_matrix modularity_value"
     " recursive_partition soft_modularity_matrix spectral_bipartition standard_modularity_matrix",
-    "consensus": "CooccurrenceMatrix ModelRecipe RunSet cooccurrence invariant_cores"
-    " randomized_rank_runs run_pipeline",
+    "consensus": "RunSet cooccurrence invariant_cores randomized_rank_runs run_pipeline",
     "diagnostics": "DiagnosticsCurve aggregate_knn_deviation coefficient_of_variation"
     " detect_cutoff_from_ipr inverse_participation ipr_curve knn_data knn_ensemble"
     " uncorrelated_knn variation_curve",

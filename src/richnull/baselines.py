@@ -31,7 +31,9 @@ class NGModel:
     """Degree-product expected links, e_ij = k_i k_j / (2L).
 
     Indexed by node position (not rank); the diagonal is defined as 0
-    because the ensemble has no self-loops.
+    because the ensemble has no self-loops.  So node i's expected links sum
+    to k_i (sum(k) - k_i) / (2L), close to but not exactly k_i; the formula
+    is kept as it is.
     """
 
     __slots__ = ("k", "links", "tag")
@@ -71,13 +73,6 @@ class NGModel:
         np.fill_diagonal(e, 0.0)
         return e
 
-    def expected_row_sum(self, i):
-        """Sum of expected links at node i: k_i (sum(k) - k_i) / (2L).
-
-        This is close to but not exactly k_i; the discrepancy is inherent
-        to the formula and deliberately not corrected.
-        """
-        return float(self.k[i]) * float(self.k.sum() - self.k[i]) / (2.0 * self.links)
 
 
 def newman_girvan(g):

@@ -20,6 +20,7 @@ import argparse
 import hashlib
 import json
 import sys
+from functools import partial
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -90,11 +91,13 @@ def _write_csv(args, out_dir, name, header, columns):
     (out_dir / name).write_text("\n".join(lines) + "\n")
 
 
-def _write_pairs(args, out_dir, name, header, g, matrix, cells):
-    """Rows ``label_i,label_j,cells(matrix[i, j])`` over node pairs i < j, row-major."""
+def _write_pairs(args, out_dir, name, header, g, values, cells):
+    """Rows ``label_i,label_j,cells(values(i, j))`` over node pairs i < j, row-major."""
+    if args.format == "json":
+        return  # values(i, j) can be the costly part
     i, j = np.triu_indices(g.n, 1)
     names = _names(g)
-    _write_csv(args, out_dir, name, header, (names[i], names[j], cells(matrix[i, j])))
+    _write_csv(args, out_dir, name, header, (names[i], names[j], cells(values(i, j))))
 
 
 def _write_curves(args, out_dir, name, curves):
@@ -160,8 +163,9 @@ def cmd_ensemble(args):
         model = newman_girvan(g)
         _write_csv(args, out, "sequences.csv", ("node", "degree"), (_names(g), _ints(g.degrees)))
         if args.dump_probabilities:
+            e = model.expected_matrix()
             header = ("i", "j", "expected_links")
-            _write_pairs(args, out, "expected.csv", header, g, model.expected_matrix(), _floats)
+            _write_pairs(args, out, "expected.csv", header, g, lambda i, j: e[i, j], _floats)
         summary = {
             "model": NG,
             "nodes": g.n,
@@ -284,7 +288,8 @@ def cmd_communities(args):
     columns = (_names(g), _ints(partition.assignment))
     _write_csv(args, out, "partition.csv", ("node", "community"), columns)
     if args.dump_matrix:
-        _write_pairs(args, out, "matrix.csv", ("i", "j", "m"), g, matrix.matrix, _floats)
+        m = matrix.matrix
+        _write_pairs(args, out, "matrix.csv", ("i", "j", "m"), g, lambda i, j: m[i, j], _floats)
     report = {
         "model": args.model,
         "model2": args.model2,
@@ -299,17 +304,13 @@ def cmd_communities(args):
 
 
 def cmd_consensus(args):
-    from .consensus import ModelRecipe, cooccurrence, invariant_cores, randomized_rank_runs
+    from .consensus import cooccurrence, invariant_cores, randomized_rank_runs
 
     g = _load_graph(args)
     out = _out_dir(args)
-    recipe = ModelRecipe(
-        null=args.model,
-        null2=args.model2,
-        direction=args.direction,
-        strict_splits=args.strict_splits,
+    runs = randomized_rank_runs(
+        g, args.model, args.model2, args.direction, args.strict_splits, args.runs, args.seed
     )
-    runs = randomized_rank_runs(g, recipe, runs=args.runs, master_seed=args.seed)
     report = {
         "model": args.model,
         "model2": args.model2,
@@ -342,11 +343,11 @@ def cmd_consensus(args):
             return EXIT_NUMERICAL
         return EXIT_INFEASIBLE
 
-    cm = cooccurrence(runs.partitions)
-    _write_pairs(args, out, "cooccurrence.csv", ("i", "j", "count"), g, cm.counts, _ints)
-    cores = invariant_cores(cm, g, threshold=args.threshold)
+    counts = partial(cooccurrence, runs.partitions)
+    _write_pairs(args, out, "cooccurrence.csv", ("i", "j", "count"), g, counts, _ints)
+    cores = invariant_cores(runs.partitions, g, threshold=args.threshold)
     labelled = [sorted(g.label_of(i) for i in core) for core in cores]
-    report = {"run_count": cm.run_count, "threshold": args.threshold, "cores": labelled}
+    report = {"run_count": runs.successful, "threshold": args.threshold, "cores": labelled}
     _write_json(args, out, "cores.json", report)
     return EXIT_OK
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .ensemble import LinkProbabilityModel
 from .errors import PowerIterationError
-from .graph import MAXIMIZE, NG, RANKED
+from .graph import MAXIMIZE, MINIMIZE, NG, RANKED
 
 STANDARD = "standard"
 SOFT = "soft"
@@ -45,6 +45,7 @@ EIGEN_TOL = 1e-10
 EIGEN_MAX_MATVECS = 100_000
 KRYLOV_DIM = 64
 RITZ_EVERY = 8
+SYMMETRY_TILE = 256
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class ModularityMatrix:
             raise ValueError(f"unknown matrix kind {self.kind!r}")
         if not np.all(np.isfinite(m)):
             raise ValueError("modularity matrix entries must be finite")
-        if not np.array_equal(m, m.T):
+        if not _symmetric(m):
             raise ValueError("modularity matrix must be symmetric")
         np.fill_diagonal(m, 0.0)
         m.flags.writeable = False
@@ -74,6 +75,17 @@ class ModularityMatrix:
     @property
     def n(self):
         return self.matrix.shape[0]
+
+
+def _symmetric(m):
+    """Exactly ``m == m.T``, compared in square tiles: reading all of ``m.T``
+    at once walks memory with a stride of N."""
+    t, n = SYMMETRY_TILE, m.shape[0]
+    return all(
+        np.array_equal(m[r : r + t, c : c + t], m[c : c + t, r : r + t].T)
+        for r in range(0, n, t)
+        for c in range(r, n, t)
+    )
 
 
 @dataclass(frozen=True)
@@ -274,10 +286,16 @@ def build_modularity_matrix(g, null, ranking, null2=None, direction=MAXIMIZE):
     ``ng`` is the degree-product null.  A ranked name (me1-me3) builds that
     ensemble on ``ranking``; with ``null2`` also ranked, both ensembles are
     built on it and contrasted by :func:`soft_modularity_matrix`.
-    ``direction`` picks the me2/me3 entropy optima.
+    ``direction`` picks the me2/me3 entropy optima.  An unknown name or
+    direction, or a soft contrast with the degree-product null, raises
+    ``ValueError`` before anything is built.
     """
+    if null not in RANKED + (NG,):
+        raise ValueError(f"unknown null {null!r}")
     if null2 is not None and not {null, null2} <= set(RANKED):
         raise ValueError("soft contrast needs ranked ensembles on both sides")
+    if direction not in (MAXIMIZE, MINIMIZE):
+        raise ValueError(f"unknown direction {direction!r}")
     if null == NG:
         from .baselines import newman_girvan
 

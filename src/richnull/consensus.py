@@ -16,33 +16,9 @@ import numpy as np
 
 from .communities import build_modularity_matrix, recursive_partition
 from .errors import RichNullError
-from .graph import MAXIMIZE, MINIMIZE, NG, RANKED, component_labels, rank_nodes
+from .graph import MAXIMIZE, NG, component_labels, rank_nodes
 
-
-@dataclass(frozen=True)
-class ModelRecipe:
-    """How to build the null(s) for each randomized-rank run.
-
-    ``null`` picks the primary model; setting ``null2`` switches to the
-    soft two-ensemble contrast, which only makes sense between ranked
-    ensembles (the degree-product null has no rank dependence).
-    """
-
-    null: str
-    null2: str | None = None
-    direction: str = MAXIMIZE
-    strict_splits: bool = False
-
-    def __post_init__(self):
-        if self.null not in RANKED + (NG,):
-            raise ValueError(f"unknown null {self.null!r}")
-        if self.null2 is not None:
-            if self.null2 not in RANKED:
-                raise ValueError("soft contrast needs a ranked ensemble as null2")
-            if self.null not in RANKED:
-                raise ValueError("soft contrast needs ranked ensembles on both sides")
-        if self.direction not in (MAXIMIZE, MINIMIZE):
-            raise ValueError(f"unknown direction {self.direction!r}")
+_GATHER_BLOCK = 1 << 15  # community ids gathered per block of pairs; bounds scratch memory
 
 
 @dataclass(frozen=True)
@@ -68,15 +44,22 @@ class RunSet:
         return len(self.partitions)
 
 
-def run_pipeline(g, recipe, seed=None):
-    """One full run: random tie-broken ranking through to a partition."""
+def run_pipeline(g, null, null2=None, direction=MAXIMIZE, strict=False, seed=None):
+    """One full run: random tie-broken ranking through to a partition.
+
+    ``null``, ``null2`` and ``direction`` name the modularity matrix as in
+    :func:`build_modularity_matrix`, which rejects unknown names before any
+    partition is made; ``strict`` is :func:`recursive_partition`'s.
+    """
     ranking = rank_nodes(g, policy="random", seed=seed)
-    matrix = build_modularity_matrix(g, recipe.null, ranking, recipe.null2, recipe.direction)
-    _, partition = recursive_partition(matrix, strict=recipe.strict_splits)
+    matrix = build_modularity_matrix(g, null, ranking, null2, direction)
+    _, partition = recursive_partition(matrix, strict=strict)
     return partition
 
 
-def randomized_rank_runs(g, recipe, runs=100, master_seed=None):
+def randomized_rank_runs(
+    g, null, null2=None, direction=MAXIMIZE, strict=False, runs=100, master_seed=None
+):
     """Run the pipeline ``runs`` times with per-run seeds spawned from one root.
 
     Child seeds come from ``numpy.random.SeedSequence(master_seed).spawn``,
@@ -93,9 +76,9 @@ def randomized_rank_runs(g, recipe, runs=100, master_seed=None):
     for i, child in enumerate(children):
         # the degree-product matrix ignores the ranking and the partition is
         # deterministic, so the first ng run stands for every run
-        if i == 0 or recipe.null != NG:
+        if i == 0 or null != NG:
             try:
-                outcome = run_pipeline(g, recipe, seed=child)
+                outcome = run_pipeline(g, null, null2, direction, strict, seed=child)
             except RichNullError as exc:
                 outcome = exc
         if isinstance(outcome, RichNullError):
@@ -105,63 +88,55 @@ def randomized_rank_runs(g, recipe, runs=100, master_seed=None):
     return RunSet(tuple(partitions), tuple(failures), runs, master_seed)
 
 
-@dataclass(frozen=True)
-class CooccurrenceMatrix:
-    """Counts of runs in which each node pair shared a community."""
+def cooccurrence(partitions, i, j):
+    """Per index pair ``(i[t], j[t])``, the number of partitions that put
+    both ends in one community, as an int64 array.
 
-    counts: np.ndarray
-    run_count: int
-
-    def __post_init__(self):
-        c = np.array(self.counts, dtype=np.int64)  # frozen below: the caller's stays writable
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise ValueError("counts must be square")
-        if not np.array_equal(c, c.T):
-            raise ValueError("counts must be symmetric")
-        if np.any(c < 0) or np.any(c > self.run_count):
-            raise ValueError("counts must lie in [0, run_count]")
-        if not np.all(np.diag(c) == self.run_count):
-            raise ValueError("diagonal must equal the run count")
-        c.flags.writeable = False
-        object.__setattr__(self, "counts", c)
-
-    @property
-    def n(self):
-        return self.counts.shape[0]
-
-
-def cooccurrence(partitions):
-    """Count, per node pair, the runs that put both in one community."""
+    The partitions must be nonempty and of one size ``n``, and every index
+    must lie in ``[0, n)``: a negative index would otherwise wrap silently.
+    Time grows as pairs times partitions; besides the result and an (n, R)
+    table of community ids, scratch memory is one block of pairs.
+    """
     partitions = list(partitions)
     if not partitions:
         raise ValueError("need at least one partition")
     n = partitions[0].n
-    counts = np.zeros((n, n), dtype=np.int64)
-    for part in partitions:
-        if part.n != n:
-            raise ValueError("partitions cover different node sets")
-        for c in range(part.n_communities):
-            idx = part.members(c)
-            counts[np.ix_(idx, idx)] += 1
-    return CooccurrenceMatrix(counts, len(partitions))
+    if any(part.n != n for part in partitions):
+        raise ValueError("partitions cover different node sets")
+    i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
+    if i.ndim != 1 or i.shape != j.shape:
+        raise ValueError("pair indices must be two 1-d arrays of one length")
+    if i.size and not 0 <= min(i.min(), j.min()) <= max(i.max(), j.max()) < n:
+        raise ValueError(f"pair index out of range for {n} nodes")
+    # one row of community ids per node: a block of pairs is two row gathers
+    ids = np.stack([part.assignment for part in partitions], axis=1)
+    ids = ids.astype(np.min_scalar_type(n))
+    ones = np.ones(len(partitions))
+    counts = np.empty(i.size, dtype=np.int64)
+    step = max(1, _GATHER_BLOCK // len(partitions))
+    for s in range(0, i.size, step):
+        same = np.take(ids, i[s : s + step], axis=0) == np.take(ids, j[s : s + step], axis=0)
+        counts[s : s + step] = same @ ones  # sums a short row faster than .sum(axis=1)
+    return counts
 
 
-def invariant_cores(cm, g, threshold=1.0):
+def invariant_cores(partitions, g, threshold=1.0):
     """Groups of nodes that stick together across runs and share links.
 
-    Keeps the pairs whose co-occurrence count reaches ``threshold`` (a
-    fraction of the run count; 1.0 means every single run) and which are
-    also edges of ``g``, then returns the connected components of size at
-    least 2 of that pair graph, ordered by smallest member.
+    Counts co-occurrence on the links of ``g`` only, keeps those whose
+    share of the partitions reaches ``threshold`` (1.0 means every single
+    run), and returns the connected components of size at least 2 of the
+    kept links, ordered by smallest member.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must be in (0, 1]")
-    if cm.n != g.n:
-        raise ValueError("co-occurrence matrix does not match the graph")
+    partitions = list(partitions)
+    if any(part.n != g.n for part in partitions):
+        raise ValueError("partitions do not match the graph")
+    counts = cooccurrence(partitions, g.edges[:, 0], g.edges[:, 1])
     # a share, not ceil(threshold * runs): that product is inexact in
     # floating point (0.55 * 100 > 55)
-    share = cm.counts[g.edges[:, 0], g.edges[:, 1]] / cm.run_count
-    kept = g.edges[share >= threshold]
+    kept = g.edges[counts / len(partitions) >= threshold]
     # the linked nodes, ascending; np.unique would load numpy.ma
     nodes = np.flatnonzero(np.bincount(kept.ravel(), minlength=g.n))
     roots = component_labels(g.n, kept)[nodes]

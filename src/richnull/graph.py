@@ -48,7 +48,7 @@ class Graph:
     :meth:`neighbors`).  All arrays are read-only.
     """
 
-    __slots__ = ("n", "labels", "edges", "degrees", "indptr", "indices", "_index")
+    __slots__ = ("n", "labels", "edges", "degrees", "indptr", "indices")
 
     def __init__(self, edges, extra_nodes=()):
         edges, extra = list(edges), list(extra_nodes)
@@ -89,7 +89,6 @@ class Graph:
 
     def _store(self, labels, edges):
         self.n, self.labels, self.edges = len(labels), labels, edges
-        self._index = dict(zip(labels, range(self.n)))
         self.degrees = np.bincount(edges.ravel(), minlength=self.n)
         # both directions of each link, grouped by source: every j -> i
         # (i < j) comes first, so a stable sort leaves each group ascending
@@ -107,9 +106,6 @@ class Graph:
     def neighbors(self, i):
         """Ascending node indices adjacent to node ``i``."""
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
-    def index_of(self, label):
-        return self._index[label]
 
     def label_of(self, index):
         return self.labels[index]

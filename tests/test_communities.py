@@ -15,6 +15,7 @@ from richnull.baselines import newman_girvan
 from richnull.communities import (
     EIGEN_MAX_MATVECS,
     EIGEN_TOL,
+    SYMMETRY_TILE,
     ModularityMatrix,
     Partition,
     build_modularity_matrix,
@@ -58,6 +59,17 @@ class TestModularityMatrix:
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
         m[0, 1] += 1e-15
         assert m[0, 1] != m[1, 0]
+        with pytest.raises(ValueError, match="symmetric"):
+            ModularityMatrix(m, "standard")
+
+    @pytest.mark.parametrize("at", ["corner", "last partial tile"])
+    def test_one_asymmetric_entry_rejected(self, at):
+        n = 2 * SYMMETRY_TILE + 44
+        m = np.random.default_rng(0).random((n, n))
+        m += m.T
+        ModularityMatrix(m, "standard")
+        i, j = (0, n - 1) if at == "corner" else (n - 3, n - 20)
+        m[i, j] = np.nextafter(m[i, j], 3.0)
         with pytest.raises(ValueError, match="symmetric"):
             ModularityMatrix(m, "standard")
 

@@ -53,23 +53,23 @@ class TestGraph:
         g = Graph([((0, "a"), (1, "b")), ((1, "b"), (2, "c"))], extra_nodes=[(3, "d")])
         assert g.labels == ((0, "a"), (1, "b"), (2, "c"), (3, "d"))
         assert g.edges.tolist() == [[0, 1], [1, 2]]
-        assert g.index_of((1, "b")) == 1
+        assert g.labels.index((1, "b")) == 1
 
     def test_labels_sorted_and_indexed(self):
         g = Graph([(10, 3), (3, 7)])
         assert g.labels == (3, 7, 10)
-        assert g.index_of(7) == 1
+        assert g.labels.index(7) == 1
         assert g.label_of(2) == 10
 
     def test_string_labels(self):
         g = Graph([("b", "a"), ("b", "c")])
         assert g.labels == ("a", "b", "c")
-        assert g.degrees[g.index_of("b")] == 2
+        assert g.degrees[g.labels.index("b")] == 2
 
     def test_extra_nodes_stay_isolated(self):
         g = Graph([(0, 1)], extra_nodes=[5])
         assert g.n == 3
-        assert g.degrees[g.index_of(5)] == 0
+        assert g.degrees[g.labels.index(5)] == 0
 
     def test_adjacency_matrix(self, p3):
         a = p3.adjacency_matrix()

@@ -11,11 +11,13 @@ from conftest import (
     observed_instance,
     random_simple_graph,
 )
+from richnull.baselines import RRConfig, rr_randomize
 from richnull.cli import EXIT_OK, main
 from richnull.diagnostics import ipr_curve, knn_ensemble, variation_curve
 from richnull.ensemble import LinkProbabilityModel, _phi, entropy_fast
 from richnull.errors import InfeasibleConstraints
-from richnull.search import MAXIMIZE, MINIMIZE, kplus_bounds, optimal_kplus
+from richnull.graph import rank_nodes
+from richnull.search import MAXIMIZE, MINIMIZE, build_ensemble, kplus_bounds, optimal_kplus
 
 TOLERANCE = 1e-10  # smallest single-move gain counted, relative to max(1, |S|)
 
@@ -294,3 +296,19 @@ class TestGreedySearch:
         for curve in (knn_ensemble(model), ipr_curve(model), variation_curve(model)):
             assert curve.counts.tolist() == [n]  # the one degree class, every node in it
             assert np.all(np.isfinite(curve.values))
+
+
+@pytest.mark.parametrize("tag", ["me1", "me2", "me3"])
+def test_rank_space_model_reads_only_the_sorted_degrees(karate, tag):
+    # me2 and me3 search over k alone, and k is the sorted degree sequence
+    # for every tie order and every graph with those degrees; me1 reads the
+    # observed k+, which follows the ranking and the links
+    rewired = rr_randomize(karate, RRConfig("rr1", seed=0))
+    rankings = [(karate, rank_nodes(karate, policy="random", seed=s)) for s in range(3)]
+    rankings.append((rewired, rank_nodes(rewired)))
+    models = [build_ensemble(g, tag, ranking) for g, ranking in rankings]
+    same = [
+        np.array_equal(m.k, models[0].k) and np.array_equal(m.kplus, models[0].kplus)
+        for m in models[1:]
+    ]
+    assert all(same) == (tag != "me1")
