@@ -68,12 +68,6 @@ class NGModel:
             return 0.0
         return float(self.k[i] * self.k[j]) / (2.0 * self.links)
 
-    def expected_matrix(self):
-        e = np.outer(self.k, self.k) / (2.0 * self.links)
-        np.fill_diagonal(e, 0.0)
-        return e
-
-
 
 def newman_girvan(g):
     """Build the degree-product null for ``g`` (node-index order)."""

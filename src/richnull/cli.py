@@ -43,6 +43,7 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_PARSE = 3
 EXIT_NUMERICAL = 4
+_PAIR_BLOCK = 1 << 15  # pairs per block of an all-pairs CSV
 
 
 def _config_hash(args):
@@ -91,13 +92,17 @@ def _write_csv(args, out_dir, name, header, columns):
     (out_dir / name).write_text("\n".join(lines) + "\n")
 
 
-def _write_pairs(args, out_dir, name, header, g, values, cells):
-    """Rows ``label_i,label_j,cells(values(i, j))`` over node pairs i < j, row-major."""
+def _write_pairs(args, out_dir, name, header, names, values, cells):
+    """Rows ``names[i],names[j],cells(values(i, j))`` over pairs i < j, row-major, in blocks."""
     if args.format == "json":
         return  # values(i, j) can be the costly part
-    i, j = np.triu_indices(g.n, 1)
-    names = _names(g)
-    _write_csv(args, out_dir, name, header, (names[i], names[j], cells(values(i, j))))
+    n = len(names)
+    step = max(1, _PAIR_BLOCK // n)
+    with open(out_dir / name, "w") as f:
+        f.write(f"{_stamp(args)}\n{','.join(header)}\n")
+        for a in range(0, n - 1, step):  # the last row has no pairs
+            i, j = (x + a for x in np.triu_indices(min(step, n - 1 - a), 1, n - a))
+            f.write("\n".join(map(",".join, zip(names[i], names[j], cells(values(i, j))))) + "\n")
 
 
 def _write_curves(args, out_dir, name, curves):
@@ -163,9 +168,12 @@ def cmd_ensemble(args):
         model = newman_girvan(g)
         _write_csv(args, out, "sequences.csv", ("node", "degree"), (_names(g), _ints(g.degrees)))
         if args.dump_probabilities:
-            e = model.expected_matrix()
+
+            def expected(i, j):
+                return model.k[i] * model.k[j] / (2.0 * model.links)
+
             header = ("i", "j", "expected_links")
-            _write_pairs(args, out, "expected.csv", header, g, lambda i, j: e[i, j], _floats)
+            _write_pairs(args, out, "expected.csv", header, _names(g), expected, _floats)
         summary = {
             "model": NG,
             "nodes": g.n,
@@ -202,11 +210,13 @@ def cmd_ensemble(args):
         ),
     )
     if args.dump_probabilities:
-        i, j = np.triu_indices(g.n, 1)
-        p = model._pair(i, j)
+
+        def cells(p):  # the columns p and expected
+            return map(",".join, zip(_floats(p), _floats(model.links * p)))
+
+        ranks = np.array(list(map(str, range(g.n))), dtype=object)
         header = ("rank_i", "rank_j", "p", "expected")
-        columns = (_ints(i), _ints(j), _floats(p), _floats(model.links * p))
-        _write_csv(args, out, "probabilities.csv", header, columns)
+        _write_pairs(args, out, "probabilities.csv", header, ranks, model._pair, cells)
     summary = {
         "model": args.model,
         "nodes": g.n,
@@ -288,8 +298,8 @@ def cmd_communities(args):
     columns = (_names(g), _ints(partition.assignment))
     _write_csv(args, out, "partition.csv", ("node", "community"), columns)
     if args.dump_matrix:
-        m = matrix.matrix
-        _write_pairs(args, out, "matrix.csv", ("i", "j", "m"), g, lambda i, j: m[i, j], _floats)
+        m, header = matrix.matrix, ("i", "j", "m")
+        _write_pairs(args, out, "matrix.csv", header, _names(g), lambda i, j: m[i, j], _floats)
     report = {
         "model": args.model,
         "model2": args.model2,
@@ -344,7 +354,7 @@ def cmd_consensus(args):
         return EXIT_INFEASIBLE
 
     counts = partial(cooccurrence, runs.partitions)
-    _write_pairs(args, out, "cooccurrence.csv", ("i", "j", "count"), g, counts, _ints)
+    _write_pairs(args, out, "cooccurrence.csv", ("i", "j", "count"), _names(g), counts, _ints)
     cores = invariant_cores(runs.partitions, g, threshold=args.threshold)
     labelled = [sorted(g.label_of(i) for i in core) for core in cores]
     report = {"run_count": runs.successful, "threshold": args.threshold, "cores": labelled}

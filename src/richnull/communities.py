@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import LinkProbabilityModel
+from .ensemble import LinkProbabilityModel, _by_row_blocks
 from .errors import PowerIterationError
 from .graph import MAXIMIZE, MINIMIZE, NG, RANKED
 
@@ -224,37 +224,32 @@ def standard_modularity_matrix(g, null, ranking=None):
     """Build M = a - e for graph ``g`` against a null's expected links.
 
     Rank-space ensembles need the ``ranking`` that ties ranks back to node
-    indices; the degree-product null is already in node order.
+    indices; the degree-product null is already in node order.  Built in row
+    blocks of ``-e`` in node order, then 1 added at both ends of each link.
     """
     if isinstance(null, LinkProbabilityModel):
         if ranking is None:
             raise ValueError("a ranked ensemble needs its ranking to address nodes")
-        e = null.probability_matrix()
-        e *= null.links
-        e = e[np.ix_(ranking.positions, ranking.positions)]
+
+        def rows(a, b):  # 0 - L p, not -L p: a pair expected 0 stays +0
+            return 0.0 - null._rows(ranking.positions, a, b) * null.links
+
     else:
         from .baselines import NGModel  # only the degree-product null needs it
 
         if not isinstance(null, NGModel):
             raise TypeError(f"unsupported null model {type(null).__name__}")
-        e = null.expected_matrix()
-    if e.shape[0] != g.n:
+
+        def rows(a, b):
+            return np.outer(null.k[a:b], -null.k) / (2.0 * null.links)
+
+    if null.n != g.n:
         raise ValueError("null model size does not match the graph")
-    np.subtract(g.adjacency_matrix(), e, out=e)
-    return ModularityMatrix(e, STANDARD)
-
-
-def _pooled_link_stats(model1, model2):
-    """``(e1 - e2, s1 + s2)`` in rank space, with ``e = L p`` formed in each
-    probability matrix's buffer and ``s = e (1 - p)`` beside it."""
-    e1, e2 = model1.probability_matrix(), model2.probability_matrix()
-    s1, s2 = 1.0 - e1, 1.0 - e2
-    for e, s in ((e1, s1), (e2, s2)):
-        e *= model1.links
-        s *= e
-    e1 -= e2
-    s1 += s2
-    return e1, s1
+    m = _by_row_blocks(g.n, rows)
+    i, j = g.edges.T
+    m[i, j] += 1.0
+    m[j, i] += 1.0
+    return ModularityMatrix(m, STANDARD)
 
 
 def soft_modularity_matrix(model1, model2, ranking=None):
@@ -263,21 +258,30 @@ def soft_modularity_matrix(model1, model2, ranking=None):
     Entries are ``(e1 - e2) / sqrt(s1 + s2)`` with ``e = L p`` and
     ``s = e (1 - p)``; pairs where both variances vanish get 0.  As ``p``
     is a distribution over pairs, no entry exceeds 1 and ``s`` needs no
-    clipping.  Both models share one rank space, which ``ranking`` maps to
-    node order once the contrast is formed (pass none to stay in it).
+    clipping.  Both models share one rank space; the rows are built in
+    blocks in the node order of ``ranking`` (pass none to stay in rank space).
     """
     if model1.n != model2.n:
         raise ValueError("models span different node counts")
     if model1.links != model2.links:
         raise ValueError("models disagree on the link count")
-    m, pooled = _pooled_link_stats(model1, model2)
-    mask = pooled > 0.0
-    np.sqrt(pooled, out=pooled)
-    np.divide(m, pooled, out=m, where=mask)
-    m[~mask] = 0.0
-    if ranking is not None:
-        m = m[np.ix_(ranking.positions, ranking.positions)]
-    return ModularityMatrix(m, SOFT)
+    pos = np.arange(model1.n) if ranking is None else ranking.positions
+
+    def rows(a, b):
+        e1, e2 = model1._rows(pos, a, b), model2._rows(pos, a, b)
+        s1, s2 = 1.0 - e1, 1.0 - e2
+        for e, s in ((e1, s1), (e2, s2)):
+            e *= model1.links
+            s *= e
+        e1 -= e2
+        s1 += s2
+        mask = s1 > 0.0
+        np.sqrt(s1, out=s1)
+        np.divide(e1, s1, out=e1, where=mask)
+        e1[~mask] = 0.0
+        return e1
+
+    return ModularityMatrix(_by_row_blocks(model1.n, rows), SOFT)
 
 
 def build_modularity_matrix(g, null, ranking, null2=None, direction=MAXIMIZE):
@@ -412,7 +416,8 @@ def spectral_bipartition(mm, members=None, max_iter=EIGEN_MAX_MATVECS):
     if members.size < 2:
         return SplitOutcome(False, reason="fewer than two nodes")
 
-    sub = m[np.ix_(members, members)]
+    # the recursion's first solve spans every node: read the matrix in place
+    sub = m if members.size == m.shape[0] else m[np.ix_(members, members)]
     r = sub.sum(axis=1)
     sigma = float((np.abs(sub).sum(axis=1) + np.abs(r)).max())
     if sigma == 0.0:

@@ -33,7 +33,17 @@ from .errors import SingularWeights
 from .graph import Multigraph
 
 _SPAN = 600.0  # widest spread of exponents summed in one block: exp(600) < 1e261
-_TILE = 32  # rows mirrored per step in LinkProbabilityModel.probability_matrix
+_BLOCK = 1 << 12  # entries per row block of a dense N x N build: its scratch stays small
+
+
+def _by_row_blocks(n, rows):
+    """The N x N array whose rows ``a:b`` are ``rows(a, b)``, filled in blocks of
+    ``max(1, _BLOCK // n)`` rows, so one block's scratch is all that sits beside it."""
+    out = np.empty((n, n))
+    step = max(1, _BLOCK // n)
+    for a in range(0, n, step):
+        out[a : a + step] = rows(a, min(a + step, n))
+    return out
 
 
 def _validated_degrees(k):
@@ -188,15 +198,19 @@ class LinkProbabilityModel:
             raise IndexError("rank out of range")
         return self._pair(i, j)
 
+    def _rows(self, pos, a, b):
+        """p between the nodes ``a:b`` and every node, ``pos[x]`` being node x's
+        rank (``arange(N)`` in rank space); 0 where a node meets itself."""
+        i, j = pos[a:b, None], pos
+        p = self._pair(np.minimum(i, j), np.maximum(i, j))
+        p[np.arange(b - a), np.arange(a, b)] = 0.0
+        return p
+
     def row(self, i):
         """Vector of p(i, j) over all j, with the diagonal entry 0."""
         if not (0 <= i < self.n):
             raise IndexError("rank out of range")
-        j = np.arange(self.n)
-        out = np.zeros(self.n)
-        out[i + 1 :] = self._pair(i, j[i + 1 :])
-        out[:i] = self._pair(j[:i], i)
-        return out
+        return self._rows(np.arange(self.n), i, i + 1)[0]
 
     def upper_row(self, i):
         """Vector of p(i, j) for j > i only (empty for the last rank)."""
@@ -205,26 +219,9 @@ class LinkProbabilityModel:
         return self._pair(i, np.arange(i + 1, self.n))
 
     def probability_matrix(self):
-        """Dense symmetric N x N matrix of pair probabilities (O(N^2)).
-
-        One buffer: the exponents ``log_w[i] - log_w[j-1]`` clipped at 0 (only
-        those on and below the diagonal are positive), then :meth:`_pair`'s
-        operations in its order, the diagonal and below zeroed and the upper
-        triangle mirrored in row tiles of :data:`_TILE`, so only a tile's
-        operand is copied, not the whole transpose.  It equals the stacked
-        rows bit for bit.
-        """
-        lw = self._log_w
-        p = np.subtract.outer(lw, np.concatenate((lw[:1], lw[:-1])))  # column 0: kplus 0
-        np.minimum(p, 0.0, out=p)
-        np.exp(p, out=p)
-        p *= self._c[:, None]
-        p *= self.kplus
-        p /= self._den
-        p[np.tri(self.n, dtype=bool)] = 0.0
-        for a in range(0, self.n, _TILE):
-            p[a : a + _TILE] += p[:, a : a + _TILE].T
-        return p
+        """Dense symmetric N x N matrix of pair probabilities, in row blocks (O(N^2))."""
+        pos = np.arange(self.n)
+        return _by_row_blocks(self.n, lambda a, b: self._rows(pos, a, b))
 
     def __repr__(self):
         return (

@@ -110,13 +110,6 @@ class Graph:
     def label_of(self, index):
         return self.labels[index]
 
-    def adjacency_matrix(self):
-        """Dense symmetric 0/1 adjacency matrix in node-index order."""
-        a = np.zeros((self.n, self.n))
-        i, j = self.edges.T
-        a[i, j] = a[j, i] = 1.0
-        return a
-
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_count})"
 

@@ -501,21 +501,48 @@ def knn_data_by_loop(g):
     return group_by_degree_by_loop(deg, node_knn)
 
 
+# Dense references for the library's row-block builds: each pair matrix is
+# formed whole, from scalar or upper-triangle evaluations, and reordered to
+# node order at the end.
+
+
+def same_bits(a, b):
+    """Equal shapes, dtypes and bytes: unlike ``np.array_equal``, 0.0 != -0.0."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def adjacency_from_edges(g):
+    """Dense symmetric 0/1 adjacency matrix in node-index order."""
+    a = np.zeros((g.n, g.n))
+    i, j = g.edges.T
+    a[i, j] = a[j, i] = 1.0
+    return a
+
+
+def probability_matrix_by_pairs(model):
+    """Dense rank-space ``p``: ``_pair`` on the upper triangle, mirrored."""
+    p = np.zeros((model.n, model.n))
+    i, j = np.triu_indices(model.n, 1)
+    p[i, j] = p[j, i] = model._pair(i, j)
+    return p
+
+
 def link_stat_matrices(model):
     """Dense rank-space matrices ``e = L * p`` and ``s = L * p * (1 - p)``."""
-    p = model.probability_matrix()
+    p = probability_matrix_by_pairs(model)
     return model.links * p, model.links * p * (1.0 - p)
 
 
 def standard_matrix_by_formula(g, null, ranking=None):
     """``a - e`` with a zero diagonal, ``e = (L * P)[ix]`` for a ranked
     ensemble (``ix`` the ranking's node-order index) or the degree-product
-    null's expected matrix."""
+    null's ``expected(i, j)`` for every pair."""
     if ranking is None:
-        e = null.expected_matrix()
+        e = np.array([[null.expected(i, j) for j in range(g.n)] for i in range(g.n)])
     else:
-        e = (null.links * null.probability_matrix())[np.ix_(ranking.positions, ranking.positions)]
-    m = g.adjacency_matrix() - e
+        pos = ranking.positions
+        e = (null.links * probability_matrix_by_pairs(null))[np.ix_(pos, pos)]
+    m = adjacency_from_edges(g) - e
     np.fill_diagonal(m, 0.0)
     return m
 
@@ -532,11 +559,6 @@ def soft_matrix_by_formula(model1, model2, ranking=None):
     mask = denom > 0.0
     m[mask] = (e1[mask] - e2[mask]) / np.sqrt(denom[mask])
     return m
-
-
-def probability_matrix_by_rows(model):
-    """Dense pair-probability matrix stacked from the rows."""
-    return np.vstack([model.row(i) for i in range(model.n)])
 
 
 # Dense reference for the spectral bisection.  The library applies

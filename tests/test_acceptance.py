@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    adjacency_from_edges,
     brute_force_best_split,
     entropy_naive,
     enumerate_feasible_kplus,
@@ -120,7 +121,7 @@ def test_04_exact_reconstruction():
         k, kp, ranking = observed_instance(g)
         model = LinkProbabilityModel(k, kp)
         expected = model.links * model.probability_matrix()
-        adjacency = g.adjacency_matrix()[np.ix_(ranking.order, ranking.order)]
+        adjacency = adjacency_from_edges(g)[np.ix_(ranking.order, ranking.order)]
         worst = max(worst, float(np.abs(expected - adjacency).max()))
     _criterion(
         4,

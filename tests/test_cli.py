@@ -449,6 +449,33 @@ class TestRowPasses:
             assert len(calls) <= len(multi_rows), (command, calls)
 
 
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("ensemble --model me3 --seed 0 --dump-probabilities", "probabilities.csv"),
+        ("communities --model me1 --model2 me3 --dump-matrix", "matrix.csv"),
+        ("consensus --model me1 --runs 3 --seed 0", "cooccurrence.csv"),
+        ("ensemble --model ng --dump-probabilities", "expected.csv"),
+    ],
+)
+def test_all_pairs_csv_is_the_same_in_any_row_blocks(
+    command, name, karate_file, two_tri_file, tmp_path, monkeypatch
+):
+    # the default writes karate's 561 pairs in one block; 1-row blocks and
+    # 4-row blocks (whose last block is partial) must give the same bytes
+    source, n = (two_tri_file, 6) if "ng" in command else (karate_file, 34)
+    argv = command.split() + ["--input", source]
+    files = []
+    for rows in (None, 1, 4):
+        if rows is not None:
+            monkeypatch.setattr(cli, "_PAIR_BLOCK", rows * n)
+        out = tmp_path / f"rows{rows}"
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        files.append((out / name).read_bytes())
+    assert files[0].count(b"\n") == 2 + n * (n - 1) // 2
+    assert files[1] == files[0] and files[2] == files[0]
+
+
 class TestCommunitiesCommand:
     def test_degree_product_split(self, two_tri_file, tmp_path):
         out = tmp_path / "out"

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import (
+    adjacency_from_edges,
     brute_force_best_split,
     check_parts_against_eigh,
     observed_instance,
     random_simple_graph,
+    same_bits,
     soft_matrix_by_formula,
     standard_matrix_by_formula,
 )
+from richnull import ensemble
 from richnull.baselines import newman_girvan
 from richnull.communities import (
     EIGEN_MAX_MATVECS,
@@ -29,7 +32,7 @@ from richnull.communities import (
 )
 from richnull.ensemble import LinkProbabilityModel
 from richnull.errors import InfeasibleNG, PowerIterationError
-from richnull.graph import Graph, rank_nodes
+from richnull.graph import MAXIMIZE, MINIMIZE, Graph, rank_nodes
 from richnull.search import build_ensemble, optimal_kplus
 
 
@@ -131,7 +134,7 @@ class TestStandardMatrix:
         k, kp, _ = observed_instance(karate)
         model = LinkProbabilityModel(k, kp)
         mm = standard_modularity_matrix(karate, model, ranking)
-        a = karate.adjacency_matrix()
+        a = adjacency_from_edges(karate)
         pos = ranking.positions
         for u, v in ((0, 33), (5, 16), (2, 8)):
             expect = a[u, v] - model.links * model.probability(pos[u], pos[v])
@@ -225,25 +228,37 @@ def mid_graph():
 
 
 class TestBuildsMatchFormula:
-    # each build equals the plain formula bit for bit, reordering included
+    # each build equals the plain formula bit for bit, signs of zero and
+    # reordering included
     @staticmethod
-    def check_named(g, ranking, nulls, pairs):
+    def check_named(g, ranking, nulls, pairs, direction=MAXIMIZE):
         for null in nulls:
-            built = build_modularity_matrix(g, null, ranking)
+            built = build_modularity_matrix(g, null, ranking, direction=direction)
             if null == "ng":
                 want = standard_matrix_by_formula(g, newman_girvan(g))
             else:
-                want = standard_matrix_by_formula(g, build_ensemble(g, null, ranking), ranking)
-            assert np.array_equal(built.matrix, want), null
+                model = build_ensemble(g, null, ranking, direction)
+                want = standard_matrix_by_formula(g, model, ranking)
+            assert same_bits(built.matrix, want), null
         for null, null2 in pairs:
-            built = build_modularity_matrix(g, null, ranking, null2=null2)
-            models = [build_ensemble(g, name, ranking) for name in (null, null2)]
-            assert np.array_equal(built.matrix, soft_matrix_by_formula(*models, ranking))
+            built = build_modularity_matrix(g, null, ranking, null2=null2, direction=direction)
+            models = [build_ensemble(g, name, ranking, direction) for name in (null, null2)]
+            assert same_bits(built.matrix, soft_matrix_by_formula(*models, ranking))
 
-    def test_karate(self, karate):
-        self.check_named(
-            karate, rank_nodes(karate), ("me1", "me2", "me3"), (("me1", "me3"), ("me2", "me3"))
-        )
+    def test_karate(self, karate, monkeypatch):
+        # in one row block, and in 4-row blocks whose last block is partial
+        ranking = rank_nodes(karate)
+        for rows in (None, 4):
+            if rows is not None:
+                monkeypatch.setattr(ensemble, "_BLOCK", rows * karate.n)
+            for direction in (MAXIMIZE, MINIMIZE):
+                pairs = (("me1", "me3"), ("me3", "me1"), ("me2", "me3"), ("me3", "me2"))
+                self.check_named(karate, ranking, ("me1", "me2", "me3"), pairs, direction)
+
+    def test_two_nodes(self):
+        g = Graph([(0, 1)])
+        pairs = (("me1", "me3"), ("me3", "me1"))
+        self.check_named(g, rank_nodes(g), ("ng", "me1", "me2", "me3"), pairs)
 
     def test_random_ranking(self, karate):
         ranking = rank_nodes(karate, policy="random", seed=4)
@@ -263,24 +278,25 @@ class TestBuildsMatchFormula:
         for g, k, kp, model in instance_graphs:
             ranking = rank_nodes(g)
             built = standard_modularity_matrix(g, model, ranking)
-            assert np.array_equal(built.matrix, standard_matrix_by_formula(g, model, ranking))
+            assert same_bits(built.matrix, standard_matrix_by_formula(g, model, ranking))
             observed = LinkProbabilityModel(k, observed_instance(g)[1])
             for pair in ((model, observed), (observed, model)):
                 built = soft_modularity_matrix(*pair, ranking)
-                assert np.array_equal(built.matrix, soft_matrix_by_formula(*pair, ranking))
+                assert same_bits(built.matrix, soft_matrix_by_formula(*pair, ranking))
             try:
                 ng = newman_girvan(g)
             except InfeasibleNG:
                 continue
             built = standard_modularity_matrix(g, ng)
-            assert np.array_equal(built.matrix, standard_matrix_by_formula(g, ng))
+            assert same_bits(built.matrix, standard_matrix_by_formula(g, ng))
 
     def test_rank_space_contrast(self, karate):
         k, kp, _ = observed_instance(karate)
         me1 = LinkProbabilityModel(k, kp)
         me3 = LinkProbabilityModel(k, optimal_kplus(k, "me3"))
-        built = soft_modularity_matrix(me1, me3)
-        assert np.array_equal(built.matrix, soft_matrix_by_formula(me1, me3))
+        for pair in ((me1, me3), (me3, me1)):
+            built = soft_modularity_matrix(*pair)
+            assert same_bits(built.matrix, soft_matrix_by_formula(*pair))
 
 
 def traced_peak(build):
@@ -296,10 +312,9 @@ def traced_peak(build):
 
 
 class TestBuildPeakMemory:
-    # in units of one dense N x N float64 matrix: the standard build holds
-    # two (the expected links and their node-order copy, then the same
-    # matrix beside the adjacency), the soft contrast four (two probability
-    # matrices and their variances); the checked copy fits under both bounds
+    # in units of one dense N x N float64 matrix: both builds fill one matrix
+    # in row blocks and hand it to ModularityMatrix, which checks a copy, so
+    # two matrices and one block's scratch are alive at the peak
     def test_standard_and_soft_peaks(self, mid_graph):
         g, ranking = mid_graph
         me1 = build_ensemble(g, "me1", ranking)
@@ -308,7 +323,14 @@ class TestBuildPeakMemory:
         standard = traced_peak(lambda: standard_modularity_matrix(g, me1, ranking))
         soft = traced_peak(lambda: soft_modularity_matrix(me1, me3, ranking))
         assert standard <= 2.5 * unit
-        assert soft <= 4.5 * unit
+        assert soft <= 2.5 * unit
+
+    def test_root_bipartition_reads_the_matrix_in_place(self, mid_graph):
+        # the solve over every node copies no N x N block: only the row sums
+        # of |M| take one matrix of scratch
+        g, ranking = mid_graph
+        mm = standard_modularity_matrix(g, build_ensemble(g, "me1", ranking), ranking)
+        assert traced_peak(lambda: spectral_bipartition(mm)) <= 1.5 * 8 * g.n**2
 
 
 class TestModularityValue:
@@ -498,7 +520,7 @@ def degree_product_matrix(g):
     """Newman's a - k k^T / 2L, built directly: ``newman_girvan`` rejects
     graphs whose hubs reach sqrt(2L), karate among them."""
     k = g.degrees.astype(np.float64)
-    return ModularityMatrix(g.adjacency_matrix() - np.outer(k, k) / k.sum(), "standard")
+    return ModularityMatrix(adjacency_from_edges(g) - np.outer(k, k) / k.sum(), "standard")
 
 
 class TestLeadingEigenpair:

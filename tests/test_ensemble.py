@@ -13,10 +13,11 @@ from conftest import (
     multiedge_pairs_by_rows,
     node_curves_by_rows,
     observed_instance,
-    probability_matrix_by_rows,
+    probability_matrix_by_pairs,
     random_feasible_kplus,
     random_simple_graph,
     row_sums_by_rows,
+    same_bits,
     total_probability_by_rows,
     verify_soft_constraints_by_rows,
     weights_by_recursion,
@@ -301,8 +302,7 @@ class TestProbabilities:
             assert total[i] == pytest.approx(exact.sum(), rel=1e-12)
 
     def test_probability_matrix_peak_memory(self):
-        # one N x N buffer, the N x N boolean mask of the lower triangle, and
-        # the copy numpy takes of one row tile's operand while mirroring
+        # one N x N buffer and the scratch of one row block
         g = random_simple_graph(np.random.default_rng(8), 300, density=0.03)
         k = np.sort(g.degrees)[::-1]
         m = LinkProbabilityModel(k, optimal_kplus(k, "me3"))
@@ -392,7 +392,10 @@ class TestRowSums:
             blocked += m._log_w[-1] > 2 * ensemble._SPAN  # three blocks or more
         assert blocked >= 0.9 * len(models)
 
-    def test_probability_matrix_equals_stacked_rows(self, karate):
+    def test_probability_matrix_equals_stacked_rows(self, karate, monkeypatch):
+        # both equal the mirrored upper triangle bit for bit; the matrix in one
+        # block, in 1-row blocks, and in 4-row blocks, whose last block is
+        # partial at 34, 37 and 5 nodes
         k, kp, _ = observed_instance(karate)
         tail = np.zeros(3, dtype=np.int64)
         searched = random_feasible_kplus(k, "me3", seed=3)
@@ -403,10 +406,18 @@ class TestRowSums:
             (np.concatenate((k, tail)), np.concatenate((searched, tail))),
             ([2, 2, 2, 0, 0], [0, 1, 2, 0, 0]),
             ([3, 3, 1, 1], [0, 2, 1, 1]),
+            ([1, 1], [0, 1]),
+            ([3, 3], [0, 3]),
         ]
         for kk, kpp in cases:
             m = LinkProbabilityModel(kk, kpp)
-            assert np.array_equal(m.probability_matrix(), probability_matrix_by_rows(m))
+            want = probability_matrix_by_pairs(m)
+            assert same_bits(np.vstack([m.row(i) for i in range(m.n)]), want)
+            for rows in (None, 1, 4):
+                with monkeypatch.context() as patch:
+                    if rows is not None:
+                        patch.setattr(ensemble, "_BLOCK", rows * m.n)
+                    assert same_bits(m.probability_matrix(), want), (m.n, rows)
 
 
 class TestEntropy:

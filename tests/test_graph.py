@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    adjacency_from_edges,
     kplus_by_adjacency,
     load_edge_list_by_lines,
     random_simple_graph,
@@ -72,7 +73,7 @@ class TestGraph:
         assert g.degrees[g.labels.index(5)] == 0
 
     def test_adjacency_matrix(self, p3):
-        a = p3.adjacency_matrix()
+        a = adjacency_from_edges(p3)
         assert a[0, 1] == a[1, 0] == 1.0
         assert a[0, 2] == 0.0
         assert np.trace(a) == 0.0
@@ -92,7 +93,7 @@ class TestGraph:
             assert np.array_equal(np.diff(g.indptr), g.degrees)
             for i in range(g.n):
                 assert g.neighbors(i).tolist() == sorted(expected[i])
-            a = g.adjacency_matrix()
+            a = adjacency_from_edges(g)
             assert np.array_equal(a.sum(axis=1), g.degrees)
             assert np.array_equal(np.argwhere(np.triu(a)), g.edges)
 
