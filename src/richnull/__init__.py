@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 # defining submodule -> its public names; each loads on first access
 _EXPORTS = {
-    "baselines": "NGModel RR1 RR2 RRConfig expected_self_loops newman_girvan rr_randomize",
+    "baselines": "NGModel RR1 RR2 newman_girvan rr_randomize",
     "communities": "Dendrogram ModularityMatrix Partition build_modularity_matrix modularity_value"
     " recursive_partition soft_modularity_matrix spectral_bipartition standard_modularity_matrix",
     "consensus": "RunSet cooccurrence invariant_cores randomized_rank_runs run_pipeline",

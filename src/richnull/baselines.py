@@ -12,8 +12,6 @@ never self-loops (``RR2``).
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,58 +72,31 @@ def newman_girvan(g):
     return NGModel(g.degrees)
 
 
-def expected_self_loops(k, mean_degree, n):
-    """Expected self-loop count k^2 / (<k> N) under free stub pairing."""
-    if n < 1:
-        raise ValueError("need at least one node")
-    if mean_degree <= 0:
-        raise ValueError("mean degree must be positive")
-    return float(k) ** 2 / (float(mean_degree) * float(n))
-
-
-@dataclass(frozen=True)
-class RRConfig:
-    """Settings for one randomization run.
-
-    ``swap_attempts`` is a positive integer (bool excluded), or None for
-    20 times the link count.
-    """
-
-    variant: str
-    swap_attempts: int | None = None
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.variant not in (RR1, RR2):
-            raise ValueError(f"variant must be rr1 or rr2, got {self.variant!r}")
-        attempts = self.swap_attempts
-        if attempts is None:
-            return
-        if isinstance(attempts, bool) or not isinstance(attempts, numbers.Integral) or attempts < 1:
-            raise ValueError(f"swap_attempts must be an integer of at least 1, got {attempts!r}")
-
-
-def rr_randomize(g, cfg):
+def rr_randomize(g, variant, seed=None):
     """Degree-preserving link-swap randomization of ``g``.
 
-    Repeatedly proposes double-edge swaps (a,b),(c,d) -> (a,d),(c,b) with
-    random orientation and keeps only swaps that create no self-loop, and
-    for RR1 no duplicate link either.  Returns a :class:`Graph` for RR1 and
-    a :class:`Multigraph` for RR2, both with the exact input degrees.
+    Makes 20 L attempts at double-edge swaps (a,b),(c,d) -> (a,d),(c,b) with
+    random orientation, drawn from ``np.random.default_rng(seed)``, and keeps
+    only swaps that create no self-loop, and for ``RR1`` no duplicate link
+    either.  ``variant`` is ``RR1`` or ``RR2``.  Returns a :class:`Graph`
+    for RR1 and a :class:`Multigraph` for RR2, both with the exact input
+    degrees.
 
     The four draws of each attempt (two distinct links, two orientations)
     come in blocks of ``_DRAW_BLOCK`` attempts from one array-valued
     ``rng.integers`` call, which consumes the generator exactly like four
     scalar calls per attempt.
     """
+    if variant not in (RR1, RR2):
+        raise ValueError(f"variant must be rr1 or rr2, got {variant!r}")
     links = g.edge_count
     if links < 2:
         raise ValueError("need at least two links to swap")
-    attempts = cfg.swap_attempts if cfg.swap_attempts is not None else 20 * links
-    rng = np.random.default_rng(cfg.seed)
+    attempts = 20 * links
+    rng = np.random.default_rng(seed)
 
     edges = list(map(tuple, g.edges.tolist()))
-    simple = cfg.variant == RR1
+    simple = variant == RR1
     present = set(edges) if simple else None
     highs = np.tile(np.array([links, links - 1, 2, 2], dtype=np.int64), _DRAW_BLOCK)
 

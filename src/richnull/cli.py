@@ -143,9 +143,9 @@ def cmd_ensemble(args):
     out = _out_dir(args)
 
     if args.model in ("rr1", "rr2"):
-        from .baselines import RRConfig, rr_randomize
+        from .baselines import rr_randomize
 
-        randomized = rr_randomize(g, RRConfig(args.model, seed=args.seed))
+        randomized = rr_randomize(g, args.model, args.seed)
         lines = [_stamp(args)]
         if args.model == "rr2":
             lines.append("# multigraph: repeated lines are parallel links")

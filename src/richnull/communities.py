@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import LinkProbabilityModel, _by_row_blocks
+from .ensemble import _BLOCK, LinkProbabilityModel, _by_row_blocks
 from .errors import PowerIterationError
 from .graph import MAXIMIZE, MINIMIZE, NG, RANKED
 
@@ -155,17 +155,13 @@ class SplitNode:
         return self.children is None
 
     def to_dict(self, labels=None):
-        name = (
-            [labels[i] for i in self.members.tolist()]
-            if labels is not None
-            else self.members.tolist()
-        )
         out = {"size": int(self.members.size)}
         if self.matvecs is not None:
             out["matvecs"] = self.matvecs
             out["residual"] = self.residual
         if self.is_leaf:
-            out["members"] = name
+            members = self.members.tolist()
+            out["members"] = members if labels is None else [labels[i] for i in members]
             if self.reason:
                 out["indivisible_because"] = self.reason
         else:
@@ -330,46 +326,50 @@ def _start_vector(n):
     return ((t * 2654435761 + 12345) % 1000003) / 1000003.0 + 0.5
 
 
-def _lanczos_leading(sub, r, sigma, tol, max_iter):
+def _lanczos_leading(sub, r, sigma):
     """Leading eigenpair of ``B = sub - diag(r)`` by restarted Lanczos.
 
     Each basis vector is reorthogonalized twice.  A cycle ends when the
     Lanczos residual estimate (taken every ``RITZ_EVERY`` steps, at the last
-    step and when the basis stops growing) is within ``tol * max(1, sigma)``
-    or the basis holds ``min(n, KRYLOV_DIM)`` vectors; one explicit mat-vec
-    then checks the Ritz pair against that bound, and a failed pair starts
-    the next cycle.  ``max_iter`` caps all mat-vecs, checks included.
-    Returns (eigenvalue, unit vector with its first nonzero component
-    positive, mat-vecs, residual) or raises ``PowerIterationError``.
+    step and when the basis stops growing) is within ``EIGEN_TOL *
+    max(1, sigma)`` or the basis holds ``min(n, KRYLOV_DIM)`` vectors; one
+    explicit mat-vec then checks the Ritz pair against that bound, and a
+    failed pair starts the next cycle.  ``EIGEN_MAX_MATVECS``, read when the
+    solve starts, caps all mat-vecs, checks included.  Returns (eigenvalue,
+    unit vector with its first nonzero component positive, mat-vecs,
+    residual) or raises ``PowerIterationError``.
     """
     n = sub.shape[0]
     dim = min(n, KRYLOV_DIM)
-    scale = tol * max(1.0, sigma)
+    budget = EIGEN_MAX_MATVECS
+    scale = EIGEN_TOL * max(1.0, sigma)
     basis = np.empty((dim, n))
+    # the projected tridiagonal matrix: alpha_j at (j, j), beta_j at (j, j+1)
+    # and (j+1, j); each check reads the leading block filled this cycle
+    t = np.zeros((dim + 1, dim + 1))
     y = _start_vector(n)
     y /= np.linalg.norm(y)
     matvecs = 0
     residual = np.inf
-    while matvecs < max_iter - 1:
-        alpha, beta = [], []
-        steps = min(dim, max_iter - 1 - matvecs)
+    while matvecs < budget - 1:
+        steps = min(dim, budget - 1 - matvecs)
         v = y
         for j in range(steps):
             basis[j] = v
             w = sub @ v - r * v
             matvecs += 1
-            alpha.append(float(v @ w))
+            t[j, j] = v @ w
             for _ in range(2):
                 w -= basis[: j + 1].T @ (basis[: j + 1] @ w)
-            beta.append(float(np.linalg.norm(w)))
-            if beta[-1] <= scale or (j + 1) % RITZ_EVERY == 0 or j + 1 == steps:
-                t = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
-                vals, vecs = np.linalg.eigh(t)
-                if beta[-1] * abs(vecs[-1, -1]) <= scale:
+            beta = np.sqrt(w @ w)
+            t[j, j + 1] = t[j + 1, j] = beta
+            if beta <= scale or (j + 1) % RITZ_EVERY == 0 or j + 1 == steps:
+                vals, vecs = np.linalg.eigh(t[: j + 1, : j + 1])
+                if beta * abs(vecs[-1, -1]) <= scale:
                     break
-            v = w / beta[-1]
+            v = w / beta
         theta = float(vals[-1])
-        y = vecs[:, -1] @ basis[: len(alpha)]
+        y = vecs[:, -1] @ basis[: j + 1]
         y /= np.linalg.norm(y)
         residual = float(np.max(np.abs(sub @ y - r * y - theta * y)))
         matvecs += 1
@@ -391,7 +391,7 @@ class SplitOutcome:
     residual: float | None = None
 
 
-def spectral_bipartition(mm, members=None, max_iter=EIGEN_MAX_MATVECS):
+def spectral_bipartition(mm, members=None):
     """Try to split one part by the leading eigenvector's sign pattern.
 
     Uses ``B_ij = M_ij - delta_ij sum_l M_il`` over ``members`` (all nodes
@@ -399,8 +399,8 @@ def spectral_bipartition(mm, members=None, max_iter=EIGEN_MAX_MATVECS):
     fewer than two nodes, the leading eigenvalue is not positive beyond
     tolerance, or the eigenvector does not change sign.  Zero components
     land on the positive side; a tied leading eigenvalue yields the start
-    vector's projection onto its eigenspace.  ``max_iter`` is the mat-vec
-    budget; the outcome records the mat-vecs spent and the residual.
+    vector's projection onto its eigenspace.  ``EIGEN_MAX_MATVECS`` is the
+    mat-vec budget; the outcome records the mat-vecs spent and the residual.
     """
     m = mm.matrix
     if members is None:
@@ -419,11 +419,13 @@ def spectral_bipartition(mm, members=None, max_iter=EIGEN_MAX_MATVECS):
     # the recursion's first solve spans every node: read the matrix in place
     sub = m if members.size == m.shape[0] else m[np.ix_(members, members)]
     r = sub.sum(axis=1)
-    sigma = float((np.abs(sub).sum(axis=1) + np.abs(r)).max())
+    step = max(1, _BLOCK // members.size)  # |sub| one row block at a time
+    abs_rows = [np.abs(sub[a : a + step]).sum(axis=1) for a in range(0, members.size, step)]
+    sigma = float((np.concatenate(abs_rows) + np.abs(r)).max())
     if sigma == 0.0:
         return SplitOutcome(False, eigenvalue=0.0, reason="zero restricted matrix")
 
-    eigenvalue, vec, matvecs, residual = _lanczos_leading(sub, r, sigma, EIGEN_TOL, max_iter)
+    eigenvalue, vec, matvecs, residual = _lanczos_leading(sub, r, sigma)
     solve = {"eigenvalue": eigenvalue, "matvecs": matvecs, "residual": residual}
     if eigenvalue <= EIGEN_TOL * max(1.0, sigma):
         return SplitOutcome(False, reason="no positive eigenvalue", **solve)
@@ -434,7 +436,7 @@ def spectral_bipartition(mm, members=None, max_iter=EIGEN_MAX_MATVECS):
     return SplitOutcome(True, q_gain=q_gain, signs=signs, **solve)
 
 
-def recursive_partition(mm, strict=False, max_iter=EIGEN_MAX_MATVECS):
+def recursive_partition(mm, strict=False):
     """Split parts until all are indivisible; return the tree and partition.
 
     By default a part splits whenever its leading eigenvalue is positive,
@@ -448,7 +450,7 @@ def recursive_partition(mm, strict=False, max_iter=EIGEN_MAX_MATVECS):
     queue = [root]
     while queue:
         node = queue.pop(0)
-        outcome = spectral_bipartition(mm, node.members, max_iter=max_iter)
+        outcome = spectral_bipartition(mm, node.members)
         node.eigenvalue = outcome.eigenvalue
         node.matvecs, node.residual = outcome.matvecs, outcome.residual
         if not outcome.divisible:

@@ -39,8 +39,6 @@ class Graph:
         Unordered pairs of node labels. Labels are either all ints or all
         strings; internal indices are assigned in ascending label order so
         the default pipeline is reproducible without a seed.
-    extra_nodes : iterable of labels, optional
-        Labels that must appear in the graph even if isolated.
 
     ``edges`` is an (L, 2) int64 array of node indices ``i < j`` in
     lexicographic order, ``degrees`` comes from a bincount of it, and
@@ -50,16 +48,16 @@ class Graph:
 
     __slots__ = ("n", "labels", "edges", "degrees", "indptr", "indices")
 
-    def __init__(self, edges, extra_nodes=()):
-        edges, extra = list(edges), list(extra_nodes)
+    def __init__(self, edges):
+        edges = list(edges)
         if set(map(len, edges)) - {2}:
             raise ValueError("every edge must have exactly two ends")
         # object dtype keeps each label whole, tuples included
-        values = np.fromiter(chain(extra, chain.from_iterable(edges)), dtype=object)
+        values = np.fromiter(chain.from_iterable(edges), dtype=object)
         labels, index = np.unique(values, return_inverse=True)
         if not labels.size:
             raise ValueError("graph must have at least one node")
-        self._fill(tuple(labels.tolist()), index[len(extra) :].reshape(-1, 2))
+        self._fill(tuple(labels.tolist()), index.reshape(-1, 2))
 
     @classmethod
     def from_indices(cls, labels, edges):

@@ -77,7 +77,7 @@ def random_simple_graph(rng, n, density=None):
         mask = np.triu(rng.random((n, n)) < density, 1)
         edges = [(int(i), int(j)) for i, j in zip(*np.nonzero(mask))]
         if edges:
-            return Graph(edges, extra_nodes=range(n))
+            return Graph.from_indices(range(n), edges)
 
 
 def observed_instance(g):
@@ -620,19 +620,18 @@ def check_parts_against_eigh(mm, dendrogram, tol):
     return checked
 
 
-def rr_randomize_by_loop(g, cfg):
+def rr_randomize_by_loop(g, variant, seed):
     """Reference for ``richnull.baselines.rr_randomize``: four scalar draws per attempt."""
     links = g.edge_count
     if links < 2:
         raise ValueError("need at least two links to swap")
-    attempts = cfg.swap_attempts if cfg.swap_attempts is not None else 20 * links
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
 
     edges = g.edges.tolist()
-    simple = cfg.variant == RR1
+    simple = variant == RR1
     present = set(map(tuple, edges)) if simple else None
 
-    for _ in range(attempts):
+    for _ in range(20 * links):
         e1 = int(rng.integers(links))
         e2 = int(rng.integers(links - 1))
         if e2 >= e1:

@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 from conftest import rr_randomize_by_loop
 
-from richnull.baselines import (
-    _DRAW_BLOCK,
-    NGModel,
-    RRConfig,
-    expected_self_loops,
-    newman_girvan,
-    rr_randomize,
-)
+from richnull import baselines
+from richnull.baselines import NGModel, newman_girvan, rr_randomize
 from richnull.errors import InfeasibleNG
 from richnull.graph import Graph, Multigraph
 
@@ -63,72 +57,38 @@ class TestNGModel:
             NGModel([0, 0])
 
 
-class TestExpectedSelfLoops:
-    def test_known_value(self):
-        assert expected_self_loops(2, 2, 3) == pytest.approx(2 / 3)
-
-    def test_zero_degree(self):
-        assert expected_self_loops(0, 2, 5) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            expected_self_loops(2, 0, 3)
-        with pytest.raises(ValueError):
-            expected_self_loops(2, 2, 0)
-
-
-class TestRRConfig:
-    def test_bad_variant(self):
-        with pytest.raises(ValueError):
-            RRConfig("rr3")
-
-    def test_bad_attempts(self):
-        with pytest.raises(ValueError):
-            RRConfig("rr1", swap_attempts=0)
-
-    @pytest.mark.parametrize("attempts", [2.5, 3.0, True, False, "3", -1])
-    def test_attempts_must_be_a_positive_integer(self, attempts):
-        with pytest.raises(ValueError, match="swap_attempts"):
-            RRConfig("rr1", swap_attempts=attempts)
-
-    def test_numpy_integer_attempts_accepted(self, karate):
-        cfg = RRConfig("rr1", swap_attempts=np.int64(50), seed=0)
-        out = rr_randomize(karate, cfg)
-        assert np.array_equal(out.edges, rr_randomize(karate, RRConfig("rr1", 50, 0)).edges)
-
-
 class TestRandomization:
     def test_triangle_is_a_fixed_point(self, k3):
         # the triangle is the only simple graph with its degree sequence
-        out = rr_randomize(k3, RRConfig("rr1", seed=0))
+        out = rr_randomize(k3, "rr1", 0)
         assert np.array_equal(out.edges, k3.edges)
 
     def test_star_swaps_only_into_self_loops(self, s3):
         # every rewiring of a star would need a self-loop, so even the
         # multigraph variant returns it unchanged
-        out = rr_randomize(s3, RRConfig("rr2", seed=1))
+        out = rr_randomize(s3, "rr2", 1)
         assert sorted(out.edges.tolist()) == sorted(s3.edges.tolist())
 
     @pytest.mark.parametrize("variant", ["rr1", "rr2"])
     def test_degrees_preserved_across_seeds(self, karate, variant):
         for seed in range(10):
-            out = rr_randomize(karate, RRConfig(variant, seed=seed))
+            out = rr_randomize(karate, variant, seed)
             assert np.array_equal(out.degrees, karate.degrees)
 
     def test_rr1_stays_simple_rr2_goes_multi(self, karate):
-        rr1 = rr_randomize(karate, RRConfig("rr1", seed=0))
+        rr1 = rr_randomize(karate, "rr1", 0)
         assert isinstance(rr1, Graph)  # construction rejects duplicate links
-        rr2 = rr_randomize(karate, RRConfig("rr2", seed=0))
+        rr2 = rr_randomize(karate, "rr2", 0)
         assert isinstance(rr2, Multigraph)
         assert not rr2.is_simple()
 
     def test_actually_rewires(self, karate):
-        out = rr_randomize(karate, RRConfig("rr1", seed=0))
+        out = rr_randomize(karate, "rr1", 0)
         assert not np.array_equal(out.edges, karate.edges)
 
     def test_reproducible(self, karate):
-        a = rr_randomize(karate, RRConfig("rr1", seed=7))
-        b = rr_randomize(karate, RRConfig("rr1", seed=7))
+        a = rr_randomize(karate, "rr1", 7)
+        b = rr_randomize(karate, "rr1", 7)
         assert np.array_equal(a.edges, b.edges)
 
     def test_rr1_outputs_are_valid_realizations(self):
@@ -146,35 +106,47 @@ class TestRandomization:
                 valid.add(frozenset(combo))
         assert len(valid) > 1
         for seed in range(10):
-            out = rr_randomize(path, RRConfig("rr1", seed=seed))
+            out = rr_randomize(path, "rr1", seed)
             assert frozenset(map(tuple, out.edges.tolist())) in valid
 
     def test_labels_survive(self):
         ring = Graph([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
-        out = rr_randomize(ring, RRConfig("rr1", seed=2))
+        out = rr_randomize(ring, "rr1", 2)
         assert out.labels == ring.labels
 
     def test_needs_two_links(self):
         with pytest.raises(ValueError):
-            rr_randomize(Graph([(0, 1)]), RRConfig("rr1", seed=0))
+            rr_randomize(Graph([(0, 1)]), "rr1", 0)
 
-    def test_attempt_budget_zero_swaps_possible(self, karate):
-        # a single attempt may or may not land a swap, but degrees hold
-        out = rr_randomize(karate, RRConfig("rr2", swap_attempts=1, seed=3))
-        assert np.array_equal(out.degrees, karate.degrees)
+    def test_bad_variant(self, karate):
+        with pytest.raises(ValueError, match="rr1 or rr2"):
+            rr_randomize(karate, "rr3", 0)
 
 
-ORACLE_ATTEMPTS = [1, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, 2 * _DRAW_BLOCK + 1, None]
+# _DRAW_BLOCK against the 20 L attempts, each case id being the attempt count
+# that gives its layout against the default 4096-attempt block: "None" keeps
+# that default (one partial block), "4095" is one short of a full block, "4096"
+# exactly one full block, "4097" one full block and a one-attempt tail, "8193"
+# two full blocks and a short tail (20 L is even, so two attempts), and "1"
+# draws each attempt as a block of its own
+ORACLE_BLOCKS = {
+    "1": lambda attempts: 1,
+    "4095": lambda attempts: attempts + 1,
+    "4096": lambda attempts: attempts,
+    "4097": lambda attempts: attempts - 1,
+    "8193": lambda attempts: attempts // 2 - 1,
+    "None": lambda attempts: baselines._DRAW_BLOCK,
+}
 
 
 @pytest.mark.parametrize("variant", ["rr1", "rr2"])
-@pytest.mark.parametrize("attempts", ORACLE_ATTEMPTS)
+@pytest.mark.parametrize("blocks", ORACLE_BLOCKS)
 @pytest.mark.parametrize("name", ["karate", "p3", "k3", "s3"])
-def test_block_draws_match_scalar_loop(request, name, attempts, variant):
+def test_block_draws_match_scalar_loop(request, monkeypatch, name, blocks, variant):
     # p3 is the 2-link path: its second link is drawn from a range of one
     g = request.getfixturevalue(name)
+    monkeypatch.setattr(baselines, "_DRAW_BLOCK", ORACLE_BLOCKS[blocks](20 * g.edge_count))
     for seed in range(5):
-        cfg = RRConfig(variant, swap_attempts=attempts, seed=seed)
-        out, want = rr_randomize(g, cfg), rr_randomize_by_loop(g, cfg)
+        out, want = rr_randomize(g, variant, seed), rr_randomize_by_loop(g, variant, seed)
         assert type(out) is type(want)
-        assert np.array_equal(out.edges, want.edges), (seed, attempts)
+        assert np.array_equal(out.edges, want.edges), (seed, blocks)

@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 import os
@@ -12,9 +11,8 @@ import pytest
 
 from conftest import multiedge_pairs_by_rows, observed_instance
 from richnull import __version__
-from richnull import cli, communities, consensus
+from richnull import cli, communities
 from richnull.cli import EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE, main
-from richnull.communities import recursive_partition
 from richnull.ensemble import LinkProbabilityModel, entropy_fast
 from richnull.graph import rank_nodes
 from richnull.search import build_ensemble
@@ -537,9 +535,7 @@ class TestCommunitiesCommand:
 
 
     def test_unconverged_solve_exits_4(self, karate_file, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(
-            communities, "recursive_partition", functools.partial(recursive_partition, max_iter=3)
-        )
+        monkeypatch.setattr(communities, "EIGEN_MAX_MATVECS", 3)
         rc = main(
             ["communities", "--input", karate_file, "--model", "me1", "--out", str(tmp_path)]
         )
@@ -617,9 +613,7 @@ class TestConsensusCommand:
         assert "every consensus run failed" in capsys.readouterr().err
 
     def test_every_run_unconverged_exits_4(self, karate_file, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(
-            consensus, "recursive_partition", functools.partial(recursive_partition, max_iter=3)
-        )
+        monkeypatch.setattr(communities, "EIGEN_MAX_MATVECS", 3)
         out = tmp_path / "out"
         rc = main(
             [

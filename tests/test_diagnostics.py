@@ -96,7 +96,7 @@ class TestKnn:
         assert uncorrelated_knn(s3) == pytest.approx(2.0)
 
     def test_isolated_nodes_dropped_with_warning(self, caplog):
-        g = Graph([(0, 1), (1, 2)], extra_nodes=[9])
+        g = Graph.from_indices((0, 1, 2, 9), [(0, 1), (1, 2)])
         with caplog.at_level(logging.WARNING):
             c = knn_data(g)
         assert 0.0 not in c.x

@@ -51,8 +51,8 @@ class TestGraph:
                 Graph(edges)
 
     def test_tuple_labels_stay_whole(self):
-        g = Graph([((0, "a"), (1, "b")), ((1, "b"), (2, "c"))], extra_nodes=[(3, "d")])
-        assert g.labels == ((0, "a"), (1, "b"), (2, "c"), (3, "d"))
+        g = Graph([((0, "a"), (1, "b")), ((1, "b"), (2, "c"))])
+        assert g.labels == ((0, "a"), (1, "b"), (2, "c"))
         assert g.edges.tolist() == [[0, 1], [1, 2]]
         assert g.labels.index((1, "b")) == 1
 
@@ -68,7 +68,7 @@ class TestGraph:
         assert g.degrees[g.labels.index("b")] == 2
 
     def test_extra_nodes_stay_isolated(self):
-        g = Graph([(0, 1)], extra_nodes=[5])
+        g = Graph.from_indices((0, 1, 5), [(0, 1)])
         assert g.n == 3
         assert g.degrees[g.labels.index(5)] == 0
 

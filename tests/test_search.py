@@ -11,7 +11,7 @@ from conftest import (
     observed_instance,
     random_simple_graph,
 )
-from richnull.baselines import RRConfig, rr_randomize
+from richnull.baselines import rr_randomize
 from richnull.cli import EXIT_OK, main
 from richnull.diagnostics import ipr_curve, knn_ensemble, variation_curve
 from richnull.ensemble import LinkProbabilityModel, _phi, entropy_fast
@@ -303,7 +303,7 @@ def test_rank_space_model_reads_only_the_sorted_degrees(karate, tag):
     # me2 and me3 search over k alone, and k is the sorted degree sequence
     # for every tie order and every graph with those degrees; me1 reads the
     # observed k+, which follows the ranking and the links
-    rewired = rr_randomize(karate, RRConfig("rr1", seed=0))
+    rewired = rr_randomize(karate, "rr1", 0)
     rankings = [(karate, rank_nodes(karate, policy="random", seed=s)) for s in range(3)]
     rankings.append((rewired, rank_nodes(rewired)))
     models = [build_ensemble(g, tag, ranking) for g, ranking in rankings]
