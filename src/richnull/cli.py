@@ -303,7 +303,7 @@ def cmd_communities(args):
     report = {
         "model": args.model,
         "model2": args.model2,
-        "kind": matrix.kind,
+        "kind": "soft" if args.model2 else "standard",
         "n_communities": partition.n_communities,
         "q": modularity_value(matrix, partition),
         "q_trace": dendrogram.q_trace,

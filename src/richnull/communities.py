@@ -38,9 +38,6 @@ from .ensemble import _BLOCK, LinkProbabilityModel, _by_row_blocks
 from .errors import PowerIterationError
 from .graph import MAXIMIZE, MINIMIZE, NG, RANKED
 
-STANDARD = "standard"
-SOFT = "soft"
-
 EIGEN_TOL = 1e-10
 EIGEN_MAX_MATVECS = 100_000
 KRYLOV_DIM = 64
@@ -52,18 +49,16 @@ SYMMETRY_TILE = 256
 class ModularityMatrix:
     """Validated dense matrix, exactly symmetric, with zero diagonal.
 
-    Holds its own read-only copy: the caller's array is left as it was.
+    Takes over an owned, writable, C-ordered float64 array, zeroing its
+    diagonal and freezing it in place; any other input is copied first.
     """
 
     matrix: np.ndarray
-    kind: str
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.float64)
+        m = np.require(self.matrix, np.float64, ("C", "O", "W"))
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError("modularity matrix must be square and nonempty")
-        if self.kind not in (STANDARD, SOFT):
-            raise ValueError(f"unknown matrix kind {self.kind!r}")
         if not np.all(np.isfinite(m)):
             raise ValueError("modularity matrix entries must be finite")
         if not _symmetric(m):
@@ -226,6 +221,8 @@ def standard_modularity_matrix(g, null, ranking=None):
     if isinstance(null, LinkProbabilityModel):
         if ranking is None:
             raise ValueError("a ranked ensemble needs its ranking to address nodes")
+        if len(ranking) != null.n:
+            raise ValueError(f"ranking size does not match model: {len(ranking)} vs {null.n}")
 
         def rows(a, b):  # 0 - L p, not -L p: a pair expected 0 stays +0
             return 0.0 - null._rows(ranking.positions, a, b) * null.links
@@ -245,7 +242,7 @@ def standard_modularity_matrix(g, null, ranking=None):
     i, j = g.edges.T
     m[i, j] += 1.0
     m[j, i] += 1.0
-    return ModularityMatrix(m, STANDARD)
+    return ModularityMatrix(m)
 
 
 def soft_modularity_matrix(model1, model2, ranking=None):
@@ -261,6 +258,8 @@ def soft_modularity_matrix(model1, model2, ranking=None):
         raise ValueError("models span different node counts")
     if model1.links != model2.links:
         raise ValueError("models disagree on the link count")
+    if ranking is not None and len(ranking) != model1.n:
+        raise ValueError(f"ranking size does not match models: {len(ranking)} vs {model1.n}")
     pos = np.arange(model1.n) if ranking is None else ranking.positions
 
     def rows(a, b):
@@ -277,7 +276,7 @@ def soft_modularity_matrix(model1, model2, ranking=None):
         e1[~mask] = 0.0
         return e1
 
-    return ModularityMatrix(_by_row_blocks(model1.n, rows), SOFT)
+    return ModularityMatrix(_by_row_blocks(model1.n, rows))
 
 
 def build_modularity_matrix(g, null, ranking, null2=None, direction=MAXIMIZE):

@@ -44,18 +44,41 @@ def me1_matrix(g):
 
 class TestModularityMatrix:
     def test_diagonal_zeroed(self):
-        m = ModularityMatrix([[5.0, 1.0], [1.0, 5.0]], "standard")
+        m = ModularityMatrix([[5.0, 1.0], [1.0, 5.0]])
         assert m.matrix.tolist() == [[0.0, 1.0], [1.0, 0.0]]
         assert m.n == 2
 
-    def test_caller_array_neither_modified_nor_frozen(self):
+    def test_owned_float64_array_taken_over(self):
         given = np.array([[5.0, 1.0], [1.0, 5.0]])
-        m = ModularityMatrix(given, "standard")
-        assert given.tolist() == [[5.0, 1.0], [1.0, 5.0]]
-        assert given.flags.writeable
+        m = ModularityMatrix(given)
+        assert m.matrix is given
+        assert not given.flags.writeable
+        assert given.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+    @pytest.mark.parametrize("make", ["list", "contiguous view", "strided view", "int64"])
+    def test_other_inputs_copied(self, make):
+        # the caller's array, and any array it views, stays writable and unchanged
+        base = np.array([5.0, 1.0, 0.0, 1.0, 5.0, 0.0, 0.0, 0.0, 5.0])
+        given = {
+            "list": lambda: base.reshape(3, 3).tolist(),
+            "contiguous view": lambda: base.reshape(3, 3),
+            "strided view": lambda: base.reshape(3, 3)[:2, :2],
+            "int64": lambda: base.reshape(3, 3).astype(np.int64),
+        }[make]()
+        snapshot = np.array(given)
+        m = ModularityMatrix(given)
         assert not m.matrix.flags.writeable
-        given[0, 1] = given[1, 0] = 2.0
-        assert m.matrix[0, 1] == 1.0
+        assert np.all(np.diag(m.matrix) == 0.0)
+        assert np.array_equal(given, snapshot)
+        assert base.flags.writeable and base[0] == 5.0
+        if make != "list":
+            assert given.flags.writeable
+
+    def test_frozen_matrix_accepted_again(self, karate):
+        mm = me1_matrix(karate)
+        again = ModularityMatrix(mm.matrix)
+        assert again.matrix is not mm.matrix
+        assert np.array_equal(again.matrix, mm.matrix)
 
     def test_nearly_symmetric_rejected(self):
         # exact symmetry is required: no tolerance, no averaging
@@ -63,28 +86,26 @@ class TestModularityMatrix:
         m[0, 1] += 1e-15
         assert m[0, 1] != m[1, 0]
         with pytest.raises(ValueError, match="symmetric"):
-            ModularityMatrix(m, "standard")
+            ModularityMatrix(m)
 
     @pytest.mark.parametrize("at", ["corner", "last partial tile"])
     def test_one_asymmetric_entry_rejected(self, at):
         n = 2 * SYMMETRY_TILE + 44
         m = np.random.default_rng(0).random((n, n))
         m += m.T
-        ModularityMatrix(m, "standard")
+        ModularityMatrix(m.copy())
         i, j = (0, n - 1) if at == "corner" else (n - 3, n - 20)
         m[i, j] = np.nextafter(m[i, j], 3.0)
         with pytest.raises(ValueError, match="symmetric"):
-            ModularityMatrix(m, "standard")
+            ModularityMatrix(m)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="square"):
-            ModularityMatrix(np.zeros((2, 3)), "standard")
-        with pytest.raises(ValueError, match="kind"):
-            ModularityMatrix(np.zeros((2, 2)), "loose")
+            ModularityMatrix(np.zeros((2, 3)))
         with pytest.raises(ValueError, match="finite"):
-            ModularityMatrix([[0.0, np.inf], [np.inf, 0.0]], "standard")
+            ModularityMatrix([[0.0, np.inf], [np.inf, 0.0]])
         with pytest.raises(ValueError, match="symmetric"):
-            ModularityMatrix([[0.0, 1.0], [2.0, 0.0]], "standard")
+            ModularityMatrix([[0.0, 1.0], [2.0, 0.0]])
 
 
 class TestPartition:
@@ -117,7 +138,6 @@ class TestStandardMatrix:
         mm = standard_modularity_matrix(two_triangles, newman_girvan(two_triangles))
         assert mm.matrix[0, 1] == pytest.approx(2 / 3)
         assert mm.matrix[0, 3] == pytest.approx(-1 / 3)
-        assert mm.kind == "standard"
 
     def test_triangle_against_own_ensemble_is_zero(self, k3):
         # the ensemble reproduces the triangle exactly, leaving no signal
@@ -128,6 +148,12 @@ class TestStandardMatrix:
         k, kp, _ = observed_instance(k3)
         with pytest.raises(ValueError, match="ranking"):
             standard_modularity_matrix(k3, LinkProbabilityModel(k, kp))
+
+    def test_ranking_of_another_size_rejected(self, karate):
+        k, kp, _ = observed_instance(karate)
+        path = rank_nodes(Graph([(0, 1), (1, 2), (2, 3)]))
+        with pytest.raises(ValueError, match="ranking size does not match model: 4 vs 34"):
+            standard_modularity_matrix(karate, LinkProbabilityModel(k, kp), path)
 
     def test_ranking_permutation_addresses_nodes(self, karate):
         ranking = rank_nodes(karate)
@@ -158,7 +184,6 @@ class TestSoftMatrix:
         m = LinkProbabilityModel(k, kp)
         sm = soft_modularity_matrix(m, m, ranking)
         assert np.allclose(sm.matrix, 0.0, atol=0.0)
-        assert sm.kind == "soft"
 
     def test_antisymmetric_in_the_models(self, karate):
         k, kp, _ = observed_instance(karate)
@@ -184,6 +209,13 @@ class TestSoftMatrix:
         with pytest.raises(ValueError, match="node counts"):
             soft_modularity_matrix(m3, mk)
 
+    def test_ranking_of_another_size_rejected(self, karate):
+        k, kp, _ = observed_instance(karate)
+        me1 = LinkProbabilityModel(k, kp)
+        path = rank_nodes(Graph([(0, 1), (1, 2), (2, 3)]))
+        with pytest.raises(ValueError, match="ranking size does not match models: 4 vs 34"):
+            soft_modularity_matrix(me1, me1, path)
+
 
 class TestBuildModularityMatrix:
     def test_degree_product_null(self, two_triangles):
@@ -193,7 +225,6 @@ class TestBuildModularityMatrix:
 
     def test_observed_ensemble(self, karate):
         built = build_modularity_matrix(karate, "me1", rank_nodes(karate))
-        assert built.kind == "standard"
         assert np.array_equal(built.matrix, me1_matrix(karate).matrix)
 
     @pytest.mark.parametrize("seed", [0, "generator"])
@@ -210,7 +241,6 @@ class TestBuildModularityMatrix:
         me2 = build_ensemble(karate, "me2", again)
         me3 = build_ensemble(karate, "me3", again)
         composed = soft_modularity_matrix(me2, me3, again)
-        assert built.kind == "soft"
         assert np.array_equal(built.matrix, composed.matrix)
 
     @pytest.mark.parametrize("null, null2", [("ng", "me3"), ("me1", "ng")])
@@ -313,8 +343,9 @@ def traced_peak(build):
 
 class TestBuildPeakMemory:
     # in units of one dense N x N float64 matrix: both builds fill one matrix
-    # in row blocks and hand it to ModularityMatrix, which checks a copy, so
-    # two matrices and one block's scratch are alive at the peak
+    # in row blocks and hand it over to ModularityMatrix, which checks and
+    # freezes it in place, so one matrix and one block's scratch are alive at
+    # the peak
     def test_standard_and_soft_peaks(self, mid_graph):
         g, ranking = mid_graph
         me1 = build_ensemble(g, "me1", ranking)
@@ -322,8 +353,8 @@ class TestBuildPeakMemory:
         unit = 8 * g.n**2
         standard = traced_peak(lambda: standard_modularity_matrix(g, me1, ranking))
         soft = traced_peak(lambda: soft_modularity_matrix(me1, me3, ranking))
-        assert standard <= 2.5 * unit
-        assert soft <= 2.5 * unit
+        assert standard <= 1.5 * unit
+        assert soft <= 1.5 * unit
 
     def test_root_bipartition_reads_the_matrix_in_place(self, mid_graph):
         # the solve over every node copies no N x N block and takes the row
@@ -521,7 +552,7 @@ def degree_product_matrix(g):
     """Newman's a - k k^T / 2L, built directly: ``newman_girvan`` rejects
     graphs whose hubs reach sqrt(2L), karate among them."""
     k = g.degrees.astype(np.float64)
-    return ModularityMatrix(adjacency_from_edges(g) - np.outer(k, k) / k.sum(), "standard")
+    return ModularityMatrix(adjacency_from_edges(g) - np.outer(k, k) / k.sum())
 
 
 class TestLeadingEigenpair:
