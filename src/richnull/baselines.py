@@ -62,9 +62,8 @@ class NGModel:
         return self.k.size
 
     def expected(self, i, j):
-        if i == j:
-            return 0.0
-        return float(self.k[i] * self.k[j]) / (2.0 * self.links)
+        """``k_i k_j / (2L)`` broadcast over node indices ``i`` and ``j``; 0 where ``i == j``."""
+        return np.where(np.equal(i, j), 0.0, self.k[i] * self.k[j] / (2.0 * self.links))
 
 
 def newman_girvan(g):
@@ -129,4 +128,4 @@ def rr_randomize(g, variant, seed=None):
 
     if simple:
         return Graph.from_indices(g.labels, edges)
-    return Multigraph(g.n, edges, labels=g.labels)
+    return Multigraph(g.n, edges)

@@ -168,12 +168,8 @@ def cmd_ensemble(args):
         model = newman_girvan(g)
         _write_csv(args, out, "sequences.csv", ("node", "degree"), (_names(g), _ints(g.degrees)))
         if args.dump_probabilities:
-
-            def expected(i, j):
-                return model.k[i] * model.k[j] / (2.0 * model.links)
-
             header = ("i", "j", "expected_links")
-            _write_pairs(args, out, "expected.csv", header, _names(g), expected, _floats)
+            _write_pairs(args, out, "expected.csv", header, _names(g), model.expected, _floats)
         summary = {
             "model": NG,
             "nodes": g.n,
@@ -324,7 +320,7 @@ def cmd_consensus(args):
     report = {
         "model": args.model,
         "model2": args.model2,
-        "runs_requested": runs.run_count,
+        "runs_requested": args.runs,
         "runs_successful": runs.successful,
         "failures": [
             {"run": f.index, "error": f.error, "message": f.message}
@@ -334,7 +330,7 @@ def cmd_consensus(args):
             {
                 "run": i,
                 "communities": [
-                    sorted(g.label_of(v) for v in part.members(c))
+                    sorted(g.labels[v] for v in part.members(c))
                     for c in range(part.n_communities)
                 ],
             }
@@ -356,7 +352,7 @@ def cmd_consensus(args):
     counts = partial(cooccurrence, runs.partitions)
     _write_pairs(args, out, "cooccurrence.csv", ("i", "j", "count"), _names(g), counts, _ints)
     cores = invariant_cores(runs.partitions, g, threshold=args.threshold)
-    labelled = [sorted(g.label_of(i) for i in core) for core in cores]
+    labelled = [sorted(g.labels[i] for i in core) for core in cores]
     report = {"run_count": runs.successful, "threshold": args.threshold, "cores": labelled}
     _write_json(args, out, "cores.json", report)
     return EXIT_OK

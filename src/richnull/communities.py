@@ -233,8 +233,8 @@ def standard_modularity_matrix(g, null, ranking=None):
         if not isinstance(null, NGModel):
             raise TypeError(f"unsupported null model {type(null).__name__}")
 
-        def rows(a, b):
-            return np.outer(null.k[a:b], -null.k) / (2.0 * null.links)
+        def rows(a, b):  # 0 - e, not -e: a pair expected 0 stays +0
+            return 0.0 - null.expected(np.arange(a, b)[:, None], np.arange(null.n))
 
     if null.n != g.n:
         raise ValueError("null model size does not match the graph")
@@ -286,8 +286,8 @@ def build_modularity_matrix(g, null, ranking, null2=None, direction=MAXIMIZE):
     ensemble on ``ranking``; with ``null2`` also ranked, both ensembles are
     built on it and contrasted by :func:`soft_modularity_matrix`.
     ``direction`` picks the me2/me3 entropy optima.  An unknown name or
-    direction, or a soft contrast with the degree-product null, raises
-    ``ValueError`` before anything is built.
+    direction, a ranked name without a ranking, or a soft contrast with the
+    degree-product null, raises ``ValueError`` before anything is built.
     """
     if null not in RANKED + (NG,):
         raise ValueError(f"unknown null {null!r}")
@@ -299,6 +299,8 @@ def build_modularity_matrix(g, null, ranking, null2=None, direction=MAXIMIZE):
         from .baselines import newman_girvan
 
         return standard_modularity_matrix(g, newman_girvan(g))
+    if ranking is None:
+        raise ValueError(f"the {null} null needs a ranking")
     from .search import build_ensemble  # the degree-product null needs no search
 
     model = build_ensemble(g, null, ranking, direction)

@@ -36,8 +36,6 @@ class RunSet:
 
     partitions: tuple
     failures: tuple
-    run_count: int
-    master_seed: int | None
 
     @property
     def successful(self):
@@ -85,7 +83,7 @@ def randomized_rank_runs(
             failures.append(RunFailure(i, type(outcome).__name__, str(outcome)))
         else:
             partitions.append(outcome)
-    return RunSet(tuple(partitions), tuple(failures), runs, master_seed)
+    return RunSet(tuple(partitions), tuple(failures))
 
 
 def cooccurrence(partitions, i, j):

@@ -241,9 +241,6 @@ class ConstraintResiduals:
     def worst(self):
         return max(self.degree, self.rich_club)
 
-    def as_dict(self):
-        return {"degree": self.degree, "rich_club": self.rich_club}
-
 
 class RowSums(NamedTuple):
     """Sums over row ``i`` of ``p(i, j)``, one entry per rank ``i``: over all

@@ -41,12 +41,11 @@ class Graph:
         the default pipeline is reproducible without a seed.
 
     ``edges`` is an (L, 2) int64 array of node indices ``i < j`` in
-    lexicographic order, ``degrees`` comes from a bincount of it, and
-    ``indptr``/``indices`` hold the neighbours in CSR form (see
-    :meth:`neighbors`).  All arrays are read-only.
+    lexicographic order and ``degrees`` comes from a bincount of it.  Both
+    arrays are read-only.
     """
 
-    __slots__ = ("n", "labels", "edges", "degrees", "indptr", "indices")
+    __slots__ = ("n", "labels", "edges", "degrees")
 
     def __init__(self, edges):
         edges = list(edges)
@@ -88,13 +87,8 @@ class Graph:
     def _store(self, labels, edges):
         self.n, self.labels, self.edges = len(labels), labels, edges
         self.degrees = np.bincount(edges.ravel(), minlength=self.n)
-        # both directions of each link, grouped by source: every j -> i
-        # (i < j) comes first, so a stable sort leaves each group ascending
-        order = np.argsort(np.concatenate((edges[:, 1], edges[:, 0])), kind="stable")
-        self.indices = np.concatenate((edges[:, 0], edges[:, 1]))[order]
-        self.indptr = np.concatenate(([0], np.cumsum(self.degrees)))
-        for a in (self.edges, self.degrees, self.indices, self.indptr):
-            a.flags.writeable = False
+        edges.flags.writeable = False
+        self.degrees.flags.writeable = False
 
     @property
     def edge_count(self):
@@ -102,11 +96,15 @@ class Graph:
         return len(self.edges)
 
     def neighbors(self, i):
-        """Ascending node indices adjacent to node ``i``."""
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
+        """Ascending node indices adjacent to node ``i``.
 
-    def label_of(self, index):
-        return self.labels[index]
+        Read from the sorted edge array, O(L) per call: only tests call it.
+        """
+        if not 0 <= i < self.n:
+            raise IndexError(f"node index {i} out of range for n={self.n}")
+        # the rows (j, i) with j < i, ascending in j, then the rows (i, j)
+        a, b = np.searchsorted(self.edges[:, 0], (i, i + 1))
+        return np.concatenate((self.edges[self.edges[:, 1] == i, 0], self.edges[a:b, 1]))
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_count})"
@@ -144,7 +142,6 @@ class Multigraph:
 
     n: int
     edges: np.ndarray
-    labels: tuple | None = None
 
     def __post_init__(self):
         ends = np.sort(np.array(self.edges, dtype=np.int64).reshape(-1, 2), axis=1)
@@ -164,9 +161,6 @@ class Multigraph:
 
     def is_simple(self):
         return not np.any(np.all(self.edges[1:] == self.edges[:-1], axis=1))
-
-    def label_of(self, index):
-        return self.labels[index] if self.labels is not None else index
 
 
 def _loadtxt_ends(text):
@@ -280,14 +274,14 @@ class Ranking:
     """Permutation of node indices in nonincreasing degree order.
 
     ``order[r]`` is the node index at rank ``r`` (rank 0 = highest degree);
-    ``positions[node]`` is the inverse map.  Equal-degree ties are broken by
-    ascending node index under the deterministic policy, or permuted by a
-    seeded generator under the random policy.
+    ``positions[node]`` is the inverse map.  :func:`rank_nodes` breaks
+    equal-degree ties by ascending node index, or permutes them with a
+    seeded generator.
     """
 
-    __slots__ = ("order", "positions", "policy", "seed")
+    __slots__ = ("order", "positions")
 
-    def __init__(self, order, policy, seed=None):
+    def __init__(self, order):
         order = np.array(order, dtype=np.int64)  # frozen below: the caller's stays writable
         n = order.size
         if not np.array_equal(np.sort(order), np.arange(n)):
@@ -298,14 +292,12 @@ class Ranking:
         positions.flags.writeable = False
         self.order = order
         self.positions = positions
-        self.policy = policy
-        self.seed = seed
 
     def __len__(self):
         return self.order.size
 
     def __repr__(self):
-        return f"Ranking(n={len(self)}, policy={self.policy!r})"
+        return f"Ranking(n={len(self)})"
 
 
 def rank_nodes(g, policy="deterministic", seed=None):
@@ -326,7 +318,7 @@ def rank_nodes(g, policy="deterministic", seed=None):
         for start, stop in zip([0, *bounds], [*bounds, g.n]):
             if stop - start > 1:
                 order[start:stop] = rng.permutation(order[start:stop])
-    ranking = Ranking(order, policy, seed)
+    ranking = Ranking(order)
     assert np.all(np.diff(deg[ranking.order]) <= 0)
     return ranking
 

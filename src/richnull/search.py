@@ -120,6 +120,8 @@ def build_ensemble(g, tag, ranking, direction=MAXIMIZE):
     breaks on a zero denominator names the input's connected components in
     its message.
     """
+    if len(ranking) != g.n:
+        raise ValueError("ranking size does not match graph")
     k = g.degrees[ranking.order]
     if tag != ME1:
         return LinkProbabilityModel(k, optimal_kplus(k, tag, direction), tag=tag)

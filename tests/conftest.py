@@ -536,9 +536,10 @@ def link_stat_matrices(model):
 def standard_matrix_by_formula(g, null, ranking=None):
     """``a - e`` with a zero diagonal, ``e = (L * P)[ix]`` for a ranked
     ensemble (``ix`` the ranking's node-order index) or the degree-product
-    null's ``expected(i, j)`` for every pair."""
+    ``k_i k_j / (2L)`` for every pair."""
     if ranking is None:
-        e = np.array([[null.expected(i, j) for j in range(g.n)] for i in range(g.n)])
+        k, twice = null.k.tolist(), 2.0 * null.links
+        e = np.array([[k[i] * k[j] / twice for j in range(g.n)] for i in range(g.n)])
     else:
         pos = ranking.positions
         e = (null.links * probability_matrix_by_pairs(null))[np.ix_(pos, pos)]
@@ -659,4 +660,4 @@ def rr_randomize_by_loop(g, variant, seed):
 
     if simple:
         return Graph.from_indices(g.labels, edges)
-    return Multigraph(g.n, edges, labels=g.labels)
+    return Multigraph(g.n, edges)

@@ -28,6 +28,14 @@ class TestNGModel:
         assert np.all(np.diag(e) == 0.0)
         assert e[0, 1] == pytest.approx(2 / 3)
 
+    def test_expected_broadcasts_over_index_arrays(self):
+        ng = NGModel([3, 2, 2, 1, 2, 2])
+        e = ng.expected(np.arange(6)[:, None], np.arange(6))
+        k = ng.k.tolist()
+        want = [[0.0 if i == j else k[i] * k[j] / 12.0 for j in range(6)] for i in range(6)]
+        assert e.tolist() == want
+        assert ng.expected([0, 3], [3, 3]).tolist() == [0.25, 0.0]
+
     def test_row_sum_bias_documented(self, k3):
         # the formula's row sum is k(sum(k) - k)/(2L), not k itself
         ng = newman_girvan(k3)

@@ -586,7 +586,7 @@ class TestConsensusCommand:
         )
         assert rc == EXIT_OK
         runs = json.loads((out / "runs.json").read_text())
-        assert runs["runs_successful"] == 10
+        assert runs["runs_requested"] == runs["runs_successful"] == 10
         assert runs["failures"] == []
         assert all(len(p["communities"]) == 2 for p in runs["partitions"])
         cores = json.loads((out / "cores.json").read_text())

@@ -32,7 +32,7 @@ from richnull.communities import (
 )
 from richnull.ensemble import LinkProbabilityModel
 from richnull.errors import InfeasibleNG, PowerIterationError
-from richnull.graph import MAXIMIZE, MINIMIZE, Graph, rank_nodes
+from richnull.graph import MAXIMIZE, MINIMIZE, Graph, Ranking, rank_nodes
 from richnull.search import build_ensemble, optimal_kplus
 
 
@@ -247,6 +247,15 @@ class TestBuildModularityMatrix:
     def test_soft_contrast_needs_ranked_nulls(self, karate, null, null2):
         with pytest.raises(ValueError, match="ranked ensembles on both sides"):
             build_modularity_matrix(karate, null, rank_nodes(karate), null2=null2)
+
+    def test_ranked_null_without_ranking_rejected(self, karate):
+        with pytest.raises(ValueError, match="the me1 null needs a ranking"):
+            build_modularity_matrix(karate, "me1", None)
+
+    @pytest.mark.parametrize("null", ["me1", "me2", "me3"])
+    def test_ranking_of_another_size_rejected(self, karate, null):
+        with pytest.raises(ValueError, match="ranking size does not match graph"):
+            build_modularity_matrix(karate, null, Ranking(np.arange(4)))
 
 
 @pytest.fixture(scope="module")

@@ -124,7 +124,6 @@ class TestRandomizedRuns:
     def test_karate_batch_succeeds(self, karate_runs):
         assert karate_runs.successful == 100
         assert karate_runs.failures == ()
-        assert karate_runs.run_count == 100
 
     def test_prefix_stability(self, karate, karate_runs):
         # rerunning with fewer runs reproduces the same leading partitions

@@ -337,7 +337,6 @@ class TestNormalizationAndConstraints:
         assert res.degree <= 1e-9
         assert res.rich_club <= 1e-9
         assert res.worst == max(res.degree, res.rich_club)
-        assert set(res.as_dict()) == {"degree", "rich_club"}
 
 
 class TestRowSums:
